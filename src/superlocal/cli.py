@@ -37,6 +37,7 @@ from .harness import (
 from .invariants import (
     SUBGRAPH_SCAN_LIMIT,
     gamma_bar_ll,
+    gamma_bar_ll_via_line_graph,
     gamma_ll,
     graph_bounds,
     vertex_bounds,
@@ -221,8 +222,9 @@ def cmd_edgecolour(args):
     k, colouring = edge_colour(mg)
     if args.verify:
         colouring.validate()
-        if k != gamma_bar_ll(mg):
-            raise InternalBugError("colour count differs from the recomputed bound")
+        # the line-graph route, independent of the bound edge_colour used
+        if k != gamma_bar_ll_via_line_graph(mg):
+            raise InternalBugError("colour count differs from the line-graph bound")
     if args.format == "json":
         out = {
             "k": k,

@@ -259,6 +259,8 @@ def _fresh_stats():
 def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
     """Colour the hole edge, possibly moving it first; returns the colouring.
 
+    Every return validates the returned colouring, so callers need not.
+
     Dispatch per state: direct colouring, fan rotation on a
     hinge/fan-vertex coincidence, alternating swap on a fan/fan
     coincidence, otherwise one fan-sequence transition. The step guard
@@ -414,7 +416,10 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
 
 
 def fan_sequence_resolve(mg, c0, f0):
-    """Run the insertion loop from a size-2 all-disjoint maximal fan."""
+    """Run the insertion loop from a size-2 all-disjoint maximal fan.
+
+    Returns the colouring; its stats count the resolution cases that fired.
+    """
     if len(f0.vertices) != 2:
         raise DomainError(f"fan sequence needs a fan of size 2, got {len(f0.vertices)}")
     sets = [
@@ -431,7 +436,7 @@ def fan_sequence_resolve(mg, c0, f0):
     cur = c0.copy()
     stats = _fresh_stats()
     cur = _resolve_hole(mg, cur, f0.edge, stats, forced_hinge=f0.hinge)
-    cur.validate()
+    cur.stats = stats
     return cur
 
 
@@ -456,7 +461,6 @@ def edge_colour(mg, insertion_order=None):
     stats = _fresh_stats()
     for eid in order:
         cur = _resolve_hole(mg, cur, eid, stats)
-        cur.validate()
     if not cur.is_complete():
         raise InternalBugError(f"edges left uncoloured: {cur.uncoloured()}")
     cur.stats = stats

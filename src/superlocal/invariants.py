@@ -57,6 +57,12 @@ def omega_v(g, v):
     return 1 + _max_clique_size(adj, adj[v])
 
 
+def _omegas(g):
+    """omega(v) for every vertex, over one shared adjacency list."""
+    adj = [g.adj_mask(v) for v in range(g.n)]
+    return [1 + _max_clique_size(adj, adj[v]) for v in range(g.n)]
+
+
 def gamma_l_prime_vertex(g, v):
     """(d(v) + 1 + omega(v)) / 2, the per-vertex local bound."""
     return Fraction(g.degree(v) + 1 + omega_v(g, v), 2)
@@ -91,10 +97,9 @@ def gamma_ll_prime(g):
         return Fraction(0)
     if not g.edges:
         return Fraction(1)
-    om = [omega_v(g, v) for v in range(g.n)]
-    return max(
-        Fraction(g.degree(u) + g.degree(v) + om[u] + om[v] + 2, 4) for u, v in g.edges
-    )
+    # s(x) = d(x) + 1 + omega(x); the edge bound is (s(u) + s(v)) / 4
+    s = [g.degree(v) + 1 + om for v, om in enumerate(_omegas(g))]
+    return Fraction(max(s[u] + s[v] for u, v in g.edges), 4)
 
 
 def gamma_ll(g):
@@ -110,7 +115,7 @@ class VertexBounds:
 
 def vertex_bounds(g):
     deg = tuple(g.degree(v) for v in range(g.n))
-    om = tuple(omega_v(g, v) for v in range(g.n))
+    om = tuple(_omegas(g))
     glp = tuple(Fraction(deg[v] + 1 + om[v], 2) for v in range(g.n))
     return VertexBounds(degree=deg, omega=om, gamma_l_prime=glp)
 
@@ -176,36 +181,39 @@ def nine_expressions(mg, u, v, w, t_uv=None, t_vw=None):
 
 
 def gamma_bar_ll(mg):
-    """Ceiling of half the max of the nine expressions over adjacent edge pairs."""
+    """Ceiling of half the max of the nine expressions over adjacent edge pairs.
+
+    The nine expressions of the pair (uv, vw) are the sums a + b with a
+    from the left triple of uv and b from the right triple of vw, so
+    their max is max(left) + max(right). Doubled, both maxima are the
+    same integer g of an edge, symmetric in its endpoints:
+    g(uv) = max(2d(u)+d(v), 2d(v)+d(u), d(u)+d(v)+t(uv)) - mu(uv).
+    The doubled max over pairs is therefore the sum of the two largest
+    g over the incident edge ids of some vertex v; a neighbour u with
+    mu(uv) >= 2 may fill both places (the pair u = w). Halving and
+    rounding up is one ceiling division by 4.
+    """
     if mg.edge_count == 0:
         raise DomainError("edge bound undefined on an edgeless multigraph")
-    if mg.edge_count == 1:
-        return 1
-    t_cache = {}
-
-    def t_of(a, b):
-        key = (a, b) if a < b else (b, a)
-        if key not in t_cache:
-            t_cache[key] = t_value(mg, a, b)
-        return t_cache[key]
-
-    best = Fraction(0)
+    deg = [mg.degree(v) for v in range(mg.n)]
+    nbrs = [mg.neighbours(v) for v in range(mg.n)]
+    g = {}  # doubled edge term, under both orientations of each support edge
+    for u in range(mg.n):
+        for v in nbrs[u]:
+            if u < v:
+                du, dv = deg[u], deg[v]
+                g[u, v] = g[v, u] = (
+                    max(2 * du + dv, 2 * dv + du, du + dv + t_value(mg, u, v)) - mg.mu(u, v)
+                )
+    best = 0
     for v in range(mg.n):
-        ids = mg.incident(v)
-        for e1 in ids:
-            a, b = mg.endpoints(e1)
-            u = b if a == v else a
-            for e2 in ids:
-                if e2 == e1:
-                    continue
-                a, b = mg.endpoints(e2)
-                w = b if a == v else a
-                exprs = nine_expressions(mg, u, v, w, t_uv=t_of(u, v), t_vw=t_of(v, w))
-                best = max(best, max(exprs))
+        terms = sorted(g[u, v] for u in nbrs[v] for _ in range(min(mg.mu(u, v), 2)))
+        if len(terms) >= 2:
+            best = max(best, terms[-1] + terms[-2])
     if best == 0:
         # no two edges share an endpoint: the line graph is edgeless
         return 1
-    return math.ceil(best / 2)
+    return -(-best // 4)
 
 
 def gamma_bar_ll_via_line_graph(mg):

@@ -2,13 +2,17 @@
 
 Everything here recomputes values from first principles with plain
 subset enumeration or unpruned backtracking, sharing only the graph
-containers with the package under test.
+containers with the package under test. The one exception is the edge
+bound, which takes the package's nine_expressions as its definition.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+
+from superlocal import nine_expressions
 
 
 def _members(mask, n):
@@ -186,6 +190,25 @@ def bf_chi_prime(mg):
     while not feasible(k):
         k += 1
     return k
+
+
+def bf_gamma_bar_ll(mg):
+    """Edge bound straight from its definition.
+
+    The nine expressions for every ordered pair of distinct incident
+    edge ids, then the ceiling of half their max; 1 when no two edges
+    share an endpoint.
+    """
+    best = Fraction(0)
+    for v in range(mg.n):
+        ids = mg.incident(v)
+        for e1, e2 in itertools.permutations(ids, 2):
+            u = sum(mg.endpoints(e1)) - v
+            w = sum(mg.endpoints(e2)) - v
+            best = max(best, max(nine_expressions(mg, u, v, w)))
+    if best == 0:
+        return 1
+    return math.ceil(best / 2)
 
 
 def bf_isomorphic(g, h):

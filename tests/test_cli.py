@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from superlocal import Multigraph, parse_graph6, parse_multigraph, to_graph6
+from superlocal import Multigraph, cli, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
 from conftest import cycle, petersen
@@ -144,6 +144,15 @@ class TestEdgecolour:
         assert d["k"] == 6
         assert d["verified"] is True
         assert len(d["colours"]) == 6
+
+    def test_verify_checks_k_by_the_line_graph(self, capsys, monkeypatch, fat_triangle_file):
+        # k = 6 comes from gamma_bar_ll; a line-graph route that answers
+        # k + 1 must raise the bug signal
+        monkeypatch.setattr(cli, "gamma_bar_ll_via_line_graph", lambda mg: 6 + 1)
+        code, out, err = run(capsys, "edgecolour", fat_triangle_file, "--verify")
+        assert code == 3
+        assert out == ""
+        assert "line-graph bound" in err
 
     def test_graph6_input(self, capsys, c5_file):
         code, out, _ = run(capsys, "edgecolour", c5_file)

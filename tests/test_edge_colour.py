@@ -283,6 +283,21 @@ class TestEdgeColour:
         assert set(s) == {"direct", "rotation", "kempe", "sequence_steps", "beta_swaps"}
         assert s["direct"] + s["rotation"] + s["beta_swaps"] == mg.edge_count
 
+    def test_one_validation_per_state(self, monkeypatch):
+        # every insertion here is direct: one new state, one validate()
+        calls = []
+        original = PartialEdgeColouring.validate
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(PartialEdgeColouring, "validate", counted)
+        mg = Multigraph.of_simple(petersen())
+        _, col = edge_colour(mg)
+        assert col.stats["direct"] == mg.edge_count
+        assert len(calls) == mg.edge_count
+
     def test_insertion_orders(self):
         mg = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
         k0, _ = edge_colour(mg)
@@ -309,3 +324,51 @@ class TestEdgeColour:
             assert k == gamma_bar_ll(mg) == gamma_bar_ll_via_line_graph(mg)
             assert col.is_complete() and col.validate()
             assert all(1 <= c <= k for c in col.assignment.values())
+
+
+def _stats(direct=0, rotation=0, kempe=0, sequence_steps=0):
+    return {
+        "direct": direct,
+        "rotation": rotation,
+        "kempe": kempe,
+        "sequence_steps": sequence_steps,
+        "beta_swaps": 0,
+    }
+
+
+class TestRareBranches:
+    """Smallest inputs found by tests/branch_search.py (seed 2, 300,000 trials).
+
+    The search covers multigraphs on at most 6 vertices; the beta-swap
+    branch never fired in it and has no fixture.
+    """
+
+    def test_kempe_swap(self):
+        mg = Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)])
+        k, col = edge_colour(mg, insertion_order=[4, 6, 5, 0, 2, 3, 1])
+        assert col.stats == _stats(direct=7, kempe=1)
+        assert k == gamma_bar_ll_via_line_graph(mg) == 4
+        assert col.is_complete() and col.validate()
+
+    def test_rotation_and_sequence_step(self):
+        mg = Multigraph(
+            5, [(1, 4), (0, 3), (1, 4), (2, 4), (1, 3), (2, 4), (1, 3), (0, 3)]
+        )
+        k, col = edge_colour(mg, insertion_order=[7, 5, 1, 3, 2, 4, 6, 0])
+        assert col.stats == _stats(direct=7, rotation=1, sequence_steps=1)
+        assert k == gamma_bar_ll_via_line_graph(mg)
+        assert col.is_complete() and col.validate()
+
+    def test_fan_sequence_from_partial_state(self):
+        mg = Multigraph(
+            5, [(2, 4), (1, 2), (2, 4), (3, 4), (3, 4), (1, 2), (0, 1), (0, 1)]
+        )
+        k = gamma_bar_ll(mg)
+        c0 = PartialEdgeColouring(mg, k, {1: 2, 2: 1, 3: 5, 4: 3, 5: 4, 6: 3, 7: 5})
+        hole = 0
+        fan = build_maximal_fan(mg, c0, hole, min(mg.endpoints(hole)))
+        assert len(fan.vertices) == 2
+        done = fan_sequence_resolve(mg, c0, fan)
+        assert done.stats == _stats(rotation=1, sequence_steps=1)
+        assert done.is_complete() and done.validate()
+        assert c0.colour_of(hole) is None

@@ -27,8 +27,12 @@ from superlocal import (
     t_value,
     vertex_bounds,
 )
-from bruteforce import bf_clique_number, bf_gamma_ll_prime, bf_omega_v
+from bruteforce import bf_clique_number, bf_gamma_bar_ll, bf_gamma_ll_prime, bf_omega_v
 from conftest import complete, cycle, double_star, path, pendant_clique, petersen
+
+
+# path 1-0-2-3 with multiplicities 3, 2, 3
+PARALLEL_PATH = [(0, 1)] * 3 + [(0, 2)] * 2 + [(2, 3)] * 3
 
 
 def multigraphs_st():
@@ -164,6 +168,9 @@ class TestMultigraphBound:
             (Multigraph(2, [(0, 1)]), 1),
             (Multigraph(3, [(0, 1), (1, 2)]), 2),
             (Multigraph(4, [(0, 1), (2, 3)]), 1),
+            (Multigraph(6, [(0, 1), (2, 3), (4, 5)]), 1),
+            (Multigraph(4, [(0, 1), (0, 2), (0, 3)]), 3),  # simple star: no u = w
+            (Multigraph(4, PARALLEL_PATH), 7),
             (Multigraph(2, [(0, 1)] * 4), 4),
             (Multigraph.of_simple(petersen()), 4),
             (Multigraph.of_simple(cycle(5)), 3),
@@ -174,6 +181,7 @@ class TestMultigraphBound:
             )
         for mg, expected in cases:
             assert gamma_bar_ll(mg) == expected
+            assert bf_gamma_bar_ll(mg) == expected
             assert gamma_bar_ll_via_line_graph(mg) == expected
 
     def test_edgeless_rejected(self):
@@ -187,6 +195,20 @@ class TestMultigraphBound:
         if mg.edge_count == 0:
             return
         assert gamma_bar_ll(mg) == gamma_bar_ll_via_line_graph(mg)
+
+    @given(multigraphs_st())
+    def test_matches_pairwise_definition(self, mg):
+        if mg.edge_count == 0:
+            return
+        assert gamma_bar_ll(mg) == bf_gamma_bar_ll(mg)
+
+    def test_parallel_pair_counts_twice(self):
+        # the max pair at vertex 0 is two parallel 02 edges (u = w = 2);
+        # the best pair with distinct neighbours reaches only 23/2
+        mg = Multigraph(4, PARALLEL_PATH)
+        assert max(nine_expressions(mg, 2, 0, 2)) == 13
+        assert max(nine_expressions(mg, 1, 0, 2)) == Fraction(23, 2)
+        assert gamma_bar_ll(mg) == 7
 
     @given(multigraphs_st())
     def test_at_least_max_degree(self, mg):
