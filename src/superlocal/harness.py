@@ -15,7 +15,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -645,16 +645,7 @@ def search_counterexamples(space, claims=None, flags=None):
     """
     base = flags or CheckFlags()
     if claims is not None:
-        base = CheckFlags(
-            claims=tuple(claims),
-            circular_interval=base.circular_interval,
-            chromatic_limit=base.chromatic_limit,
-            stable_set_limit=base.stable_set_limit,
-            matching_limit=base.matching_limit,
-            lp_set_limit=base.lp_set_limit,
-            question_limit=base.question_limit,
-            chi_prime_edge_limit=base.chi_prime_edge_limit,
-        )
+        base = replace(base, claims=tuple(claims))
     for claim in base.claims:
         if claim not in SIMPLE_CLAIMS + MULTI_CLAIMS:
             raise DomainError(f"unknown claim {claim!r}")

@@ -40,24 +40,31 @@ def verify_vertex_colouring(g, vc):
     return all(vc.colours[u] != vc.colours[v] for u, v in g.edges)
 
 
+def _dsatur_pick(adj, colours):
+    """The uncoloured vertex of most colours seen, then highest degree,
+    then lowest index, with the mask of the colours it sees."""
+    pick, pick_key, pick_sat = -1, None, 0
+    for v, cv in enumerate(colours):
+        if cv >= 0:
+            continue
+        sat = 0
+        m = adj[v]
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            if colours[u] >= 0:
+                sat |= 1 << colours[u]
+            m ^= b
+        key = (sat.bit_count(), adj[v].bit_count(), -v)
+        if pick_key is None or key > pick_key:
+            pick, pick_key, pick_sat = v, key, sat
+    return pick, pick_sat
+
+
 def _dsatur_greedy(adj, n):
     colours = [-1] * n
     for _ in range(n):
-        pick, pick_key, pick_sat = -1, None, 0
-        for v in range(n):
-            if colours[v] >= 0:
-                continue
-            sat = 0
-            m = adj[v]
-            while m:
-                b = m & -m
-                u = b.bit_length() - 1
-                if colours[u] >= 0:
-                    sat |= 1 << colours[u]
-                m ^= b
-            key = (sat.bit_count(), adj[v].bit_count(), -v)
-            if pick_key is None or key > pick_key:
-                pick, pick_key, pick_sat = v, key, sat
+        pick, pick_sat = _dsatur_pick(adj, colours)
         c = 0
         while pick_sat >> c & 1:
             c += 1
@@ -88,21 +95,7 @@ def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
                 best_k = used
                 best = colours[:]
                 return
-            pick, pick_key, pick_sat = -1, None, 0
-            for v in range(n):
-                if colours[v] >= 0:
-                    continue
-                sat = 0
-                m = adj[v]
-                while m:
-                    b = m & -m
-                    u = b.bit_length() - 1
-                    if colours[u] >= 0:
-                        sat |= 1 << colours[u]
-                    m ^= b
-                key = (sat.bit_count(), adj[v].bit_count(), -v)
-                if pick_key is None or key > pick_key:
-                    pick, pick_key, pick_sat = v, key, sat
+            pick, pick_sat = _dsatur_pick(adj, colours)
             cap = min(used + 1, best_k - 1)
             for c in range(cap):
                 if pick_sat >> c & 1:
@@ -154,9 +147,7 @@ def fractional_chromatic_solution(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
             f"LP over {len(fam.sets)} stable sets exceeds the limit {set_limit}"
         )
     rows = [[1 if v in s else 0 for v in range(n)] for s in fam.sets]
-    ones_m = [Fraction(1)] * len(rows)
-    ones_n = [Fraction(1)] * n
-    value, y, w = solve_simplex(rows, ones_m, ones_n)
+    value, y, w = solve_simplex(rows, [1] * len(rows), [1] * n)
 
     # certificate: y is a feasible fractional clique, w a feasible
     # fractional colouring, and the two objectives agree exactly

@@ -1,8 +1,20 @@
-"""Exact rational simplex for small linear programs.
+"""Exact simplex for small integer linear programs.
 
 Maximises c.x subject to A.x <= b, x >= 0 with b >= 0, so the slack
-basis is feasible and no phase-1 is needed. Bland's rule guarantees
-termination without perturbation. Everything is a Fraction.
+basis is feasible and no phase-1 is needed. A, b and c must be Python
+integers.
+
+The tableau is compact: it keeps one column per nonbasic variable plus
+the right-hand side, m rows and one objective row, and no slack
+identity. Pivoting is fraction-free (Edmonds 1967; Bareiss 1968): every
+entry is an integer equal to the true rational entry times ``det``, the
+previous pivot, and each update divides exactly by ``det``. Bland's
+rule picks the pivots: enter on the lowest variable id with a negative
+reduced cost, leave on the lowest ratio with ties to the lowest basis
+id; so ``det`` stays positive, signs are read off the integers and
+ratios are compared by cross products. It guarantees termination
+without perturbation. The optimum, the primal and the dual are turned
+into Fractions once, at the end.
 """
 
 from __future__ import annotations
@@ -15,25 +27,27 @@ from .errors import InternalBugError
 def solve_simplex(a, b, c):
     """Returns (value, x, y): optimum, primal solution, dual solution.
 
-    a: m rows of length nv, b: length m (all >= 0), c: length nv.
-    y is read off the slack columns of the final objective row, so it is
-    a feasible dual whenever the primal is optimal; callers should still
-    verify both feasibilities and value equality.
+    a: m rows of length nv, b: length m (all >= 0), c: length nv, all
+    integers. y is read off the objective entries of the slack
+    variables (0 for a basic slack), so it is a feasible dual whenever
+    the primal is optimal; callers should still verify both
+    feasibilities and value equality.
     """
     m = len(a)
     nv = len(c)
-    one = Fraction(1)
+    for vec in (*a, b, c):
+        if not all(isinstance(v, int) for v in vec):
+            raise InternalBugError("simplex needs integer coefficients")
     rows = []
     for i in range(m):
         if b[i] < 0:
             raise InternalBugError("simplex needs nonnegative right-hand sides")
-        row = [Fraction(x) for x in a[i]]
-        row.extend(one if j == i else Fraction(0) for j in range(m))
-        row.append(Fraction(b[i]))
-        rows.append(row)
-    obj = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+        rows.append(list(a[i]) + [b[i]])
+    obj = [-cj for cj in c] + [0]
+    # variable ids: x_j is j, the slack of row i is nv + i
+    nonbasic = list(range(nv))
     basis = [nv + i for i in range(m)]
-    width = nv + m
+    det = 1
 
     guard = 0
     max_steps = 1000 * (m + nv + 1)
@@ -42,39 +56,56 @@ def solve_simplex(a, b, c):
         if guard > max_steps:
             raise InternalBugError("simplex exceeded its step guard")
         enter = -1
-        for j in range(width):
-            if obj[j] < 0:
+        for j in range(nv):
+            if obj[j] < 0 and (enter < 0 or nonbasic[j] < nonbasic[enter]):
                 enter = j
-                break
         if enter < 0:
             break
         leave = -1
-        best = None
         for i in range(m):
             coeff = rows[i][enter]
             if coeff > 0:
-                ratio = rows[i][-1] / coeff
-                if best is None or ratio < best or (
-                    ratio == best and basis[i] < basis[leave]
-                ):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # rows[i][-1] / coeff against the best ratio so far
+                lhs = rows[i][-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise InternalBugError("unbounded linear program")
-        piv = rows[leave][enter]
-        rows[leave] = [x / piv for x in rows[leave]]
+        prow = rows[leave]
+        piv = prow[enter]
         for i in range(m):
-            if i != leave and rows[i][enter]:
-                f = rows[i][enter]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [x - f * y for x, y in zip(obj, rows[leave])]
-        basis[leave] = enter
+            if i != leave:
+                rows[i] = _pivot_row(rows[i], prow, piv, enter, det)
+        obj = _pivot_row(obj, prow, piv, enter, det)
+        prow[enter] = det
+        det = piv
+        nonbasic[enter], basis[leave] = basis[leave], nonbasic[enter]
 
     x = [Fraction(0)] * nv
     for i, bi in enumerate(basis):
         if bi < nv:
-            x[bi] = rows[i][-1]
-    y = [obj[nv + i] for i in range(m)]
-    return obj[-1], x, y
+            x[bi] = Fraction(rows[i][-1], det)
+    y = [Fraction(0)] * m
+    for j, vj in enumerate(nonbasic):
+        if vj >= nv:
+            y[vj - nv] = Fraction(obj[j], det)
+    return Fraction(obj[-1], det), x, y
+
+
+def _pivot_row(row, prow, piv, enter, det):
+    """One non-pivot row after pivoting on prow[enter] = piv."""
+    f = row[enter]
+    if f:
+        out = [piv * v - f * w for v, w in zip(row, prow)]
+    else:
+        out = [piv * v for v in row]
+    # exact: every entry is a minor of the initial tableau; on 0/1
+    # stable-set rows det is mostly 1
+    if det != 1:
+        out = [v // det for v in out]
+    out[enter] = -f
+    return out

@@ -2,8 +2,10 @@
 
 Everything here recomputes values from first principles with plain
 subset enumeration or unpruned backtracking, sharing only the graph
-containers with the package under test. The one exception is the edge
-bound, which takes the package's nine_expressions as its definition.
+containers with the package under test. There are two exceptions: the
+edge bound, which takes the package's nine_expressions as its
+definition, and bf_solve_simplex, a full Fraction tableau that must
+make the same Bland pivots as the package's integer simplex.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from superlocal import nine_expressions
+from superlocal import InternalBugError, nine_expressions
 
 
 def _members(mask, n):
@@ -227,3 +229,70 @@ def bf_isomorphism_classes(graphs):
         if not any(bf_isomorphic(g, h) for h in reps):
             reps.append(g)
     return reps
+
+
+def bf_solve_simplex(a, b, c):
+    """Reference for solve_simplex: (value, x, y) from the same Bland pivots.
+
+    Keeps the full m x (nv + m + 1) tableau, slack identity included,
+    as Fractions normalised after every pivot. y is read off the slack
+    columns of the final objective row.
+    """
+    m = len(a)
+    nv = len(c)
+    one = Fraction(1)
+    rows = []
+    for i in range(m):
+        if b[i] < 0:
+            raise InternalBugError("simplex needs nonnegative right-hand sides")
+        row = [Fraction(x) for x in a[i]]
+        row.extend(one if j == i else Fraction(0) for j in range(m))
+        row.append(Fraction(b[i]))
+        rows.append(row)
+    obj = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = [nv + i for i in range(m)]
+    width = nv + m
+
+    guard = 0
+    max_steps = 1000 * (m + nv + 1)
+    while True:
+        guard += 1
+        if guard > max_steps:
+            raise InternalBugError("simplex exceeded its step guard")
+        enter = -1
+        for j in range(width):
+            if obj[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best = None
+        for i in range(m):
+            coeff = rows[i][enter]
+            if coeff > 0:
+                ratio = rows[i][-1] / coeff
+                if best is None or ratio < best or (
+                    ratio == best and basis[i] < basis[leave]
+                ):
+                    best = ratio
+                    leave = i
+        if leave < 0:
+            raise InternalBugError("unbounded linear program")
+        piv = rows[leave][enter]
+        rows[leave] = [x / piv for x in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[leave])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [x - f * y for x, y in zip(obj, rows[leave])]
+        basis[leave] = enter
+
+    x = [Fraction(0)] * nv
+    for i, bi in enumerate(basis):
+        if bi < nv:
+            x[bi] = rows[i][-1]
+    y = [obj[nv + i] for i in range(m)]
+    return obj[-1], x, y

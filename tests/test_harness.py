@@ -393,6 +393,14 @@ class TestSerialization:
             "findings": [],
         }
 
+    def test_claims_keep_other_flags(self):
+        # C5 has five maximal stable sets, so a limit of 1 refuses its LP
+        flags = CheckFlags(lp_set_limit=1)
+        summary = search_counterexamples([cycle(5)], claims=("superlocal-chi",), flags=flags)
+        assert summary.reports[0].chi_f is None
+        default = search_counterexamples([cycle(5)], claims=("superlocal-chi",))
+        assert default.reports[0].chi_f == Fraction(5, 2)
+
 
 @pytest.mark.skipif(not _kernels.HAVE_JIT, reason="needs both backends")
 class TestBackendEquality:

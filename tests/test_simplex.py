@@ -1,11 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superlocal import InternalBugError
+from superlocal import (
+    InternalBugError,
+    enumerate_graph_classes,
+    fractional_chromatic_solution,
+    maximal_stable_sets,
+    parse_graph6,
+)
 from superlocal.simplex import solve_simplex
+from bruteforce import bf_solve_simplex
 
 F = Fraction
 
@@ -82,3 +89,61 @@ def test_duality_random(case):
     for j in range(nv):
         assert sum(a[i][j] * y[i] for i in range(m)) >= c[j]
     assert sum(yi * bi for yi, bi in zip(y, b)) == value
+
+
+def test_non_integer_input_rejected():
+    for bad in (0.5, F(1, 2)):
+        with pytest.raises(InternalBugError, match="integer"):
+            solve_simplex([[bad]], [1], [1])
+        with pytest.raises(InternalBugError, match="integer"):
+            solve_simplex([[1]], [bad], [1])
+        with pytest.raises(InternalBugError, match="integer"):
+            solve_simplex([[1]], [1], [bad])
+
+
+def _outcome(solver, a, b, c):
+    try:
+        return solver(a, b, c)
+    except InternalBugError as exc:
+        return str(exc)
+
+
+def test_negative_rhs_matches_reference():
+    a, b, c = [[1, 2], [3, -1]], [2, -1], [1, 1]
+    assert _outcome(solve_simplex, a, b, c) == _outcome(bf_solve_simplex, a, b, c)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 7), st.integers(0, 7), st.data())
+def test_matches_reference_random(m, nv, data):
+    coeff = st.integers(-4, 4)
+    a = [[data.draw(coeff) for _ in range(nv)] for _ in range(m)]
+    b = [data.draw(st.integers(0, 4)) for _ in range(m)]
+    c = [data.draw(coeff) for _ in range(nv)]
+    assert _outcome(solve_simplex, a, b, c) == _outcome(bf_solve_simplex, a, b, c)
+
+
+def _stable_set_lp(g):
+    rows = [[1 if v in s else 0 for v in range(g.n)] for s in maximal_stable_sets(g).sets]
+    return rows, [1] * len(rows), [1] * g.n
+
+
+def test_matches_reference_on_stable_set_lps():
+    for n in range(1, 7):
+        for g in enumerate_graph_classes(n):
+            a, b, c = _stable_set_lp(g)
+            assert solve_simplex(a, b, c) == bf_solve_simplex(a, b, c)
+
+
+def test_stable_set_lp_at_scale():
+    # a fixed 22-vertex graph of edge density about 1/4
+    g = parse_graph6("UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_")
+    assert g.n == 22
+    assert len(maximal_stable_sets(g).sets) == 163
+    sol = fractional_chromatic_solution(g)
+    assert sol.value == 4
+    assert sum(sol.weights.values()) == sol.value
+    for v in range(g.n):
+        assert sum(w for s, w in sol.weights.items() if v in s) >= 1
+    assert len(sol.dual) == g.n
+    assert sum(sol.dual) == sol.value
