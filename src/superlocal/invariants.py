@@ -240,15 +240,30 @@ def neighbourhood_average(g, v):
     """Average of gamma_l_prime over the closed neighbourhood of v."""
     if not 0 <= v < g.n:
         raise DomainError(f"vertex {v} out of range")
+    om = _omegas(g)
     members = (v,) + g.neighbours(v)
-    total = sum(gamma_l_prime_vertex(g, u) for u in members)
-    return Fraction(total, len(members))
+    # twice gamma_l_prime(u) is d(u) + 1 + omega(u)
+    total = sum(g.degree(u) + 1 + om[u] for u in members)
+    return Fraction(total, 2 * len(members))
 
 
 def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
     """Max closed-neighbourhood average over all nonempty induced subgraphs.
 
-    Scans all 2^n - 1 subgraphs, so refuses above the limit.
+    The max is over every induced subgraph H = G[mask] and every vertex
+    v of H of the average of gamma_l_prime, computed in H, over the
+    closed neighbourhood of v in H. Scans all 2^n - 1 subgraphs, so
+    refuses above the limit.
+
+    One pass in increasing order fills clq[s], the clique number of
+    every vertex set s: with v the lowest vertex of s and rest = s - v,
+    a largest clique of s either avoids v or is v plus a clique inside
+    N(v), so clq[s] = max(clq[rest], 1 + clq[rest & N(v)]). In H, with
+    nv = N(v) & mask, twice gamma_l_prime(v) is the integer
+    h(v) = |nv| + 2 + clq[nv], and the closed-neighbourhood average is
+    (h(v) + sum of h(u) over u in nv) / (2 (|nv| + 1)). The best
+    average is kept as an integer pair compared by cross products, and
+    the one Fraction is built at the end.
     """
     if g.n > limit:
         raise SizeLimitError(
@@ -256,27 +271,38 @@ def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
         )
     if g.n == 0:
         raise DomainError("bound needs a nonempty vertex set")
-    adj = [g.adj_mask(v) for v in range(g.n)]
-    best = Fraction(0)
-    for mask in range(1, 1 << g.n):
-        # per-vertex degree and clique number inside the induced subgraph
-        glp = {}
+    n = g.n
+    adj = [g.adj_mask(v) for v in range(n)]
+    clq = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        a = clq[rest]
+        b = 1 + clq[rest & adj[low.bit_length() - 1]]
+        clq[s] = a if a >= b else b
+    best_num, best_den = 0, 1
+    h = [0] * n
+    for mask in range(1, 1 << n):
         m = mask
         while m:
             b = m & -m
             v = b.bit_length() - 1
             nv = adj[v] & mask
-            glp[v] = Fraction(nv.bit_count() + 2 + _max_clique_size(adj, nv), 2)
+            h[v] = nv.bit_count() + 2 + clq[nv]
             m ^= b
-        for v in glp:
+        m = mask
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
             nv = adj[v] & mask
-            total = glp[v]
-            cnt = 1
-            mm = nv
-            while mm:
-                b = mm & -mm
-                total += glp[b.bit_length() - 1]
-                cnt += 1
-                mm ^= b
-            best = max(best, Fraction(total, cnt))
-    return best
+            num = h[v]
+            den = 1
+            while nv:
+                c = nv & -nv
+                num += h[c.bit_length() - 1]
+                den += 1
+                nv ^= c
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+            m ^= b
+    return Fraction(best_num, 2 * best_den)

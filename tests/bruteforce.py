@@ -14,7 +14,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from superlocal import InternalBugError, nine_expressions
+from superlocal import InternalBugError, SimpleGraph, nine_expressions
 
 
 def _members(mask, n):
@@ -99,6 +99,31 @@ def bf_omega_v(g, v):
             if bf_is_clique(g, list(combo)):
                 best = max(best, r)
     return 1 + best
+
+
+def bf_subgraph_neighbourhood_bound(g):
+    """Question bound from its definition, one induced subgraph at a time.
+
+    Every nonempty vertex set is rebuilt as its own relabelled graph,
+    omega comes from neighbourhood subsets, and the closed-neighbourhood
+    averages of gamma_l_prime are Fractions.
+    """
+    best = Fraction(0)
+    for mask in range(1, 1 << g.n):
+        members = _members(mask, g.n)
+        h = SimpleGraph(
+            len(members),
+            [
+                (i, j)
+                for i, j in itertools.combinations(range(len(members)), 2)
+                if g.has_edge(members[i], members[j])
+            ],
+        )
+        glp = [Fraction(h.degree(v) + 1 + bf_omega_v(h, v), 2) for v in range(h.n)]
+        for v in range(h.n):
+            closed = (v,) + h.neighbours(v)
+            best = max(best, sum(glp[u] for u in closed) / len(closed))
+    return best
 
 
 def bf_gamma_ll_prime(g):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from superlocal import (
     enumerate_connected_graphs,
     enumerate_graph_classes,
     frac_str,
+    gamma_bar_ll,
     multigraph_line,
     perm_edge_maps,
     random_corpus,
@@ -30,7 +32,7 @@ from superlocal import (
     summary_to_dict,
     write_reports,
 )
-from superlocal import _kernels
+from superlocal import _kernels, harness
 from superlocal.harness import MULTI_CLAIMS, SIMPLE_CLAIMS, _colourable_backtrack
 from bruteforce import bf_chi_prime, bf_isomorphic, bf_isomorphism_classes
 from conftest import complete, cycle, path, petersen
@@ -219,6 +221,24 @@ class TestCheckMultigraph:
         assert r.gamma_bar_ll == 6
         assert r.colours_used == 6
         assert r.chi_prime == 6
+
+    def test_one_gamma_bar_ll_per_multigraph(self, monkeypatch):
+        calls = []
+
+        def counted(mg):
+            calls.append(mg)
+            return gamma_bar_ll(mg)
+
+        # the harness and edge_colour each look the name up in their own module
+        monkeypatch.setattr(harness, "gamma_bar_ll", counted)
+        monkeypatch.setattr(sys.modules["superlocal.edge_colour"], "gamma_bar_ll", counted)
+        mg = Multigraph(3, [(0, 1), (0, 2), (1, 2)] * 2)
+        for claims in (MULTI_CLAIMS, ("edge-colour",), ("line-graph-match",)):
+            calls.clear()
+            r = check_multigraph(mg, CheckFlags(claims=claims))
+            assert len(calls) == 1
+            assert r.gamma_bar_ll == 6
+            assert not r.bug
 
 
 class TestChiPrimeBruteforce:

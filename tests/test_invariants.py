@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from superlocal import (
     gamma_ll_prime,
     gamma_ll_prime_edge,
     graph_bounds,
+    induced_subgraph,
     neighbourhood_average,
     nine_expressions,
     omega_v,
@@ -27,7 +30,13 @@ from superlocal import (
     t_value,
     vertex_bounds,
 )
-from bruteforce import bf_clique_number, bf_gamma_bar_ll, bf_gamma_ll_prime, bf_omega_v
+from bruteforce import (
+    bf_clique_number,
+    bf_gamma_bar_ll,
+    bf_gamma_ll_prime,
+    bf_omega_v,
+    bf_subgraph_neighbourhood_bound,
+)
 from conftest import complete, cycle, double_star, path, pendant_clique, petersen
 
 
@@ -55,6 +64,30 @@ def multigraphs_st():
                 max_size=8,
             ),
         )
+    )
+
+
+small_graphs_st = st.integers(1, 8).flatmap(
+    lambda n: st.builds(
+        SimpleGraph,
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda p: p[0] != p[1]
+            ),
+            max_size=20,
+        )
+        if n >= 2
+        else st.just([]),
+    )
+)
+
+
+def seeded_g12():
+    """A seeded G(12, 1/2), at the subgraph scan limit."""
+    rng = random.Random(4)
+    return SimpleGraph(
+        12, [e for e in itertools.combinations(range(12), 2) if rng.randrange(2)]
     )
 
 
@@ -263,6 +296,22 @@ class TestAverageBounds:
             bound = subgraph_neighbourhood_bound(g)
             for v in range(g.n):
                 assert bound >= neighbourhood_average(g, v)
+
+    def test_subgraph_bound_matches_bruteforce(self, classes6):
+        for g in classes6:
+            assert subgraph_neighbourhood_bound(g) == bf_subgraph_neighbourhood_bound(g)
+
+    @given(small_graphs_st)
+    def test_subgraph_bound_matches_bruteforce_random(self, g):
+        assert subgraph_neighbourhood_bound(g) == bf_subgraph_neighbourhood_bound(g)
+
+    @pytest.mark.parametrize("g", [petersen(), seeded_g12()], ids=["petersen", "g12"])
+    def test_subgraph_bound_over_induced_subgraphs(self, g):
+        best = Fraction(0)
+        for mask in range(1, 1 << g.n):
+            h, _ = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
+            best = max(best, max(neighbourhood_average(h, v) for v in range(h.n)))
+        assert subgraph_neighbourhood_bound(g) == best
 
     def test_subgraph_bound_limit(self):
         with pytest.raises(SizeLimitError):
