@@ -1,33 +1,21 @@
-"""Hot integer kernels with optional numba acceleration.
+"""Hot integer kernels over bitmask arrays, in pure Python and numpy.
 
-Three kernels run over bitmask arrays: the isomorphism-class orbit
-sweep, the maximum-matching subset DP, and brute-force edge-colouring
-feasibility. Each has a jit backend (numba, when importable) and a pure
-backend; SUPERLOCAL_NO_JIT=1 forces the pure one. Exact rational code
-elsewhere never goes through here.
+Three kernels: the maximum-matching subset DP, the isomorphism-class
+orbit sweep, and brute-force edge-colouring feasibility. Exact rational
+code elsewhere never goes through here. Callers reach them as
+``_kernels.<name>`` so that a tracer can wrap these bindings.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_FORCE_PURE = os.environ.get("SUPERLOCAL_NO_JIT", "") == "1"
-
-try:
-    if _FORCE_PURE:
-        raise ImportError
-    from numba import njit
-
-    HAVE_JIT = True
-except ImportError:
-    njit = None
-    HAVE_JIT = False
+# the kernel implementation in use, recorded in benchmark fingerprints
+ACTIVE = "pure"
 
 
-def _matching_dp_impl(adj, dp):
-    # dp[mask] = maximum matching size inside mask; adj holds bitmasks
+def matching_dp(adj, dp):
+    """Fill dp[mask] with the maximum matching size inside mask; adj holds bitmasks."""
     dp[0] = 0
     for mask in range(1, dp.shape[0]):
         v = 0
@@ -48,38 +36,11 @@ def _matching_dp_impl(adj, dp):
         dp[mask] = best
 
 
-def _orbit_reps_impl(perm_maps, e_bits, capacity):
+def orbit_representatives(perm_maps, e_bits):
+    """Sorted minimum edge masks of the orbits of perm_maps on e_bits-bit masks."""
     # sweep masks in increasing order; an unvisited mask is its orbit's
-    # minimum, so marking whole orbits yields canonical representatives
-    total = 1 << e_bits
-    visited = np.zeros(((total + 7) >> 3,), np.uint8)
-    reps = np.empty(capacity, np.int64)
-    cnt = 0
-    nperm = perm_maps.shape[0]
-    for mask in range(total):
-        if visited[mask >> 3] & (1 << (mask & 7)):
-            continue
-        if cnt >= capacity:
-            return reps[:0]
-        reps[cnt] = mask
-        cnt += 1
-        for p in range(nperm):
-            pm = 0
-            rem = mask
-            while rem:
-                lb = rem & (-rem)
-                e = 0
-                while not (lb >> e) & 1:
-                    e += 1
-                pm |= 1 << perm_maps[p, e]
-                rem ^= lb
-            visited[pm >> 3] |= np.uint8(1 << (pm & 7))
-    return reps[:cnt]
-
-
-def _orbit_reps_numpy(perm_maps, e_bits, capacity):
-    # fallback with a vectorised orbit marking and a monotone byte
-    # pointer: orbits of an unvisited mask lie at or above it, so the
+    # minimum, so marking whole orbits yields canonical representatives.
+    # The orbit of an unvisited mask lies at or above it, so the byte
     # pointer never needs to move backwards
     total = 1 << e_bits
     nbytes = (total + 7) >> 3
@@ -107,8 +68,6 @@ def _orbit_reps_numpy(perm_maps, e_bits, capacity):
         mask = (pos << 3) | bit
         if mask >= total:
             break
-        if len(reps) >= capacity:
-            return np.empty(0, np.int64)
         reps.append(mask)
         bits = [e for e in range(e_bits) if mask >> e & 1]
         if bits:
@@ -121,7 +80,8 @@ def _orbit_reps_numpy(perm_maps, e_bits, capacity):
     return np.array(reps, np.int64)
 
 
-def _edge_feasible_impl(eu, ev, k, n, cap):
+def edge_colouring_feasible(eu, ev, k, n, cap):
+    """1 if the edges colour with k colours, 0 if not, -1 past cap steps."""
     # backtracking over edges in listing order; an edge may only use a
     # colour at most one above the maximum used so far (symmetry cut)
     m = eu.shape[0]
@@ -166,28 +126,3 @@ def _edge_feasible_impl(eu, ev, k, n, cap):
             c = tried[pos]
             vcol[eu[pos]] &= ~(1 << c)
             vcol[ev[pos]] &= ~(1 << c)
-
-
-MATCHING_BACKENDS = {"pure": _matching_dp_impl}
-ORBIT_BACKENDS = {"pure": _orbit_reps_numpy}
-EDGE_FEASIBLE_BACKENDS = {"pure": _edge_feasible_impl}
-
-if HAVE_JIT:
-    MATCHING_BACKENDS["jit"] = njit(cache=True)(_matching_dp_impl)
-    ORBIT_BACKENDS["jit"] = njit(cache=True)(_orbit_reps_impl)
-    EDGE_FEASIBLE_BACKENDS["jit"] = njit(cache=True)(_edge_feasible_impl)
-
-ACTIVE = "jit" if HAVE_JIT else "pure"
-
-
-def matching_dp(adj, dp, backend=None):
-    MATCHING_BACKENDS[backend or ACTIVE](adj, dp)
-    return dp
-
-
-def orbit_representatives(perm_maps, e_bits, capacity, backend=None):
-    return ORBIT_BACKENDS[backend or ACTIVE](perm_maps, e_bits, capacity)
-
-
-def edge_colouring_feasible(eu, ev, k, n, cap, backend=None):
-    return int(EDGE_FEASIBLE_BACKENDS[backend or ACTIVE](eu, ev, k, n, cap))

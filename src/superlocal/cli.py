@@ -294,7 +294,10 @@ def _parse_params(spec):
         if "=" not in item:
             raise DomainError(f"parameter {item!r} is not key=value")
         key, value = item.split("=", 1)
-        out[key.strip()] = Fraction(value.strip()) if "/" in value else int(value)
+        try:
+            out[key.strip()] = Fraction(value.strip()) if "/" in value else int(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"parameter {item!r}: {exc}") from None
     return out
 
 

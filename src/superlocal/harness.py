@@ -342,7 +342,7 @@ def check_multigraph(mg, flags=None):
     )
 
 
-def chi_prime_bruteforce(mg, cap=CHI_PRIME_STEP_CAP, backend=None):
+def chi_prime_bruteforce(mg, cap=CHI_PRIME_STEP_CAP):
     """Exact chromatic index by backtracking feasibility per colour count."""
     m = mg.edge_count
     if m == 0:
@@ -351,7 +351,7 @@ def chi_prime_bruteforce(mg, cap=CHI_PRIME_STEP_CAP, backend=None):
     ev = np.array([mg.endpoints(e)[1] for e in range(m)], np.int64)
     delta = max(mg.degree(v) for v in range(mg.n))
     for k in range(delta, delta + m + 1):
-        res = _kernels.edge_colouring_feasible(eu, ev, k, mg.n, cap, backend=backend)
+        res = _kernels.edge_colouring_feasible(eu, ev, k, mg.n, cap)
         if res == -1:
             raise SizeLimitError(
                 f"edge-colouring search exceeded {cap} steps at k={k}"
@@ -380,7 +380,7 @@ def perm_edge_maps(n):
     return out[:, :e_bits] if e_bits else out[:, :0]
 
 
-def enumerate_graph_classes(n, connected_only=False, backend=None):
+def enumerate_graph_classes(n, connected_only=False):
     """One representative per isomorphism class, minimum edge-mask canonical."""
     if n < 1:
         raise DomainError("enumeration needs at least one vertex")
@@ -389,13 +389,7 @@ def enumerate_graph_classes(n, connected_only=False, backend=None):
             f"enumeration limited to {ENUMERATION_N_LIMIT} vertices, got {n}"
         )
     e_bits = n * (n - 1) // 2
-    pm = perm_edge_maps(n)
-    capacity = 16384
-    while True:
-        reps = _kernels.orbit_representatives(pm, e_bits, capacity, backend=backend)
-        if reps.shape[0] > 0:
-            break
-        capacity *= 2
+    reps = _kernels.orbit_representatives(perm_edge_maps(n), e_bits)
     out = []
     for mask in reps:
         g = SimpleGraph.from_edge_mask(n, int(mask))
@@ -405,8 +399,8 @@ def enumerate_graph_classes(n, connected_only=False, backend=None):
     return tuple(out)
 
 
-def enumerate_connected_graphs(n, backend=None):
-    return enumerate_graph_classes(n, connected_only=True, backend=backend)
+def enumerate_connected_graphs(n):
+    return enumerate_graph_classes(n, connected_only=True)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +491,15 @@ def random_corpus(kind, seed, count, **params):
         if key not in cfg:
             raise DomainError(f"unknown parameter {key!r} for corpus kind {kind!r}")
         cfg[key] = value
-    if cfg["n"] < 1:
-        raise DomainError("corpus needs n >= 1")
+    for key in ("n", "mu_max", "max_edges"):
+        if key in cfg:
+            if Fraction(cfg[key]).denominator != 1:
+                raise DomainError(
+                    f"corpus parameter {key} must be an integer, got {cfg[key]}"
+                )
+            cfg[key] = int(cfg[key])
+            if cfg[key] < 1:
+                raise DomainError(f"corpus needs {key} >= 1")
     out = []
     for _ in range(count):
         if kind == "simple":

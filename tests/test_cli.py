@@ -287,11 +287,19 @@ class TestGen:
             assert g.edge_count == g.n * (g.n - 1) // 2
 
     def test_bad_params(self, capsys):
-        code, _, err = run(
-            capsys, "gen", "--corpus", "simple", "--count", "1", "--params", "zap=1"
-        )
-        assert code == 1
-        assert "unknown parameter" in err
+        cases = [
+            ("gen", "simple", "zap=1", "unknown parameter"),
+            ("search", "simple", "p=1/0", "'p=1/0'"),
+            ("gen", "multigraph", "max_edges=-1", "max_edges >= 1"),
+            ("gen", "multigraph", "mu_max=0", "mu_max >= 1"),
+            ("gen", "simple", "n=3/2", "n must be an integer"),
+        ]
+        for command, corpus, params, message in cases:
+            code, _, err = run(
+                capsys, command, "--corpus", corpus, "--count", "1", "--params", params
+            )
+            assert code == 1
+            assert message in err
 
 
 class TestExitCodes:
