@@ -91,7 +91,6 @@ from .harness import (
     enumerate_graph_classes,
     frac_str,
     multigraph_line,
-    perm_edge_maps,
     random_corpus,
     report_to_dict,
     reports_csv,

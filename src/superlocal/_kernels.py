@@ -1,14 +1,12 @@
-"""Hot integer kernels over bitmask arrays, in pure Python and numpy.
+"""Hot integer kernels over bitmasks and plain lists, in pure Python.
 
-Three kernels: the maximum-matching subset DP, the isomorphism-class
-orbit sweep, and brute-force edge-colouring feasibility. Exact rational
-code elsewhere never goes through here. Callers reach them as
-``_kernels.<name>`` so that a tracer can wrap these bindings.
+Three kernels: the maximum-matching subset DP, vertex-orderly generation
+of isomorphism classes, and brute-force edge-colouring feasibility.
+Exact rational code elsewhere never goes through here. Callers reach
+them as ``_kernels.<name>`` so that a tracer can wrap these bindings.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 # the kernel implementation in use, recorded in benchmark fingerprints
 ACTIVE = "pure"
@@ -17,103 +15,124 @@ ACTIVE = "pure"
 def matching_dp(adj, dp):
     """Fill dp[mask] with the maximum matching size inside mask; adj holds bitmasks."""
     dp[0] = 0
-    for mask in range(1, dp.shape[0]):
-        v = 0
-        while not (mask >> v) & 1:
-            v += 1
-        rest = mask ^ (1 << v)
+    for mask in range(1, len(dp)):
+        b = mask & -mask
+        rest = mask ^ b
         best = dp[rest]
-        m = adj[v] & rest
+        m = adj[b.bit_length() - 1] & rest
+        # dp[rest ^ u] <= dp[rest], so one neighbour u with equality
+        # already gives the maximum, dp[rest] + 1
         while m:
-            lb = m & (-m)
-            u = 0
-            while not (lb >> u) & 1:
-                u += 1
-            cand = dp[rest ^ (1 << u)] + 1
-            if cand > best:
-                best = cand
-            m ^= lb
+            ub = m & -m
+            if dp[rest ^ ub] == best:
+                best += 1
+                break
+            m ^= ub
         dp[mask] = best
 
 
-def orbit_representatives(perm_maps, e_bits):
-    """Sorted minimum edge masks of the orbits of perm_maps on e_bits-bit masks."""
-    # sweep masks in increasing order; an unvisited mask is its orbit's
-    # minimum, so marking whole orbits yields canonical representatives.
-    # The orbit of an unvisited mask lies at or above it, so the byte
-    # pointer never needs to move backwards
-    total = 1 << e_bits
-    nbytes = (total + 7) >> 3
-    visited = np.zeros(nbytes, np.uint8)
-    pow2 = np.left_shift(np.int64(1), perm_maps.astype(np.int64))
-    reps = []
-    pos = 0
-    chunk = 1 << 16
-    while True:
-        found = -1
-        while pos < nbytes:
-            seg = visited[pos : pos + chunk]
-            idx = int(np.argmax(seg != 0xFF))
-            if seg[idx] != 0xFF:
-                found = pos + idx
-                break
-            pos += seg.shape[0]
-        if found < 0:
-            break
-        pos = found
-        byte = int(visited[pos])
-        bit = 0
-        while byte >> bit & 1:
-            bit += 1
-        mask = (pos << 3) | bit
-        if mask >= total:
-            break
-        reps.append(mask)
-        bits = [e for e in range(e_bits) if mask >> e & 1]
-        if bits:
-            pm = pow2[:, bits].sum(axis=1)
+def _has_smaller_relabelling(label, free, prefix, adj, groups):
+    """True if some labelling that extends prefix gives a smaller mask.
+
+    Labels are handed out from n-1 down; prefix holds the neighbour masks
+    of the vertices given labels n-1, ..., label+1, in that order. The
+    vertex given ``label`` fixes group ``label`` of the mask, its
+    adjacency to those labels with label n-1 as the most significant
+    bit, and every higher group already equals the candidate's.
+    """
+    # narrow the free vertices to those whose group would tie the
+    # candidate's; one that falls below it first gives a smaller mask
+    target = groups[label]
+    tie = free
+    shift = len(prefix)
+    for a in prefix:
+        shift -= 1
+        if target >> shift & 1:
+            if tie & ~a:
+                return True
+            tie &= a
         else:
-            pm = np.zeros(perm_maps.shape[0], np.int64)
-        np.bitwise_or.at(
-            visited, pm >> 3, np.left_shift(np.uint8(1), (pm & 7).astype(np.uint8))
-        )
-    return np.array(reps, np.int64)
+            tie &= ~a
+    if not label:
+        return False
+    expanded = 0
+    while tie:
+        y = tie.bit_length() - 1
+        b = 1 << y
+        tie ^= b
+        ay = adj[y]
+        # a twin z of y already expanded here (N(y) - z == N(z) - y) gives
+        # the same masks: swapping y and z is an automorphism fixing prefix
+        seen = expanded
+        while seen:
+            zb = seen & -seen
+            if not (ay ^ adj[zb.bit_length() - 1]) & ~(b | zb):
+                break
+            seen ^= zb
+        if seen:
+            continue
+        if _has_smaller_relabelling(label - 1, free ^ b, prefix + [ay], adj, groups):
+            return True
+        expanded |= b
+    return False
+
+
+def orbit_representatives(n):
+    """Sorted least edge masks of the isomorphism classes of n-vertex graphs.
+
+    Vertex-orderly generation (Read 1978, "Every one a winner"; McKay
+    1998, "Isomorph-free exhaustive generation"). Bit pair_index(u, v, n)
+    of a mask is edge uv, so vertex 0's edges are the n-1 lowest bits and
+    the bits above them are the mask of G - 0. If M is the least mask of
+    G's orbit and labels x as 0, then M >> (n-1) is the least mask of the
+    orbit of G - x: a smaller labelling of G - x would extend, with x at
+    0, to a smaller one of G. So every representative is (P << (n-1)) | S
+    for an (n-1)-vertex representative P and some S < 2^(n-1), and such
+    a candidate is kept when no relabelling gives a smaller mask.
+    """
+    level = [(0, [0])]  # (mask, adjacency masks) of each class
+    for m in range(1, n):
+        full = (1 << (m + 1)) - 1
+        grown = []
+        for parent, padj in level:
+            # parent vertex v becomes vertex v + 1 and the new vertex 0 has
+            # neighbourhood s; candidate group L is parent group L - 1, and s
+            shifted = [a << 1 for a in padj]
+            groups = [0] + [a >> (v + 1) for v, a in enumerate(padj)]
+            for s in range(1 << m):
+                adj = [s << 1] + [a | (s >> v & 1) for v, a in enumerate(shifted)]
+                groups[0] = s
+                if not _has_smaller_relabelling(m, full, [], adj, groups):
+                    grown.append(((parent << m) | s, adj))
+        level = grown
+    return [mask for mask, _ in level]
 
 
 def edge_colouring_feasible(eu, ev, k, n, cap):
     """1 if the edges colour with k colours, 0 if not, -1 past cap steps."""
     # backtracking over edges in listing order; an edge may only use a
     # colour at most one above the maximum used so far (symmetry cut)
-    m = eu.shape[0]
+    m = len(eu)
     if m == 0:
         return 1
-    vcol = np.zeros(n, np.int64)
-    tried = np.zeros(m, np.int64)
-    maxu = np.zeros(m + 1, np.int64)
+    vcol = [0] * n
+    tried = [0] * m
+    maxu = [0] * (m + 1)
     pos = 0
     steps = 0
     while True:
         steps += 1
         if steps > cap:
             return -1
-        limit = maxu[pos] + 1
-        if limit > k:
-            limit = k
+        limit = min(maxu[pos] + 1, k)
         c = tried[pos] + 1
-        found = 0
-        while c <= limit:
-            if not (vcol[eu[pos]] >> c) & 1 and not (vcol[ev[pos]] >> c) & 1:
-                found = 1
-                break
+        while c <= limit and (vcol[eu[pos]] | vcol[ev[pos]]) >> c & 1:
             c += 1
-        if found:
+        if c <= limit:
             tried[pos] = c
             vcol[eu[pos]] |= 1 << c
             vcol[ev[pos]] |= 1 << c
-            if c > maxu[pos]:
-                maxu[pos + 1] = c
-            else:
-                maxu[pos + 1] = maxu[pos]
+            maxu[pos + 1] = max(c, maxu[pos])
             pos += 1
             if pos == m:
                 return 1

@@ -127,6 +127,8 @@ def _render(obj, fmt):
 
 def _limits(args):
     cap = getattr(args, "limit_n", None)
+    if cap is not None and cap < 0:
+        raise DomainError(f"--limit-n must be nonnegative, got {cap}")
 
     def low(default):
         return default if cap is None else min(default, cap)

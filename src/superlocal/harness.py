@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
 from .errors import DomainError, InternalBugError, SizeLimitError
 from .frac_colour import superlocal_fractional_colour, verify_fractional_colouring
@@ -29,7 +27,6 @@ from .graphs import (
     complement,
     format_multigraph,
     line_graph,
-    pair_index,
     to_graph6,
 )
 from .invariants import (
@@ -347,8 +344,7 @@ def chi_prime_bruteforce(mg, cap=CHI_PRIME_STEP_CAP):
     m = mg.edge_count
     if m == 0:
         return 0
-    eu = np.array([mg.endpoints(e)[0] for e in range(m)], np.int64)
-    ev = np.array([mg.endpoints(e)[1] for e in range(m)], np.int64)
+    eu, ev = zip(*mg.edges)
     delta = max(mg.degree(v) for v in range(mg.n))
     for k in range(delta, delta + m + 1):
         res = _kernels.edge_colouring_feasible(eu, ev, k, mg.n, cap)
@@ -365,21 +361,6 @@ def chi_prime_bruteforce(mg, cap=CHI_PRIME_STEP_CAP):
 # exhaustive enumeration
 
 
-def perm_edge_maps(n):
-    """Edge-index permutation table, one row per vertex permutation."""
-    e_bits = n * (n - 1) // 2
-    perms = list(itertools.permutations(range(n)))
-    out = np.empty((len(perms), max(e_bits, 1)), np.int8)
-    for pi, perm in enumerate(perms):
-        for u in range(n):
-            for v in range(u + 1, n):
-                pu, pv = perm[u], perm[v]
-                if pu > pv:
-                    pu, pv = pv, pu
-                out[pi, pair_index(u, v, n)] = pair_index(pu, pv, n)
-    return out[:, :e_bits] if e_bits else out[:, :0]
-
-
 def enumerate_graph_classes(n, connected_only=False):
     """One representative per isomorphism class, minimum edge-mask canonical."""
     if n < 1:
@@ -388,11 +369,9 @@ def enumerate_graph_classes(n, connected_only=False):
         raise SizeLimitError(
             f"enumeration limited to {ENUMERATION_N_LIMIT} vertices, got {n}"
         )
-    e_bits = n * (n - 1) // 2
-    reps = _kernels.orbit_representatives(perm_edge_maps(n), e_bits)
     out = []
-    for mask in reps:
-        g = SimpleGraph.from_edge_mask(n, int(mask))
+    for mask in _kernels.orbit_representatives(n):
+        g = SimpleGraph.from_edge_mask(n, mask)
         if connected_only and not g.is_connected():
             continue
         out.append(g)
@@ -408,9 +387,6 @@ def enumerate_connected_graphs(n):
 
 
 def _bernoulli(rng, p):
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise DomainError(f"probability {p} outside [0,1]")
     return rng.randrange(p.denominator) < p.numerator
 
 
@@ -500,6 +476,10 @@ def random_corpus(kind, seed, count, **params):
             cfg[key] = int(cfg[key])
             if cfg[key] < 1:
                 raise DomainError(f"corpus needs {key} >= 1")
+    if "p" in cfg:
+        cfg["p"] = Fraction(cfg["p"])
+        if not 0 <= cfg["p"] <= 1:
+            raise DomainError(f"probability {cfg['p']} outside [0,1]")
     out = []
     for _ in range(count):
         if kind == "simple":

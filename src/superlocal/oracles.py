@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import _kernels
 from .errors import DomainError, InternalBugError, SizeLimitError
 from .graphs import complement, realize_linear_interval
@@ -188,11 +186,12 @@ def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
     if alpha >= 3:
         raise DomainError(f"stability number {alpha} exceeds 2")
     cg = complement(g)
-    adj = np.array([cg.adj_mask(v) for v in range(n)], np.int64)
-    dp = np.zeros(1 << n, np.int32)
+    adj = [cg.adj_mask(v) for v in range(n)]
+    # every entry is at most n/2, so one byte holds it
+    dp = bytearray(1 << n)
     _kernels.matching_dp(adj, dp)
     full = (1 << n) - 1
-    nu = int(dp[full])
+    nu = dp[full]
 
     colours = [-1] * n
     nxt = 0
@@ -205,7 +204,7 @@ def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
             nxt += 1
             mask ^= b
             continue
-        m = int(adj[v]) & mask
+        m = adj[v] & mask
         paired = False
         while m:
             ub = m & -m

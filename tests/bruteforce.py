@@ -247,6 +247,27 @@ def bf_isomorphic(g, h):
     return False
 
 
+def bf_perm_edge_maps(n):
+    """Edge-index permutation table, one tuple per vertex permutation.
+
+    Edge indices are ranks in lexicographic pair order, the bit order of
+    SimpleGraph.edge_mask, listed here by itertools rather than by the
+    package's pair_index.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    rank = {pair: k for k, pair in enumerate(pairs)}
+    return [
+        tuple(rank[tuple(sorted((perm[u], perm[v])))] for u, v in pairs)
+        for perm in itertools.permutations(range(n))
+    ]
+
+
+def bf_orbit_minimum(mask, maps):
+    """Least image of an edge mask under every map of bf_perm_edge_maps."""
+    bits = [e for e in range(len(maps[0])) if mask >> e & 1]
+    return min(sum(1 << pm[e] for e in bits) for pm in maps)
+
+
 def bf_isomorphism_classes(graphs):
     """Greedy dedup by pairwise isomorphism tests; quadratic, tiny n only."""
     reps = []

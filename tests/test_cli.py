@@ -1,8 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import superlocal
 from superlocal import Multigraph, cli, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
@@ -81,6 +86,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", c5_file, "--limit-n", "3")
         assert code == 2
         assert "size refusal" in err
+
+    def test_negative_limit_is_input_error(self, capsys, c5_file):
+        for argv in (("oracle", c5_file), ("search", "--n", "3")):
+            code, _, err = run(capsys, *argv, "--limit-n", "-1")
+            assert code == 1
+            assert "--limit-n must be nonnegative" in err
 
     def test_rejects_true_multigraph(self, capsys, fat_triangle_file):
         code, _, err = run(capsys, "oracle", fat_triangle_file)
@@ -293,13 +304,17 @@ class TestGen:
             ("gen", "multigraph", "max_edges=-1", "max_edges >= 1"),
             ("gen", "multigraph", "mu_max=0", "mu_max >= 1"),
             ("gen", "simple", "n=3/2", "n must be an integer"),
+            ("gen", "simple", "p=2", "outside [0,1]"),
+            ("search", "multigraph", "p=-1/2", "outside [0,1]"),
         ]
         for command, corpus, params, message in cases:
-            code, _, err = run(
-                capsys, command, "--corpus", corpus, "--count", "1", "--params", params
-            )
-            assert code == 1
-            assert message in err
+            for count in ("0", "1"):
+                code, _, err = run(
+                    capsys, command, "--corpus", corpus, "--count", count,
+                    "--params", params
+                )
+                assert code == 1
+                assert message in err
 
 
 class TestExitCodes:
@@ -332,3 +347,21 @@ class TestExitCodes:
         code, out, _ = run(capsys, "oracle", str(p))
         assert code == 0
         assert json.loads(out) == {"alpha": 4, "chi": 3, "chi_f": "5/2"}
+
+
+PROBE = """
+import sys
+before = set(sys.modules)
+import superlocal, superlocal.cli
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(" ".join(sorted(loaded - set(sys.stdlib_module_names) - {"superlocal"})))
+"""
+
+
+def test_import_loads_only_the_standard_library():
+    src = Path(superlocal.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == []

@@ -1,9 +1,9 @@
 import dataclasses
+import hashlib
 import json
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from superlocal import (
@@ -21,7 +21,6 @@ from superlocal import (
     frac_str,
     gamma_bar_ll,
     multigraph_line,
-    perm_edge_maps,
     random_corpus,
     report_to_dict,
     reports_csv,
@@ -30,31 +29,65 @@ from superlocal import (
     search_counterexamples,
     stability_number,
     summary_to_dict,
+    to_graph6,
     write_reports,
 )
 from superlocal import harness
 from superlocal.harness import MULTI_CLAIMS, SIMPLE_CLAIMS, _colourable_backtrack
-from bruteforce import bf_chi_prime, bf_isomorphic, bf_isomorphism_classes
+from bruteforce import (
+    bf_chi_prime,
+    bf_isomorphic,
+    bf_isomorphism_classes,
+    bf_orbit_minimum,
+    bf_perm_edge_maps,
+)
 from conftest import complete, cycle, path
 
 # class counts for n = 1..8: all graphs, then connected only
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
 
+# sha256 of `superlocal gen --n k` and `gen --n k --connected` output (one
+# graph6 line per class), pinned from the earlier orbit-sweep enumeration
+GEN_SHA256 = {
+    7: (
+        "8b0185a40a698f507bca6e576a1750eda90cdb65646b4a7e9a1c2e25f1d8df74",
+        "81bdd915a6b27e71ebb9fcfaace4d6731d8edf64553453dc146edac2548b68fb",
+    ),
+    8: (
+        "df97f0354461a5dac6afb06863465290bac8fe5afff84f935396e0f2493415a8",
+        "7e9d5f9d0a74cb1c4d8813fa748dd3e9c8962cd2895f00360599ccb5d1027861",
+    ),
+}
+
+
+def gen_sha256(graphs):
+    text = "".join(to_graph6(g) + "\n" for g in graphs)
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def assert_pinned(n, graphs):
+    connected = [g for g in graphs if g.is_connected()]
+    assert (gen_sha256(graphs), gen_sha256(connected)) == GEN_SHA256[n]
+
 
 class TestEnumeration:
     def test_class_counts(self):
         for n in range(1, 8):
-            masks = [g.edge_mask() for g in enumerate_graph_classes(n)]
+            graphs = enumerate_graph_classes(n)
+            masks = [g.edge_mask() for g in graphs]
             assert len(masks) == ALL_COUNTS[n - 1]
             assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert_pinned(7, graphs)
 
     def test_connected_counts(self):
         for n in range(1, 8):
             assert len(enumerate_connected_graphs(n)) == CONNECTED_COUNTS[n - 1]
 
     def test_n8_count(self):
-        assert len(enumerate_graph_classes(8)) == ALL_COUNTS[7]
+        graphs = enumerate_graph_classes(8)
+        assert len(graphs) == ALL_COUNTS[7]
+        assert_pinned(8, graphs)
 
     def test_matches_pairwise_dedup_bruteforce(self):
         for n in (1, 2, 3, 4):
@@ -74,13 +107,9 @@ class TestEnumeration:
 
     def test_representatives_are_orbit_minima(self):
         for n in (3, 4, 5, 6):
-            pm = perm_edge_maps(n)
-            pow2 = 1 << np.arange(pm.shape[1], dtype=np.int64)
+            maps = bf_perm_edge_maps(n)
             for g in enumerate_graph_classes(n):
-                mask = g.edge_mask()
-                bits = [i for i in range(pm.shape[1]) if mask >> i & 1]
-                images = pow2[pm[:, bits]].sum(axis=1) if bits else np.zeros(1)
-                assert mask == int(images.min())
+                assert g.edge_mask() == bf_orbit_minimum(g.edge_mask(), maps)
 
     def test_bounds(self):
         with pytest.raises(DomainError):
@@ -126,8 +155,11 @@ class TestCorpora:
             random_corpus("simple", seed=1, count=1, mu_max=2)
         with pytest.raises(DomainError):
             random_corpus("simple", seed=1, count=1, n=0)
-        with pytest.raises(DomainError):
-            random_corpus("simple", seed=1, count=1, p=2)
+        for kind in ("simple", "multigraph", "co_triangle_free"):
+            for count in (0, 1):
+                for p in (2, Fraction(-1, 2)):
+                    with pytest.raises(DomainError):
+                        random_corpus(kind, seed=1, count=count, p=p)
         for params in (
             {"max_edges": -1},
             {"max_edges": 0},
