@@ -126,7 +126,7 @@ def _render(obj, fmt):
 
 
 def _limits(args):
-    cap = getattr(args, "limit_n", None)
+    cap = args.limit_n
     if cap is not None and cap < 0:
         raise DomainError(f"--limit-n must be nonnegative, got {cap}")
 
@@ -185,10 +185,10 @@ def cmd_oracle(args):
 def cmd_frac(args):
     g = _load_simple(_read_text(args.file))
     fc, trace = superlocal_fractional_colour(g)
-    if args.verify:
-        verdict = verify_fractional_colouring(g, fc, trace.bound)
-        if not verdict.valid:
-            raise InternalBugError("; ".join(verdict.violations))
+    # always verified; --verify only adds the marker to the output
+    verdict = verify_fractional_colouring(g, fc, trace.bound)
+    if not verdict.valid:
+        raise InternalBugError("; ".join(verdict.violations))
     coverage = {v: Fraction(0) for v in range(g.n)}
     for members, weight in fc.weights.items():
         for v in members:
@@ -355,11 +355,12 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default="json", fmts=("json", "plain")):
+    def add_common(p, fmt_default="json", fmts=("json", "plain"), limit_n=False):
         p.add_argument("--format", choices=fmts, default=fmt_default)
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--limit-n", type=int, default=None, dest="limit_n",
-                       help="lower the per-oracle size limits")
+        if limit_n:
+            p.add_argument("--limit-n", type=int, default=None, dest="limit_n",
+                           help="lower the per-oracle size limits")
 
     p = sub.add_parser("bounds", help="invariants of one graph (graph6 or multigraph text)")
     p.add_argument("file", help="input path, '-' for stdin")
@@ -368,7 +369,7 @@ def _parser():
 
     p = sub.add_parser("oracle", help="exact chi, chi_f, alpha")
     p.add_argument("file")
-    add_common(p)
+    add_common(p, limit_n=True)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("frac", help="run the constructive fractional colouring")
@@ -402,7 +403,7 @@ def _parser():
                    help="comma list; names or tokens like conj3, thm4")
     p.add_argument("--chi-prime-edges", type=int, default=0, dest="chi_prime_edges",
                    help="brute-force chi' cross-check up to this many edges")
-    add_common(p)
+    add_common(p, limit_n=True)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit an enumeration or seeded corpus")
@@ -414,7 +415,7 @@ def _parser():
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--params", default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen, format="plain", limit_n=None)
+    p.set_defaults(func=cmd_gen, format="plain")
 
     return parser
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalBugError
-from .graphs import induced_subgraph
 from .invariants import gamma_ll_prime
 from .stable_sets import maximum_stable_sets
 
@@ -46,10 +45,12 @@ class ColouringVerdict:
 
 
 def superlocal_fractional_colour(g, bound=None):
-    """Returns (FractionalColouring, IterationTrace); asserts validity.
+    """Returns (FractionalColouring, IterationTrace) without verifying them.
 
     bound defaults to the graph's superlocal value and must not be
-    below it; a validity failure is a bug signal, not an input error.
+    below it. Only an overfilled vertex is caught here; callers run
+    verify_fractional_colouring, and an invalid weighting is a bug
+    signal, not an input error.
     """
     target = gamma_ll_prime(g)
     bound = target if bound is None else Fraction(bound)
@@ -62,26 +63,19 @@ def superlocal_fractional_colour(g, bound=None):
     records = []
     alive = tuple(range(g.n))
     while alive and total < bound:
-        sub, labels = induced_subgraph(g, alive)
-        fam = maximum_stable_sets(sub)
+        fam = maximum_stable_sets(g, within=sum(1 << v for v in alive))
         count = len(fam.sets)
         hits = {v: 0 for v in alive}
         for s in fam.sets:
             for v in s:
-                hits[labels[v]] += 1
-        low = None
-        for v in alive:
-            if hits[v]:
-                cand = (1 - wo[v]) * count / hits[v]
-                if low is None or cand < low:
-                    low = cand
+                hits[v] += 1
+        low = min(((1 - wo[v]) * count / hits[v] for v in alive if hits[v]), default=None)
         if low is None:
             raise InternalBugError("no vertex lies in any maximum stable set")
         val = min(low, bound - total)
         share = Fraction(val, count)
         for s in fam.sets:
-            key = frozenset(labels[v] for v in s)
-            weights[key] = weights.get(key, Fraction(0)) + share
+            weights[s] = weights.get(s, Fraction(0)) + share
         for v in alive:
             wo[v] += Fraction(hits[v], count) * val
             if wo[v] > 1:
@@ -99,12 +93,6 @@ def superlocal_fractional_colour(g, bound=None):
         alive = tuple(v for v in alive if wo[v] < 1)
 
     fc = FractionalColouring(weights=weights, total=total)
-    verdict = verify_fractional_colouring(g, fc, bound)
-    if not verdict.valid:
-        raise InternalBugError(
-            "construction returned an invalid weighting: "
-            + "; ".join(verdict.violations)
-        )
     return fc, IterationTrace(bound=bound, records=tuple(records))
 
 

@@ -178,12 +178,13 @@ def check_graph(g, flags=None):
     chi_f = None if chi_f_sol is None else chi_f_sol.value
 
     def run_frac():
-        fc, trace = superlocal_fractional_colour(g)
+        fc, _ = superlocal_fractional_colour(g)
         verdict = verify_fractional_colouring(g, fc, bounds.gamma_ll_prime)
-        return fc.total, verdict.valid
+        if not verdict.valid:
+            raise InternalBugError("invalid weighting: " + "; ".join(verdict.violations))
+        return fc.total
 
-    frac = guarded("frac", run_frac)
-    frac_total, frac_valid = frac if frac is not None else (None, None)
+    frac_total = guarded("frac", run_frac)
 
     clique_avg = guarded(
         "clique_average", lambda: clique_average_bound(g) if g.n else None
@@ -207,7 +208,7 @@ def check_graph(g, flags=None):
     judge(
         "frac-bound",
         chi_f is not None and frac_total is not None,
-        lambda: chi_f <= bounds.gamma_ll_prime and bool(frac_valid),
+        lambda: chi_f <= bounds.gamma_ll_prime,
     )
     judge("superlocal-chi", chi is not None, lambda: chi <= bounds.gamma_ll)
     judge(
@@ -255,7 +256,7 @@ def check_graph(g, flags=None):
         chi_f=chi_f,
         alpha=alpha,
         frac_total=frac_total,
-        frac_valid=frac_valid,
+        frac_valid=None if frac_total is None else True,
         clique_average=clique_avg,
         question_value=question_value,
         verdicts=verdicts,

@@ -91,15 +91,20 @@ def gamma_ll_prime_edge(g, u, v):
     return Fraction(g.degree(u) + g.degree(v) + omega_v(g, u) + omega_v(g, v) + 2, 4)
 
 
-def gamma_ll_prime(g):
-    """Max of the per-edge bound; 1 on an edgeless nonempty graph, 0 on the empty graph."""
+def _gamma_ll_prime(g, omegas):
+    """gamma_ll_prime over an omega vector the caller already has."""
     if g.n == 0:
         return Fraction(0)
     if not g.edges:
         return Fraction(1)
     # s(x) = d(x) + 1 + omega(x); the edge bound is (s(u) + s(v)) / 4
-    s = [g.degree(v) + 1 + om for v, om in enumerate(_omegas(g))]
+    s = [g.degree(v) + 1 + om for v, om in enumerate(omegas)]
     return Fraction(max(s[u] + s[v] for u, v in g.edges), 4)
+
+
+def gamma_ll_prime(g):
+    """Max of the per-edge bound; 1 on an edgeless nonempty graph, 0 on the empty graph."""
+    return _gamma_ll_prime(g, _omegas(g))
 
 
 def gamma_ll(g):
@@ -141,7 +146,7 @@ def graph_bounds(g):
     omega = max(vb.omega)
     gp = Fraction(delta + 1 + omega, 2)
     glp = max(vb.gamma_l_prime)
-    gllp = gamma_ll_prime(g)
+    gllp = _gamma_ll_prime(g, vb.omega)
     return GraphBounds(
         delta=delta,
         omega=omega,

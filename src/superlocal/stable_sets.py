@@ -1,7 +1,8 @@
 """Stable set and clique enumeration.
 
 Bron-Kerbosch with pivoting over vertex bitmasks. Stable sets are
-enumerated as cliques of the complement. Guarded at 24 vertices.
+enumerated as cliques of the complement, optionally within a vertex
+mask. Guarded at 24 vertices.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class StableSetFamily:
         return len(self.sets)
 
 
-def _bron_kerbosch(adj, n):
-    """All maximal cliques of the graph given by adjacency bitmasks."""
+def _bron_kerbosch(adj, start):
+    """All maximal cliques, given by adjacency bitmasks, inside the start mask."""
     out = []
 
     def expand(r, p, x):
@@ -53,7 +54,7 @@ def _bron_kerbosch(adj, n):
             x |= b
             cand ^= b
 
-    expand(0, (1 << n) - 1 if n else 0, 0)
+    expand(0, start, 0)
     return out
 
 
@@ -78,21 +79,24 @@ def _check_size(g, limit):
 def maximal_cliques(g, limit=None):
     """Maximal cliques as frozensets, sorted for determinism."""
     _check_size(g, limit)
-    masks = _bron_kerbosch([g.adj_mask(v) for v in range(g.n)], g.n)
+    masks = _bron_kerbosch([g.adj_mask(v) for v in range(g.n)], (1 << g.n) - 1)
     return tuple(sorted((_mask_to_set(m) for m in masks), key=sorted))
 
 
-def maximal_stable_sets(g, limit=None):
+def maximal_stable_sets(g, limit=None, within=None):
+    """Maximal stable sets of g inside the vertex mask within (default: all), in g's ids."""
     _check_size(g, limit)
     full = (1 << g.n) - 1
+    if within is not None and within & ~full:
+        raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
     comp = [~g.adj_mask(v) & full & ~(1 << v) for v in range(g.n)]
-    masks = _bron_kerbosch(comp, g.n)
+    masks = _bron_kerbosch(comp, full if within is None else within)
     sets = tuple(sorted((_mask_to_set(m) for m in masks), key=sorted))
     return StableSetFamily(sets=sets, kind="maximal")
 
 
-def maximum_stable_sets(g, limit=None):
-    fam = maximal_stable_sets(g, limit=limit)
+def maximum_stable_sets(g, limit=None, within=None):
+    fam = maximal_stable_sets(g, limit=limit, within=within)
     alpha = max((len(s) for s in fam.sets), default=0)
     sets = tuple(s for s in fam.sets if len(s) == alpha)
     return StableSetFamily(sets=sets, kind="maximum")

@@ -2,10 +2,12 @@
 
 Everything here recomputes values from first principles with plain
 subset enumeration or unpruned backtracking, sharing only the graph
-containers with the package under test. There are two exceptions: the
-edge bound, which takes the package's nine_expressions as its
-definition, and bf_solve_simplex, a full Fraction tableau that must
-make the same Bland pivots as the package's integer simplex.
+containers with the package under test (induced_subgraph and the
+fractional colouring's result classes count as containers). There are
+two exceptions: the edge bound, which takes the package's
+nine_expressions as its definition, and bf_solve_simplex, a full
+Fraction tableau that must make the same Bland pivots as the package's
+integer simplex.
 """
 
 from __future__ import annotations
@@ -14,7 +16,15 @@ import itertools
 import math
 from fractions import Fraction
 
-from superlocal import InternalBugError, SimpleGraph, nine_expressions
+from superlocal import (
+    FractionalColouring,
+    InternalBugError,
+    IterationRecord,
+    IterationTrace,
+    SimpleGraph,
+    induced_subgraph,
+    nine_expressions,
+)
 
 
 def _members(mask, n):
@@ -134,6 +144,43 @@ def bf_gamma_ll_prime(g):
     om = [bf_omega_v(g, v) for v in range(g.n)]
     return max(
         Fraction(g.degree(u) + g.degree(v) + om[u] + om[v] + 2, 4) for u, v in g.edges
+    )
+
+
+def bf_superlocal_fractional_colour(g):
+    """Reference for superlocal_fractional_colour at the default bound.
+
+    Each round rebuilds the surviving graph with induced_subgraph, lists
+    its maximum stable sets by brute force in sorted order, and maps
+    every set back through the labels table. Returns the package's
+    result containers so that they compare equal field by field.
+    """
+    bound = bf_gamma_ll_prime(g)
+    weights = {}
+    wo = {v: Fraction(0) for v in range(g.n)}
+    total = Fraction(0)
+    records = []
+    alive = tuple(range(g.n))
+    while alive and total < bound:
+        sub, labels = induced_subgraph(g, alive)
+        sets = [
+            frozenset(labels[v] for v in s)
+            for s in sorted(bf_maximum_stable_sets(sub), key=sorted)
+        ]
+        count = len(sets)
+        hits = {v: sum(1 for s in sets if v in s) for v in alive}
+        low = min((1 - wo[v]) * count / hits[v] for v in alive if hits[v])
+        val = min(low, bound - total)
+        for s in sets:
+            weights[s] = weights.get(s, Fraction(0)) + Fraction(val, count)
+        for v in alive:
+            wo[v] += Fraction(hits[v], count) * val
+        total += val
+        records.append(IterationRecord(alive, count, low, val, total))
+        alive = tuple(v for v in alive if wo[v] < 1)
+    return (
+        FractionalColouring(weights=weights, total=total),
+        IterationTrace(bound=bound, records=tuple(records)),
     )
 
 

@@ -3,7 +3,12 @@ import itertools
 import pytest
 from hypothesis import HealthCheck, settings
 
-from superlocal import SimpleGraph, enumerate_graph_classes
+from superlocal import (
+    FractionalColouring,
+    SimpleGraph,
+    enumerate_graph_classes,
+    superlocal_fractional_colour,
+)
 
 settings.register_profile(
     "det",
@@ -76,3 +81,11 @@ def pendant_clique(k):
             edges.append((v, nxt))
             nxt += 1
     return SimpleGraph(nxt, edges)
+
+
+def corrupted_fractional_colour(g, bound=None):
+    """The construction's result with its first stable set dropped."""
+    fc, trace = superlocal_fractional_colour(g, bound)
+    weights = dict(fc.weights)
+    del weights[next(iter(weights))]
+    return FractionalColouring(weights=weights, total=fc.total), trace

@@ -11,7 +11,7 @@ import superlocal
 from superlocal import Multigraph, cli, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
-from conftest import cycle, petersen
+from conftest import corrupted_fractional_colour, cycle, petersen
 
 
 @pytest.fixture
@@ -125,6 +125,15 @@ class TestFrac:
         code, out, _ = run(capsys, "frac", c5_file, "--format", "plain")
         assert code == 0
         assert "total 5/2\n" in out
+
+    def test_verified_without_the_flag(self, capsys, monkeypatch, c5_file):
+        # --verify only prints the marker; an invalid weighting is a bug signal either way
+        monkeypatch.setattr(cli, "superlocal_fractional_colour", corrupted_fractional_colour)
+        for extra in ((), ("--verify",)):
+            code, out, err = run(capsys, "frac", c5_file, *extra)
+            assert code == 3
+            assert out == ""
+            assert "bug signal" in err
 
 
 class TestEdgecolour:
@@ -335,6 +344,14 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main([]) == 1  # a subcommand is required
+
+    @pytest.mark.parametrize("command", ["bounds", "frac", "edgecolour", "linegraph"])
+    def test_limit_n_only_where_it_is_read(self, capsys, c5_file, command):
+        # only oracle and search read --limit-n; the others reject it
+        code, out, err = run(capsys, command, c5_file, "--limit-n", "-1")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --limit-n" in err
 
     def test_size_refusal_from_enumeration(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "9")

@@ -13,24 +13,36 @@ from superlocal import (
     superlocal_fractional_colour,
     verify_fractional_colouring,
 )
+from bruteforce import bf_superlocal_fractional_colour
 from conftest import complete, cycle, double_star, petersen
 
 F = Fraction
 
-graphs_st = st.integers(1, 7).flatmap(
-    lambda n: st.builds(
-        SimpleGraph,
-        st.just(n),
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda p: p[0] != p[1]
-            ),
-            max_size=12,
+
+def graphs_st(max_n, max_edges):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            SimpleGraph,
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                max_size=max_edges,
+            )
+            if n >= 2
+            else st.just([]),
         )
-        if n >= 2
-        else st.just([]),
     )
-)
+
+
+def assert_matches_reference(g):
+    fc, trace = superlocal_fractional_colour(g)
+    ref_fc, ref_trace = bf_superlocal_fractional_colour(g)
+    # the same weights in the same dict order, the same total and records
+    assert list(fc.weights.items()) == list(ref_fc.weights.items())
+    assert fc.total == ref_fc.total
+    assert trace == ref_trace
 
 
 def test_cycle5_trace():
@@ -120,12 +132,23 @@ def test_all_small_classes_valid(classes6):
             assert fractional_chromatic_number(g) <= fc.total
 
 
-@given(graphs_st)
+@given(graphs_st(7, 12))
 def test_random_graphs_valid(g):
     bound = gamma_ll_prime(g)
     fc, _ = superlocal_fractional_colour(g)
     assert verify_fractional_colouring(g, fc, bound).valid
     assert fractional_chromatic_number(g) <= fc.total <= bound
+
+
+def test_matches_reference_on_connected7(connected7):
+    assert len(connected7) == 996
+    for g in connected7:
+        assert_matches_reference(g)
+
+
+@given(graphs_st(10, 30))
+def test_matches_reference_random(g):
+    assert_matches_reference(g)
 
 
 class TestVerifierRejections:

@@ -41,7 +41,7 @@ from bruteforce import (
     bf_orbit_minimum,
     bf_perm_edge_maps,
 )
-from conftest import complete, cycle, path
+from conftest import complete, corrupted_fractional_colour, cycle, path
 
 # class counts for n = 1..8: all graphs, then connected only
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
@@ -220,6 +220,30 @@ class TestCheckGraph:
         r = check_graph(cycle(5))
         assert r.timings_us
         assert all(isinstance(t, int) for t in r.timings_us.values())
+
+    def test_one_verification_per_graph(self, monkeypatch):
+        frac_colour = sys.modules["superlocal.frac_colour"]
+        real = frac_colour.verify_fractional_colouring
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        # the harness and the construction each look the name up in their own module
+        monkeypatch.setattr(harness, "verify_fractional_colouring", counted)
+        monkeypatch.setattr(frac_colour, "verify_fractional_colouring", counted)
+        r = check_graph(cycle(5))
+        assert len(calls) == 1
+        assert r.frac_total == Fraction(5, 2)
+        assert r.frac_valid is True
+
+    def test_invalid_weighting_is_a_bug_signal(self, monkeypatch):
+        monkeypatch.setattr(harness, "superlocal_fractional_colour", corrupted_fractional_colour)
+        # whatever chi_f is: a refused LP must not turn it into not-applicable
+        for flags in (CheckFlags(), CheckFlags(stable_set_limit=3)):
+            with pytest.raises(InternalBugError, match="invalid weighting"):
+                check_graph(cycle(5), flags)
 
 
 class TestCheckMultigraph:

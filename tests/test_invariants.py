@@ -320,3 +320,20 @@ class TestAverageBounds:
             subgraph_neighbourhood_bound(cycle(5), limit=4)
         with pytest.raises(DomainError):
             subgraph_neighbourhood_bound(SimpleGraph(0))
+
+
+def test_graph_bounds_computes_omega_once(monkeypatch):
+    from superlocal import invariants
+
+    real = invariants._max_clique_size
+    calls = []
+
+    def counted(adj, mask):
+        calls.append(mask)
+        return real(adj, mask)
+
+    monkeypatch.setattr(invariants, "_max_clique_size", counted)
+    b = graph_bounds(petersen())
+    # one clique search per vertex neighbourhood, shared by every bound
+    assert len(calls) == 10
+    assert (b.omega, b.gamma_l_prime, b.gamma_ll_prime) == (2, 3, 3)

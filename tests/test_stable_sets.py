@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from superlocal import (
     DomainError,
     SimpleGraph,
     SizeLimitError,
+    induced_subgraph,
     maximal_cliques,
     maximal_stable_sets,
     maximum_stable_sets,
@@ -39,6 +41,43 @@ def test_maximum_stable_sets_match_bruteforce(classes6):
             bf_maximum_stable_sets(g), key=sorted
         )
         assert fam.kind == "maximum"
+
+
+def within_masks(g, rng):
+    """The empty mask, every vertex, each single vertex dropped, and a few at random."""
+    full = (1 << g.n) - 1
+    return [0, full] + [full ^ (1 << v) for v in range(g.n)] + [
+        rng.randrange(1 << g.n) for _ in range(4)
+    ]
+
+
+def test_within_matches_induced_subgraph(classes6):
+    rng = random.Random(7)
+    for g in classes6:
+        for mask in within_masks(g, rng):
+            sub, labels = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
+
+            def relabel(fam):
+                return [frozenset(labels[v] for v in s) for s in fam]
+
+            maximal = maximal_stable_sets(g, within=mask)
+            maximum = maximum_stable_sets(g, within=mask)
+            assert list(maximal) == relabel(maximal_stable_sets(sub))
+            assert list(maximum) == relabel(maximum_stable_sets(sub))
+            assert sorted(maximum, key=sorted) == sorted(
+                relabel(bf_maximum_stable_sets(sub)), key=sorted
+            )
+            assert (maximal.kind, maximum.kind) == ("maximal", "maximum")
+
+
+def test_within_rejects_masks_outside_the_graph():
+    g = cycle(5)
+    for mask in (1 << 5, (1 << 6) - 1, -1, -2):
+        with pytest.raises(DomainError):
+            maximal_stable_sets(g, within=mask)
+        with pytest.raises(DomainError):
+            maximum_stable_sets(g, within=mask)
+    assert list(maximal_stable_sets(SimpleGraph(0), within=0)) == [frozenset()]
 
 
 def test_membership_probabilities_match_bruteforce(classes6):
