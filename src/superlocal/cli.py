@@ -40,7 +40,6 @@ from .invariants import (
     gamma_bar_ll_via_line_graph,
     gamma_ll,
     graph_bounds,
-    vertex_bounds,
 )
 from .oracles import (
     CHROMATIC_VERTEX_LIMIT,
@@ -152,7 +151,7 @@ def cmd_bounds(args):
         }
         return _render(out, args.format)
     b = graph_bounds(g)
-    vb = vertex_bounds(g)
+    vb = b.vertex
     out = {
         "kind": "simple",
         "n": g.n,
@@ -221,10 +220,10 @@ def cmd_frac(args):
 
 def cmd_edgecolour(args):
     mg = _load_multi(_read_text(args.file))
+    # edge_colour validates the colouring it returns; --verify adds the
+    # line-graph route, independent of the bound edge_colour used
     k, colouring = edge_colour(mg)
     if args.verify:
-        colouring.validate()
-        # the line-graph route, independent of the bound edge_colour used
         if k != gamma_bar_ll_via_line_graph(mg):
             raise InternalBugError("colour count differs from the line-graph bound")
     if args.format == "json":
@@ -267,7 +266,8 @@ def cmd_linegraph(args):
     return "\n".join(lines) + "\n"
 
 
-def _parse_claims(spec, default):
+def _parse_claims(spec, default, space):
+    """The claims named in spec, each one of the space's default claims."""
     if not spec:
         return default
     out = []
@@ -278,6 +278,9 @@ def _parse_claims(spec, default):
         name = CLAIM_ALIASES.get(token, token)
         if name not in SIMPLE_CLAIMS + MULTI_CLAIMS:
             raise DomainError(f"unknown claim {token!r}")
+        if name not in default:
+            shown = repr(token) if name == token else f"{token!r} ({name})"
+            raise DomainError(f"claim {shown} does not apply to {space}")
         if name not in out:
             out.append(name)
     if not out:
@@ -305,18 +308,24 @@ def _parse_params(spec):
 
 def cmd_search(args):
     lim = _limits(args)
+    if args.chi_prime_edges < 0:
+        raise DomainError(f"--chi-prime-edges must be nonnegative, got {args.chi_prime_edges}")
+    if args.n is not None:
+        default_claims, where = SIMPLE_CLAIMS, "the simple graphs of --n"
+    elif args.corpus == "multigraph":
+        default_claims, where = MULTI_CLAIMS, "the multigraph corpus"
+    elif args.corpus is not None:
+        default_claims, where = SIMPLE_CLAIMS, f"the {args.corpus} corpus"
+    else:
+        raise DomainError("search needs either --n or --corpus")
+    claims = _parse_claims(args.claims, default_claims, where)
     circular = False
     if args.n is not None:
         space = enumerate_graph_classes(args.n, connected_only=not args.all_classes)
-        default_claims = SIMPLE_CLAIMS
-    elif args.corpus is not None:
+    else:
         params = _parse_params(args.params)
         space = random_corpus(args.corpus, args.seed, args.count, **params)
         circular = args.corpus == "circular_interval"
-        default_claims = MULTI_CLAIMS if args.corpus == "multigraph" else SIMPLE_CLAIMS
-    else:
-        raise DomainError("search needs either --n or --corpus")
-    claims = _parse_claims(args.claims, default_claims)
     flags = CheckFlags(
         claims=claims,
         circular_interval=circular,

@@ -64,6 +64,8 @@ class PartialEdgeColouring:
         self._col[eid] = colour
         self._at[u][colour] = eid
         self._at[v][colour] = eid
+        self._check(u)
+        self._check(v)
 
     def unassign(self, eid):
         u, v = self.mg.endpoints(eid)
@@ -72,6 +74,8 @@ class PartialEdgeColouring:
         colour = self._col.pop(eid)
         del self._at[u][colour]
         del self._at[v][colour]
+        self._check(u)
+        self._check(v)
 
     def is_complete(self):
         return len(self._col) == self.mg.edge_count
@@ -79,21 +83,29 @@ class PartialEdgeColouring:
     def uncoloured(self):
         return tuple(e for e in range(self.mg.edge_count) if e not in self._col)
 
-    def validate(self):
-        """Recompute everything from the assignment; mismatch is a bug."""
-        rebuilt = [dict() for _ in range(self.mg.n)]
-        for eid, colour in self._col.items():
+    def _check(self, w):
+        """Rebuild vertex w's colour index from the assignment; mismatch is a bug."""
+        rebuilt = {}
+        for eid in self.mg.incident(w):
+            colour = self._col.get(eid)
+            if colour is None:
+                continue
             if not 1 <= colour <= self.k:
                 raise InternalBugError(f"edge {eid} carries colour {colour} outside 1..{self.k}")
-            for w in self.mg.endpoints(eid):
-                if colour in rebuilt[w]:
-                    raise InternalBugError(
-                        f"colour {colour} repeated at vertex {w} "
-                        f"(edges {rebuilt[w][colour]} and {eid})"
-                    )
-                rebuilt[w][colour] = eid
-        if rebuilt != self._at:
-            raise InternalBugError("incremental colour index diverged from the assignment")
+            if colour in rebuilt:
+                raise InternalBugError(
+                    f"colour {colour} repeated at vertex {w} (edges {rebuilt[colour]} and {eid})"
+                )
+            rebuilt[colour] = eid
+        if rebuilt != self._at[w]:
+            raise InternalBugError(f"colour index at vertex {w} diverged from the assignment")
+
+    def validate(self):
+        """Recompute every vertex's index from the assignment; mismatch is a bug."""
+        for eid in self._col:
+            self.mg.endpoints(eid)
+        for w in range(self.mg.n):
+            self._check(w)
         return True
 
 
@@ -193,7 +205,6 @@ def rotate_fan(c, fan, j):
                 raise InternalBugError("witness chain broken: stale witness colour")
             cc.unassign(fan.edges[dst])
         _assign_or_bug(cc, fan.edges[dst], colour, "witness chain broken")
-    cc.validate()
     return cc
 
 
@@ -242,7 +253,6 @@ def kempe_swap(c, a, b, start):
     for eid in edges:
         old = c.colour_of(eid)
         _assign_or_bug(cc, eid, b if old == a else a, "alternating swap collided")
-    cc.validate()
     return cc
 
 
@@ -258,8 +268,6 @@ def _fresh_stats():
 
 def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
     """Colour the hole edge, possibly moving it first; returns the colouring.
-
-    Every return validates the returned colouring, so callers need not.
 
     Dispatch per state: direct colouring, fan rotation on a
     hinge/fan-vertex coincidence, alternating swap on a fan/fan
@@ -281,7 +289,6 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
         if common:
             _assign_or_bug(cur, hole, min(common), "direct colouring collided")
             stats["direct"] += 1
-            cur.validate()
             return cur
 
         if seq is not None:
@@ -306,7 +313,6 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
                 cur = rotate_fan(cur, fan, j)
                 _assign_or_bug(cur, fan.edges[j - 1], min(inter), "rotation target collided")
                 stats["rotation"] += 1
-                cur.validate()
                 return cur
 
         swap_pair = None
@@ -374,7 +380,6 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
 
         cur.unassign(eid_alpha)
         _assign_or_bug(cur, hole, alpha, "fan sequence transition collided")
-        cur.validate()
         seq["alphas"].append(alpha)
         seq["prev"] = (hole, alpha, v_prev)
         seq["hinge"] = v_next
@@ -410,7 +415,6 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
         _assign_or_bug(cur, eid_alpha, beta, "parallel swap collided")
         _assign_or_bug(cur, prev_hole, beta, "freed colour collided")
         stats["beta_swaps"] += 1
-        cur.validate()
         return cur
     return None
 
@@ -436,6 +440,7 @@ def fan_sequence_resolve(mg, c0, f0):
     cur = c0.copy()
     stats = _fresh_stats()
     cur = _resolve_hole(mg, cur, f0.edge, stats, forced_hinge=f0.hinge)
+    cur.validate()
     cur.stats = stats
     return cur
 
@@ -463,5 +468,6 @@ def edge_colour(mg, insertion_order=None):
         cur = _resolve_hole(mg, cur, eid, stats)
     if not cur.is_complete():
         raise InternalBugError(f"edges left uncoloured: {cur.uncoloured()}")
+    cur.validate()
     cur.stats = stats
     return k, cur

@@ -294,13 +294,19 @@ def line_graph(mg):
 
 _G6_HEADER = ">>graph6<<"
 
+# largest n the 4-byte graph6 size form writes; multigraph text is held
+# to it too, since linegraph writes the m-vertex line graph as graph6
+GRAPH6_VERTEX_LIMIT = 258047
+
 
 def _g6_number(n):
     if n <= 62:
         return bytes([n + 63])
-    if n <= 258047:
+    if n <= GRAPH6_VERTEX_LIMIT:
         return bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    raise SizeLimitError(f"graph6 encoding for n={n} not supported (limit 258047)")
+    raise SizeLimitError(
+        f"graph6 encoding for n={n} not supported (limit {GRAPH6_VERTEX_LIMIT})"
+    )
 
 
 def to_graph6(g):
@@ -375,7 +381,8 @@ def parse_multigraph(text):
 
     Records are separated by newlines or "/". The first record is
     "n <count>", each following record "u v m" adds m parallel edges
-    between u and v; edge ids follow listing order.
+    between u and v; edge ids follow listing order. The vertex count
+    and the edge count may each be at most GRAPH6_VERTEX_LIMIT.
     """
     records = []
     for chunk in text.replace("/", "\n").split("\n"):
@@ -393,6 +400,10 @@ def parse_multigraph(text):
         raise GraphFormatError(f"record 1: bad vertex count {head[1]!r}") from None
     if n < 0:
         raise GraphFormatError(f"record 1: negative vertex count {n}")
+    if n > GRAPH6_VERTEX_LIMIT:
+        raise SizeLimitError(
+            f"record 1: vertex count {n} above the limit {GRAPH6_VERTEX_LIMIT}"
+        )
     edges = []
     seen_pairs = set()
     for rno, rec in enumerate(records[1:], start=2):
@@ -413,6 +424,11 @@ def parse_multigraph(text):
         if p in seen_pairs:
             raise GraphFormatError(f"record {rno}: duplicate pair {p}")
         seen_pairs.add(p)
+        if len(edges) + m > GRAPH6_VERTEX_LIMIT:
+            raise SizeLimitError(
+                f"record {rno}: edge count {len(edges) + m} above the limit "
+                f"{GRAPH6_VERTEX_LIMIT}"
+            )
         edges.extend([p] * m)
     return Multigraph(n, edges)
 

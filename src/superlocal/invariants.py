@@ -135,12 +135,13 @@ class GraphBounds:
     gamma_l: int
     gamma_ll_prime: Fraction
     gamma_ll: int
+    vertex: VertexBounds  # the per-vertex arrays the maxima above come from
 
 
 def graph_bounds(g):
     if g.n == 0:
         z = Fraction(0)
-        return GraphBounds(0, 0, z, 0, z, 0, z, 0)
+        return GraphBounds(0, 0, z, 0, z, 0, z, 0, VertexBounds((), (), ()))
     vb = vertex_bounds(g)
     delta = max(vb.degree)
     omega = max(vb.omega)
@@ -156,6 +157,7 @@ def graph_bounds(g):
         gamma_l=math.ceil(glp),
         gamma_ll_prime=gllp,
         gamma_ll=math.ceil(gllp),
+        vertex=vb,
     )
 
 

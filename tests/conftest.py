@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, settings
 
 from superlocal import (
     FractionalColouring,
+    PartialEdgeColouring,
     SimpleGraph,
     enumerate_graph_classes,
     superlocal_fractional_colour,
@@ -89,3 +90,16 @@ def corrupted_fractional_colour(g, bound=None):
     weights = dict(fc.weights)
     del weights[next(iter(weights))]
     return FractionalColouring(weights=weights, total=fc.total), trace
+
+
+def count_validations(monkeypatch):
+    """Record every PartialEdgeColouring.validate() call from here on."""
+    calls = []
+    original = PartialEdgeColouring.validate
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PartialEdgeColouring, "validate", counted)
+    return calls

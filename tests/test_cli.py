@@ -11,7 +11,7 @@ import superlocal
 from superlocal import Multigraph, cli, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
-from conftest import corrupted_fractional_colour, cycle, petersen
+from conftest import count_validations, corrupted_fractional_colour, cycle, petersen
 
 
 @pytest.fixture
@@ -74,6 +74,25 @@ class TestBounds:
         _, a, _ = run(capsys, "bounds", c5_file)
         _, b, _ = run(capsys, "bounds", c5_file)
         assert a == b
+
+    def test_one_clique_search_per_vertex(self, capsys, monkeypatch, tmp_path):
+        # the per-vertex arrays come from the graph_bounds pass, not a second one
+        from superlocal import invariants
+
+        real = invariants._max_clique_size
+        calls = []
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return real(adj, mask)
+
+        monkeypatch.setattr(invariants, "_max_clique_size", counted)
+        p = tmp_path / "petersen.g6"
+        p.write_text(to_graph6(petersen()) + "\n", encoding="ascii")
+        code, out, _ = run(capsys, "bounds", str(p))
+        assert code == 0
+        assert len(calls) == 10
+        assert json.loads(out)["vertex_omega"] == [2] * 10
 
 
 class TestOracle:
@@ -174,6 +193,14 @@ class TestEdgecolour:
         assert out == ""
         assert "line-graph bound" in err
 
+    @pytest.mark.parametrize("verify", [(), ("--verify",)])
+    def test_one_validation_per_run(self, capsys, monkeypatch, fat_triangle_file, verify):
+        # edge_colour validates the colouring; --verify adds only the k check
+        calls = count_validations(monkeypatch)
+        code, _, _ = run(capsys, "edgecolour", fat_triangle_file, *verify)
+        assert code == 0
+        assert len(calls) == 1
+
     def test_graph6_input(self, capsys, c5_file):
         code, out, _ = run(capsys, "edgecolour", c5_file)
         assert code == 0
@@ -271,6 +298,29 @@ class TestSearch:
         assert code == 1
         assert "unknown claim" in err
 
+    def test_negative_chi_prime_edges_is_input_error(self, capsys):
+        code, _, err = run(
+            capsys, "search", "--corpus", "multigraph", "--count", "1",
+            "--chi-prime-edges", "-5",
+        )
+        assert code == 1
+        assert "--chi-prime-edges" in err
+
+    @pytest.mark.parametrize(
+        "space, claim, name",
+        [
+            (("--n", "3"), "edge-colour", "edge-colour"),
+            (("--n", "3"), "thm11", "edge-colour"),
+            (("--corpus", "simple", "--count", "2"), "line-graph-match", "line-graph-match"),
+            (("--corpus", "multigraph", "--count", "2"), "thm4", "frac-bound"),
+        ],
+    )
+    def test_claim_outside_the_space_is_input_error(self, capsys, space, claim, name):
+        code, out, err = run(capsys, "search", *space, "--claims", claim)
+        assert code == 1
+        assert out == ""
+        assert name in err and "does not apply" in err
+
     def test_needs_space(self, capsys):
         code, _, err = run(capsys, "search")
         assert code == 1
@@ -352,6 +402,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert "unrecognized arguments: --limit-n" in err
+
+    @pytest.mark.parametrize("command", ["bounds", "edgecolour", "linegraph"])
+    def test_size_refusal_from_multigraph_text(self, capsys, tmp_path, command):
+        p = tmp_path / "big.mg"
+        p.write_text("n 2\n0 1 1000000\n", encoding="ascii")
+        code, out, err = run(capsys, command, str(p))
+        assert code == 2
+        assert out == ""
+        assert "size refusal" in err
 
     def test_size_refusal_from_enumeration(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "9")

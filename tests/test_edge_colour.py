@@ -17,7 +17,7 @@ from superlocal import (
     rotate_fan,
 )
 from bruteforce import bf_chi_prime
-from conftest import cycle, path, petersen
+from conftest import count_validations, cycle, path, petersen
 
 
 def triangle_state():
@@ -91,6 +91,30 @@ class TestPartialEdgeColouring:
         assert c.validate()
         c._col[1] = 1  # break properness behind the index's back
         with pytest.raises(InternalBugError):
+            c.validate()
+
+    def test_corrupt_index_fails_at_the_change(self):
+        # edge 1 joins vertices 1 and 2; vertex 2's index gains a colour
+        # no edge carries there, and the next change at vertex 2 sees it
+        mg = Multigraph(3, [(0, 1), (1, 2)])
+        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c._at[2][3] = 1
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            c.assign(1, 2)
+        d = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        d._at[2][3] = 1
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            d.unassign(1)
+
+    def test_corrupt_index_elsewhere_fails_at_validate(self):
+        # vertex 0 is on edge 0 only; changes to edge 1 never rebuild it
+        mg = Multigraph(4, [(0, 1), (2, 3)])
+        c = PartialEdgeColouring(mg, 2, {0: 1})
+        c._at[0][2] = 0
+        c.assign(1, 1)
+        c.unassign(1)
+        c.assign(1, 2)
+        with pytest.raises(InternalBugError, match="vertex 0"):
             c.validate()
 
 
@@ -283,20 +307,14 @@ class TestEdgeColour:
         assert set(s) == {"direct", "rotation", "kempe", "sequence_steps", "beta_swaps"}
         assert s["direct"] + s["rotation"] + s["beta_swaps"] == mg.edge_count
 
-    def test_one_validation_per_state(self, monkeypatch):
-        # every insertion here is direct: one new state, one validate()
-        calls = []
-        original = PartialEdgeColouring.validate
-
-        def counted(self):
-            calls.append(self)
-            return original(self)
-
-        monkeypatch.setattr(PartialEdgeColouring, "validate", counted)
+    def test_one_validation_per_colouring(self, monkeypatch):
+        # the mutators check every change; the finished colouring is
+        # validated once (the rare-branch fixtures below check the same)
+        calls = count_validations(monkeypatch)
         mg = Multigraph.of_simple(petersen())
         _, col = edge_colour(mg)
         assert col.stats["direct"] == mg.edge_count
-        assert len(calls) == mg.edge_count
+        assert len(calls) == 1
 
     def test_insertion_orders(self):
         mg = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
@@ -343,23 +361,27 @@ class TestRareBranches:
     branch never fired in it and has no fixture.
     """
 
-    def test_kempe_swap(self):
+    def test_kempe_swap(self, monkeypatch):
+        calls = count_validations(monkeypatch)
         mg = Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)])
         k, col = edge_colour(mg, insertion_order=[4, 6, 5, 0, 2, 3, 1])
         assert col.stats == _stats(direct=7, kempe=1)
+        assert len(calls) == 1
         assert k == gamma_bar_ll_via_line_graph(mg) == 4
         assert col.is_complete() and col.validate()
 
-    def test_rotation_and_sequence_step(self):
+    def test_rotation_and_sequence_step(self, monkeypatch):
+        calls = count_validations(monkeypatch)
         mg = Multigraph(
             5, [(1, 4), (0, 3), (1, 4), (2, 4), (1, 3), (2, 4), (1, 3), (0, 3)]
         )
         k, col = edge_colour(mg, insertion_order=[7, 5, 1, 3, 2, 4, 6, 0])
         assert col.stats == _stats(direct=7, rotation=1, sequence_steps=1)
+        assert len(calls) == 1
         assert k == gamma_bar_ll_via_line_graph(mg)
         assert col.is_complete() and col.validate()
 
-    def test_fan_sequence_from_partial_state(self):
+    def test_fan_sequence_from_partial_state(self, monkeypatch):
         mg = Multigraph(
             5, [(2, 4), (1, 2), (2, 4), (3, 4), (3, 4), (1, 2), (0, 1), (0, 1)]
         )
@@ -368,7 +390,9 @@ class TestRareBranches:
         hole = 0
         fan = build_maximal_fan(mg, c0, hole, min(mg.endpoints(hole)))
         assert len(fan.vertices) == 2
+        calls = count_validations(monkeypatch)
         done = fan_sequence_resolve(mg, c0, fan)
         assert done.stats == _stats(rotation=1, sequence_steps=1)
+        assert len(calls) == 1
         assert done.is_complete() and done.validate()
         assert c0.colour_of(hole) is None

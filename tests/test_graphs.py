@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -11,6 +12,7 @@ from superlocal import (
     LinearIntervalRepresentation,
     Multigraph,
     SimpleGraph,
+    SizeLimitError,
     complement,
     format_multigraph,
     induced_subgraph,
@@ -20,6 +22,7 @@ from superlocal import (
     realize_linear_interval,
     to_graph6,
 )
+from superlocal.graphs import GRAPH6_VERTEX_LIMIT
 from conftest import complete, cycle, path, petersen
 
 graphs_st = st.integers(0, 10).flatmap(
@@ -222,6 +225,35 @@ class TestMultigraph:
             parse_multigraph("n 3\n0 1 1\n1 0 2")
         with pytest.raises(GraphFormatError, match="empty"):
             parse_multigraph("  \n ")
+
+    @pytest.mark.parametrize(
+        "text, record",
+        [
+            ("n 258048", "record 1"),
+            ("n 2 / 0 1 258048", "record 2"),
+            ("n 100000000 / 0 1 1", "record 1"),
+        ],
+    )
+    def test_parse_size_limit(self, text, record):
+        # refused at the count, before any per-vertex or per-edge list
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match=record):
+                parse_multigraph(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_parse_edge_total_limit(self):
+        # the limit is on the running total over records, not per record
+        with pytest.raises(SizeLimitError, match="record 3: edge count 258048"):
+            parse_multigraph("n 3 / 0 1 258000 / 1 2 48")
+
+    def test_parse_at_the_size_limit(self):
+        mg = parse_multigraph(f"n 2 / 1 0 {GRAPH6_VERTEX_LIMIT}")
+        assert mg.edge_count == GRAPH6_VERTEX_LIMIT
+        assert mg.endpoints(0) == (0, 1)
 
 
 class TestLineGraph:

@@ -41,7 +41,13 @@ from bruteforce import (
     bf_orbit_minimum,
     bf_perm_edge_maps,
 )
-from conftest import complete, corrupted_fractional_colour, cycle, path
+from conftest import (
+    complete,
+    count_validations,
+    corrupted_fractional_colour,
+    cycle,
+    path,
+)
 
 # class counts for n = 1..8: all graphs, then connected only
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
@@ -298,6 +304,13 @@ class TestCheckMultigraph:
             assert len(calls) == 1
             assert r.gamma_bar_ll == 6
             assert not r.bug
+
+    def test_one_validation_per_multigraph(self, monkeypatch):
+        # edge_colour validates its finished colouring; the harness adds none
+        calls = count_validations(monkeypatch)
+        r = check_multigraph(Multigraph(3, [(0, 1), (0, 2), (1, 2)] * 2))
+        assert r.verdicts["edge-colour"] == "holds"
+        assert len(calls) == 1
 
 
 class TestChiPrimeBruteforce:
