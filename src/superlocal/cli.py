@@ -35,7 +35,6 @@ from .harness import (
     write_reports,
 )
 from .invariants import (
-    SUBGRAPH_SCAN_LIMIT,
     gamma_bar_ll,
     gamma_bar_ll_via_line_graph,
     gamma_ll,
@@ -43,7 +42,6 @@ from .invariants import (
 )
 from .oracles import (
     CHROMATIC_VERTEX_LIMIT,
-    MATCHING_VERTEX_LIMIT,
     chromatic_number,
     fractional_chromatic_number,
     stability_number,
@@ -105,16 +103,25 @@ def _json(obj):
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _plain_scalar(value):
+    # true, false and null as the JSON format writes them
+    return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
+
+
 def _plain(obj, prefix=""):
     lines = []
     for key in sorted(obj):
         value = obj[key]
+        if isinstance(value, (list, tuple)) and value and all(
+            isinstance(v, dict) for v in value
+        ):
+            value = dict(enumerate(value))  # items become indexed dotted keys
         if isinstance(value, dict):
             lines.extend(_plain(value, prefix=f"{prefix}{key}."))
         elif isinstance(value, (list, tuple)):
-            lines.append(f"{prefix}{key} " + " ".join(str(v) for v in value))
+            lines.append(f"{prefix}{key} " + " ".join(map(_plain_scalar, value)))
         else:
-            lines.append(f"{prefix}{key} {value}")
+            lines.append(f"{prefix}{key} {_plain_scalar(value)}")
     return lines if prefix else "\n".join(lines) + "\n"
 
 
@@ -122,22 +129,6 @@ def _render(obj, fmt):
     if fmt == "plain":
         return _plain(obj)
     return _json(obj)
-
-
-def _limits(args):
-    cap = args.limit_n
-    if cap is not None and cap < 0:
-        raise DomainError(f"--limit-n must be nonnegative, got {cap}")
-
-    def low(default):
-        return default if cap is None else min(default, cap)
-
-    return {
-        "chromatic": low(CHROMATIC_VERTEX_LIMIT),
-        "stable": low(ENUMERATION_VERTEX_LIMIT),
-        "matching": low(MATCHING_VERTEX_LIMIT),
-        "question": low(SUBGRAPH_SCAN_LIMIT),
-    }
 
 
 def cmd_bounds(args):
@@ -173,10 +164,11 @@ def cmd_bounds(args):
 
 def cmd_oracle(args):
     g = _load_simple(_read_text(args.file))
-    lim = _limits(args)
-    chi, _ = chromatic_number(g, limit=lim["chromatic"])
-    chi_f = fractional_chromatic_number(g, vertex_limit=lim["stable"])
-    alpha = stability_number(g, limit=lim["stable"])
+    flags = CheckFlags(limit_n=args.limit_n)
+    chi, _ = chromatic_number(g, limit=flags.vertex_limit(CHROMATIC_VERTEX_LIMIT))
+    stable_limit = flags.vertex_limit(ENUMERATION_VERTEX_LIMIT)
+    chi_f = fractional_chromatic_number(g, vertex_limit=stable_limit)
+    alpha = stability_number(g, limit=stable_limit)
     out = {"chi": chi, "chi_f": frac_str(chi_f), "alpha": alpha}
     return _render(out, args.format)
 
@@ -246,23 +238,18 @@ def cmd_linegraph(args):
     mg = _load_multi(_read_text(args.file))
     lg = line_graph(mg)
     enc = to_graph6(lg)
+    if args.verify:
+        k = gamma_ll(lg)
+        if k != gamma_bar_ll(mg):
+            raise InternalBugError("line-graph bound differs from the direct edge bound")
     if args.format == "json":
         out = {"graph6": enc, "n": lg.n, "m": lg.edge_count}
         if args.verify:
-            out["gamma_ll"] = gamma_ll(lg)
-            out["gamma_bar_ll"] = gamma_bar_ll(mg)
-            if out["gamma_ll"] != out["gamma_bar_ll"]:
-                raise InternalBugError(
-                    "line-graph bound differs from the direct edge bound"
-                )
-            out["verified"] = True
+            out.update(gamma_ll=k, gamma_bar_ll=k, verified=True)
         return _json(out)
     lines = [enc]
     if args.verify:
-        a, b = gamma_ll(lg), gamma_bar_ll(mg)
-        if a != b:
-            raise InternalBugError("line-graph bound differs from the direct edge bound")
-        lines.append(f"verify ok gamma_ll {a}")
+        lines.append(f"verify ok gamma_ll {k}")
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +294,6 @@ def _parse_params(spec):
 
 
 def cmd_search(args):
-    lim = _limits(args)
     if args.chi_prime_edges < 0:
         raise DomainError(f"--chi-prime-edges must be nonnegative, got {args.chi_prime_edges}")
     if args.n is not None:
@@ -318,23 +304,17 @@ def cmd_search(args):
         default_claims, where = SIMPLE_CLAIMS, f"the {args.corpus} corpus"
     else:
         raise DomainError("search needs either --n or --corpus")
-    claims = _parse_claims(args.claims, default_claims, where)
-    circular = False
+    flags = CheckFlags(
+        claims=_parse_claims(args.claims, default_claims, where),
+        circular_interval=args.n is None and args.corpus == "circular_interval",
+        limit_n=args.limit_n,
+        chi_prime_edge_limit=args.chi_prime_edges,
+    )
     if args.n is not None:
         space = enumerate_graph_classes(args.n, connected_only=not args.all_classes)
     else:
         params = _parse_params(args.params)
         space = random_corpus(args.corpus, args.seed, args.count, **params)
-        circular = args.corpus == "circular_interval"
-    flags = CheckFlags(
-        claims=claims,
-        circular_interval=circular,
-        chromatic_limit=lim["chromatic"],
-        stable_set_limit=lim["stable"],
-        matching_limit=lim["matching"],
-        question_limit=lim["question"],
-        chi_prime_edge_limit=args.chi_prime_edges,
-    )
     summary = search_counterexamples(space, flags=flags)
     if args.out:
         write_reports(summary.reports, args.out + ".jsonl", args.out + ".csv")

@@ -276,10 +276,20 @@ def induced_subgraph(g, vertices):
 
 
 def line_graph(mg):
-    """Line graph of a multigraph; parallel edges become adjacent vertices."""
+    """Line graph of a multigraph; parallel edges become adjacent vertices.
+
+    Refuses, before any list is built, a multigraph with more than
+    LINE_GRAPH_PAIR_LIMIT pairs of edges at a common vertex.
+    """
     m = mg.edge_count
     if m == 0:
         raise DomainError("line graph of an edgeless multigraph is not defined")
+    pairs = sum(d * (d - 1) // 2 for d in map(mg.degree, range(mg.n)))
+    if pairs > LINE_GRAPH_PAIR_LIMIT:
+        raise SizeLimitError(
+            f"line graph needs {pairs} pairs of edges at a common vertex, "
+            f"above the limit {LINE_GRAPH_PAIR_LIMIT}"
+        )
     edges = []
     for v in range(mg.n):
         ids = mg.incident(v)
@@ -297,6 +307,10 @@ _G6_HEADER = ">>graph6<<"
 # largest n the 4-byte graph6 size form writes; multigraph text is held
 # to it too, since linegraph writes the m-vertex line graph as graph6
 GRAPH6_VERTEX_LIMIT = 258047
+
+# most pairs of edges at a common vertex, the sum over v of C(d(v), 2),
+# that line_graph admits: its pair loop does that much work
+LINE_GRAPH_PAIR_LIMIT = 2**18
 
 
 def _g6_number(n):

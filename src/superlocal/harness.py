@@ -39,7 +39,6 @@ from .invariants import (
 )
 from .oracles import (
     CHROMATIC_VERTEX_LIMIT,
-    LP_SET_LIMIT,
     MATCHING_VERTEX_LIMIT,
     chi_via_complement_matching,
     chromatic_number,
@@ -81,16 +80,34 @@ HARD_CLAIMS = frozenset(
 HOLDS, VIOLATED, NOT_APPLICABLE = "holds", "violated", "not-applicable"
 
 
+# The values each simple claim's verdict reads; check_graph computes the
+# union over the requested claims and leaves every other value None. The
+# bounds and the encoding are always computed.
+CLAIM_NEEDS = {
+    "frac-bound": ("chi_f", "frac"),
+    "superlocal-chi": ("chi",),
+    "clique-average": ("chi_f", "clique_average"),
+    "round-up": ("chi", "chi_f"),
+    "interval-chi": ("chi",),
+    "alpha2-chi": ("alpha", "chi"),  # the matching runs only when alpha <= 2
+    "question-bound": ("chi_f", "question"),
+}
+
+
 @dataclass(frozen=True)
 class CheckFlags:
     claims: tuple = SIMPLE_CLAIMS + MULTI_CLAIMS
     circular_interval: bool = False  # input promised to be circular interval
-    chromatic_limit: int = CHROMATIC_VERTEX_LIMIT
-    stable_set_limit: int = ENUMERATION_VERTEX_LIMIT
-    matching_limit: int = MATCHING_VERTEX_LIMIT
-    lp_set_limit: int = LP_SET_LIMIT
-    question_limit: int = SUBGRAPH_SCAN_LIMIT
+    limit_n: int | None = None  # caps each oracle's vertex limit (--limit-n)
     chi_prime_edge_limit: int = 0  # 0 disables the brute-force chi' cross-check
+
+    def __post_init__(self):
+        if self.limit_n is not None and self.limit_n < 0:
+            raise DomainError(f"--limit-n must be nonnegative, got {self.limit_n}")
+
+    def vertex_limit(self, limit):
+        """The package limit of one oracle, lowered to limit_n when it is set."""
+        return limit if self.limit_n is None else min(limit, self.limit_n)
 
 
 @dataclass(frozen=True)
@@ -149,8 +166,13 @@ def _now_us():
 
 
 def check_graph(g, flags=None):
-    """Evaluate every requested claim on one simple graph."""
+    """Evaluate every requested claim on one simple graph.
+
+    Only the values that the requested claims read are computed
+    (CLAIM_NEEDS); the others are None, as size refusals are.
+    """
     flags = flags or CheckFlags()
+    needs = {name for claim in flags.claims for name in CLAIM_NEEDS.get(claim, ())}
     timings = {}
     t0 = _now_us()
     enc = to_graph6(g)
@@ -158,6 +180,8 @@ def check_graph(g, flags=None):
     timings["bounds"] = _now_us() - t0
 
     def guarded(name, fn):
+        if name not in needs:
+            return None
         t = _now_us()
         try:
             value = fn()
@@ -166,14 +190,15 @@ def check_graph(g, flags=None):
         timings[name] = _now_us() - t
         return value
 
-    chi_result = guarded("chi", lambda: chromatic_number(g, limit=flags.chromatic_limit))
+    chi_result = guarded(
+        "chi",
+        lambda: chromatic_number(g, limit=flags.vertex_limit(CHROMATIC_VERTEX_LIMIT)),
+    )
     chi = None if chi_result is None else chi_result[0]
-    alpha = guarded("alpha", lambda: stability_number(g, limit=flags.stable_set_limit))
+    stable_limit = flags.vertex_limit(ENUMERATION_VERTEX_LIMIT)
+    alpha = guarded("alpha", lambda: stability_number(g, limit=stable_limit))
     chi_f_sol = guarded(
-        "chi_f",
-        lambda: fractional_chromatic_solution(
-            g, vertex_limit=flags.stable_set_limit, set_limit=flags.lp_set_limit
-        ),
+        "chi_f", lambda: fractional_chromatic_solution(g, vertex_limit=stable_limit)
     )
     chi_f = None if chi_f_sol is None else chi_f_sol.value
 
@@ -190,9 +215,10 @@ def check_graph(g, flags=None):
         "clique_average", lambda: clique_average_bound(g) if g.n else None
     )
     question_value = None
-    if 1 <= g.n <= flags.question_limit:
+    scan_limit = flags.vertex_limit(SUBGRAPH_SCAN_LIMIT)
+    if 1 <= g.n <= scan_limit:
         question_value = guarded(
-            "question", lambda: subgraph_neighbourhood_bound(g, limit=flags.question_limit)
+            "question", lambda: subgraph_neighbourhood_bound(g, limit=scan_limit)
         )
 
     verdicts = {}
@@ -229,7 +255,9 @@ def check_graph(g, flags=None):
     if "alpha2-chi" in flags.claims:
         if alpha is not None and alpha <= 2:
             try:
-                chi_m, _ = chi_via_complement_matching(g, limit=flags.matching_limit)
+                chi_m, _ = chi_via_complement_matching(
+                    g, limit=flags.vertex_limit(MATCHING_VERTEX_LIMIT)
+                )
             except SizeLimitError:
                 chi_m = None
             if chi_m is None:
@@ -310,8 +338,12 @@ def check_multigraph(mg, flags=None):
     lg_value = None
     if "line-graph-match" in flags.claims:
         t0 = _now_us()
-        lg_value = gamma_ll(line_graph(mg))
-        verdicts["line-graph-match"] = HOLDS if lg_value == k else VIOLATED
+        try:
+            lg_value = gamma_ll(line_graph(mg))
+        except SizeLimitError:
+            verdicts["line-graph-match"] = NOT_APPLICABLE
+        else:
+            verdicts["line-graph-match"] = HOLDS if lg_value == k else VIOLATED
         timings["line_graph"] = _now_us() - t0
 
     chi_prime = None

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -145,6 +146,14 @@ class TestFrac:
         assert code == 0
         assert "total 5/2\n" in out
 
+    def test_plain_has_no_python_reprs(self, capsys, c5_file):
+        code, out, _ = run(capsys, "frac", c5_file, "--verify", "--format", "plain")
+        assert code == 0
+        assert not any(ch in out for ch in "{'") and "True" not in out
+        assert "iterations.0.low 5/2\n" in out
+        assert "weights.0.set 0 2\n" in out
+        assert "verified true\n" in out
+
     def test_verified_without_the_flag(self, capsys, monkeypatch, c5_file):
         # --verify only prints the marker; an invalid weighting is a bug signal either way
         monkeypatch.setattr(cli, "superlocal_fractional_colour", corrupted_fractional_colour)
@@ -230,6 +239,24 @@ class TestLinegraph:
         code, _, err = run(capsys, "linegraph", str(p))
         assert code == 1
         assert "error" in err
+
+    def test_pair_budget_refusal(self, capsys, tmp_path):
+        # 2,000 parallel edges: 2 * C(2000, 2) pairs, far above the budget
+        p = tmp_path / "dipole.mg"
+        p.write_text("n 2\n0 1 2000\n", encoding="ascii")
+        code, out, err = run(capsys, "linegraph", str(p))
+        assert code == 2
+        assert out == ""
+        assert "size refusal" in err
+
+    def test_verify_json(self, capsys, fat_triangle_file):
+        code, out, _ = run(
+            capsys, "linegraph", fat_triangle_file, "--verify", "--format", "json"
+        )
+        assert code == 0
+        d = json.loads(out)
+        assert (d["n"], d["m"], d["gamma_ll"], d["gamma_bar_ll"]) == (6, 15, 6, 6)
+        assert d["verified"] is True
 
 
 class TestSearch:
@@ -320,6 +347,26 @@ class TestSearch:
         assert code == 1
         assert out == ""
         assert name in err and "does not apply" in err
+
+    def test_default_reports_pinned(self, capsys, tmp_path):
+        # sha256 of the default `search --n 6 --out P` files and stdout, as
+        # written when every value was computed for every claim
+        base = tmp_path / "P"
+        code, out, _ = run(capsys, "search", "--n", "6", "--out", str(base))
+        assert code == 0
+        digests = [
+            hashlib.sha256(data).hexdigest()
+            for data in (
+                base.with_suffix(".jsonl").read_bytes(),
+                base.with_suffix(".csv").read_bytes(),
+                out.encode("ascii"),
+            )
+        ]
+        assert digests == [
+            "468c9c4badf47d6bb50f6c043988248c65b00cf80ebcdb9e29eb0ba11184e898",
+            "1f1dd52744d2af9e317435259387c53661e49cf66d99956be7af1b061f66b8a5",
+            "20a5422a2dd6db6f076421debd64eb0e12441fba9a84dec9b69c3e7aa0df7b3a",
+        ]
 
     def test_needs_space(self, capsys):
         code, _, err = run(capsys, "search")

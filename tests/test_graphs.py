@@ -22,6 +22,7 @@ from superlocal import (
     realize_linear_interval,
     to_graph6,
 )
+from superlocal import graphs
 from superlocal.graphs import GRAPH6_VERTEX_LIMIT
 from conftest import complete, cycle, path, petersen
 
@@ -276,6 +277,13 @@ class TestLineGraph:
     def test_parallel_edges_adjacent(self):
         mg = Multigraph(2, [(0, 1)] * 3)
         assert line_graph(mg) == complete(3)
+
+    def test_pair_budget(self, monkeypatch):
+        # a dipole of k edges has C(k, 2) pairs at each of its two vertices
+        monkeypatch.setattr(graphs, "LINE_GRAPH_PAIR_LIMIT", 6)
+        assert line_graph(Multigraph(2, [(0, 1)] * 3)) == complete(3)
+        with pytest.raises(SizeLimitError, match="above the limit 6"):
+            line_graph(Multigraph(2, [(0, 1)] * 4))
 
 
 class TestLinearInterval:

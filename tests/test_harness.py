@@ -47,6 +47,7 @@ from conftest import (
     corrupted_fractional_colour,
     cycle,
     path,
+    petersen,
 )
 
 # class counts for n = 1..8: all graphs, then connected only
@@ -65,6 +66,35 @@ GEN_SHA256 = {
         "7e9d5f9d0a74cb1c4d8813fa748dd3e9c8962cd2895f00360599ccb5d1027861",
     ),
 }
+
+
+# The harness bindings through which check_graph computes each claim's
+# values; graph_bounds runs for every claim, the matching only when
+# alpha <= 2.
+CLAIM_CALLS = {
+    "frac-bound": (
+        "fractional_chromatic_solution",
+        "superlocal_fractional_colour",
+        "verify_fractional_colouring",
+    ),
+    "superlocal-chi": ("chromatic_number",),
+    "clique-average": ("fractional_chromatic_solution", "clique_average_bound"),
+    "round-up": ("chromatic_number", "fractional_chromatic_solution"),
+    "interval-chi": ("chromatic_number",),
+    "alpha2-chi": ("stability_number", "chromatic_number"),
+    "question-bound": ("fractional_chromatic_solution", "subgraph_neighbourhood_bound"),
+}
+TRACED_BINDINGS = (
+    "chromatic_number",
+    "stability_number",
+    "fractional_chromatic_solution",
+    "superlocal_fractional_colour",
+    "verify_fractional_colouring",
+    "clique_average_bound",
+    "subgraph_neighbourhood_bound",
+    "chi_via_complement_matching",
+    "graph_bounds",
+)
 
 
 def gen_sha256(graphs):
@@ -207,16 +237,57 @@ class TestCheckGraph:
         assert r.verdicts["interval-chi"] == "holds"
 
     def test_limits_mark_not_applicable(self):
-        flags = CheckFlags(chromatic_limit=3, question_limit=4)
+        flags = CheckFlags(limit_n=4)
         r = check_graph(cycle(5), flags)
         assert r.chi is None
         assert r.question_value is None
         assert r.verdicts["superlocal-chi"] == "not-applicable"
         assert r.verdicts["question-bound"] == "not-applicable"
 
+    def test_negative_limit_n_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            CheckFlags(limit_n=-1)
+        assert CheckFlags(limit_n=0).vertex_limit(16) == 0
+        assert CheckFlags(limit_n=30).vertex_limit(16) == 16
+        assert CheckFlags().vertex_limit(16) == 16
+
     def test_claim_selection(self):
         r = check_graph(cycle(5), CheckFlags(claims=("superlocal-chi",)))
         assert set(r.verdicts) == {"superlocal-chi"}
+
+    def test_claim_needs_covers_every_simple_claim(self):
+        assert set(harness.CLAIM_NEEDS) == set(SIMPLE_CLAIMS)
+
+    @pytest.mark.parametrize("claim", SIMPLE_CLAIMS)
+    def test_each_claim_computes_only_what_it_reads(self, monkeypatch, claim):
+        calls = {}
+        for name in TRACED_BINDINGS:
+            real = getattr(harness, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(harness, name, counted)
+        # Petersen has alpha = 4, so alpha2-chi never reaches the matching
+        r = check_graph(petersen(), CheckFlags(claims=(claim,), circular_interval=True))
+        assert set(r.verdicts) == {claim}
+        assert calls == dict.fromkeys(CLAIM_CALLS[claim] + ("graph_bounds",), 1)
+
+    def test_unrequested_values_serialize_as_null(self):
+        r = check_graph(cycle(5), CheckFlags(claims=("superlocal-chi",)))
+        assert r.chi == 3
+        d = report_to_dict(r)
+        for key in ("chi_f", "alpha", "frac_total", "frac_valid", "clique_average",
+                    "question_value"):
+            assert d[key] is None
+        assert reports_csv([r]).splitlines()[1] == "Dhc,3,,3,5/2,,holds"
+
+    def test_all_claims_time_every_value_in_order(self):
+        r = check_graph(cycle(5))
+        assert list(r.timings_us) == [
+            "bounds", "chi", "alpha", "chi_f", "frac", "clique_average", "question"
+        ]
 
     def test_alpha3_not_applicable(self):
         r = check_graph(path(5))
@@ -247,7 +318,7 @@ class TestCheckGraph:
     def test_invalid_weighting_is_a_bug_signal(self, monkeypatch):
         monkeypatch.setattr(harness, "superlocal_fractional_colour", corrupted_fractional_colour)
         # whatever chi_f is: a refused LP must not turn it into not-applicable
-        for flags in (CheckFlags(), CheckFlags(stable_set_limit=3)):
+        for flags in (CheckFlags(), CheckFlags(limit_n=3)):
             with pytest.raises(InternalBugError, match="invalid weighting"):
                 check_graph(cycle(5), flags)
 
@@ -311,6 +382,13 @@ class TestCheckMultigraph:
         r = check_multigraph(Multigraph(3, [(0, 1), (0, 2), (1, 2)] * 2))
         assert r.verdicts["edge-colour"] == "holds"
         assert len(calls) == 1
+
+    def test_refused_line_graph_is_not_applicable(self):
+        dipole = Multigraph(2, [(0, 1)] * 1000)
+        r = check_multigraph(dipole, CheckFlags(claims=("line-graph-match",)))
+        assert r.verdicts == {"line-graph-match": "not-applicable"}
+        assert r.line_graph_gamma_ll is None
+        assert not r.bug
 
 
 class TestChiPrimeBruteforce:
@@ -478,9 +556,9 @@ class TestSerialization:
         }
 
     def test_claims_keep_other_flags(self):
-        # C5 has five maximal stable sets, so a limit of 1 refuses its LP
-        flags = CheckFlags(lp_set_limit=1)
-        summary = search_counterexamples([cycle(5)], claims=("superlocal-chi",), flags=flags)
+        # clique-average reads chi_f, and a limit of 3 vertices refuses C5's LP
+        flags = CheckFlags(limit_n=3)
+        summary = search_counterexamples([cycle(5)], claims=("clique-average",), flags=flags)
         assert summary.reports[0].chi_f is None
-        default = search_counterexamples([cycle(5)], claims=("superlocal-chi",))
+        default = search_counterexamples([cycle(5)], claims=("clique-average",))
         assert default.reports[0].chi_f == Fraction(5, 2)
