@@ -9,6 +9,7 @@ bound this terminates with every vertex covered exactly once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,29 +58,56 @@ def superlocal_fractional_colour(g, bound=None):
     if bound < target:
         raise DomainError(f"bound {bound} is below the superlocal value {target}")
 
-    weights = {}
-    wo = {v: Fraction(0) for v in range(g.n)}
+    # vertex v still lacks coverage num[v] / den[v] (reduced), 1 - wo(v)
+    num = [1] * g.n
+    den = [1] * g.n
+    weights = {}  # set mask -> weight, in order of first use
+    sets = {}  # set mask -> the same set as a frozenset
     total = Fraction(0)
     records = []
     alive = tuple(range(g.n))
     while alive and total < bound:
         fam = maximum_stable_sets(g, within=sum(1 << v for v in alive))
-        count = len(fam.sets)
-        hits = {v: 0 for v in alive}
-        for s in fam.sets:
-            for v in s:
-                hits[v] += 1
-        low = min(((1 - wo[v]) * count / hits[v] for v in alive if hits[v]), default=None)
-        if low is None:
-            raise InternalBugError("no vertex lies in any maximum stable set")
-        val = min(low, bound - total)
-        share = Fraction(val, count)
-        for s in fam.sets:
-            weights[s] = weights.get(s, Fraction(0)) + share
+        count = len(fam.masks)
+        hits = [0] * g.n
+        for m in fam.masks:
+            while m:
+                b = m & -m
+                hits[b.bit_length() - 1] += 1
+                m ^= b
+        # low is count times the least num/(den * hits) over vertices with
+        # a hit, the pairs compared by cross products
+        low_num, low_den = 0, 0
         for v in alive:
-            wo[v] += Fraction(hits[v], count) * val
-            if wo[v] > 1:
-                raise InternalBugError(f"vertex {v} overfilled to {wo[v]}")
+            h = hits[v]
+            if h and (not low_den or num[v] * low_den < low_num * den[v] * h):
+                low_num, low_den = num[v], den[v] * h
+        if not low_den:
+            raise InternalBugError("no vertex lies in any maximum stable set")
+        low = Fraction(count * low_num, low_den)
+        val = min(low, bound - total)
+        share = val / count
+        for m, s in zip(fam.masks, fam.sets):
+            if m in weights:
+                weights[m] += share
+            else:
+                weights[m] = share
+                sets[m] = s
+        # v gains hits[v] * val / count; val <= low keeps every deficit
+        # at 0 or above, so the overfill guard cannot fire on correct
+        # code and stays as a bug signal
+        vn, vd = val.numerator, val.denominator * count
+        for v in alive:
+            h = hits[v]
+            if h:
+                top = num[v] * vd - h * vn * den[v]
+                bottom = den[v] * vd
+                if top < 0:
+                    raise InternalBugError(
+                        f"vertex {v} overfilled to {1 - Fraction(top, bottom)}"
+                    )
+                d = math.gcd(top, bottom)
+                num[v], den[v] = top // d, bottom // d
         total += val
         records.append(
             IterationRecord(
@@ -90,8 +118,9 @@ def superlocal_fractional_colour(g, bound=None):
                 total_after=total,
             )
         )
-        alive = tuple(v for v in alive if wo[v] < 1)
+        alive = tuple(v for v in alive if num[v])
 
+    weights = {sets[m]: w for m, w in weights.items()}
     fc = FractionalColouring(weights=weights, total=total)
     return fc, IterationTrace(bound=bound, records=tuple(records))
 

@@ -231,16 +231,23 @@ def gamma_bar_ll_via_line_graph(mg):
 
 
 def clique_average_bound(g):
-    """Max over maximal cliques of the average per-vertex local bound."""
+    """Max over maximal cliques of the average per-vertex local bound.
+
+    Twice gamma_l_prime(v) is the integer d(v) + 1 + omega(v), so each
+    clique's average is its integer sum over twice its size. The best
+    (sum, size) pair is compared by cross products, and the one
+    Fraction is built at the end.
+    """
     if g.n == 0:
         raise DomainError("clique average needs a nonempty vertex set")
-    vb = vertex_bounds(g)
-    best = Fraction(0)
+    twice = [g.degree(v) + 1 + om for v, om in enumerate(_omegas(g))]
+    best_num, best_den = 0, 1
     # no size refusal here: the scan is over the graph's own cliques
     for clique in maximal_cliques(g, limit=max(g.n, 1)):
-        avg = Fraction(sum(vb.gamma_l_prime[v] for v in clique), len(clique))
-        best = max(best, avg)
-    return best
+        total = sum(map(twice.__getitem__, clique))
+        if total * best_den > best_num * len(clique):
+            best_num, best_den = total, len(clique)
+    return Fraction(best_num, 2 * best_den)
 
 
 def neighbourhood_average(g, v):

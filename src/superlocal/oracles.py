@@ -8,6 +8,7 @@ two, and the cyclic greedy colouring of linear interval representations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,21 +149,26 @@ def fractional_chromatic_solution(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
     value, y, w = solve_simplex(rows, [1] * len(rows), [1] * n)
 
     # certificate: y is a feasible fractional clique, w a feasible
-    # fractional colouring, and the two objectives agree exactly
-    if any(yi < 0 for yi in y):
+    # fractional colouring, and the two objectives agree exactly; all
+    # checked in integers, every value scaled to one common denominator
+    scale = math.lcm(value.denominator, *(q.denominator for q in (*y, *w)))
+    ys = [q.numerator * (scale // q.denominator) for q in y]
+    ws = [q.numerator * (scale // q.denominator) for q in w]
+    if any(yi < 0 for yi in ys):
         raise InternalBugError("negative dual vertex weight")
     for s in fam.sets:
-        if sum(y[v] for v in s) > 1:
+        if sum(map(ys.__getitem__, s)) > scale:
             raise InternalBugError("fractional clique overloads a stable set")
-    if any(wi < 0 for wi in w):
+    if any(wi < 0 for wi in ws):
         raise InternalBugError("negative stable set weight")
-    cover = [Fraction(0)] * n
-    for wi, s in zip(w, fam.sets):
+    cover = [0] * n
+    for wi, s in zip(ws, fam.sets):
         for v in s:
             cover[v] += wi
-    if any(cv < 1 for cv in cover):
+    if any(cv < scale for cv in cover):
         raise InternalBugError("stable set weights fail to cover a vertex")
-    if sum(y) != value or sum(w) != value:
+    target = value.numerator * (scale // value.denominator)
+    if sum(ys) != target or sum(ws) != target:
         raise InternalBugError("primal and dual objective values disagree")
     weights = {s: wi for wi, s in zip(w, fam.sets) if wi > 0}
     return FractionalChromaticSolution(value=value, weights=weights, dual=tuple(y))

@@ -1,8 +1,11 @@
 """Stable set and clique enumeration.
 
-Bron-Kerbosch with pivoting over vertex bitmasks. Stable sets are
-enumerated as cliques of the complement, optionally within a vertex
-mask. Guarded at 24 vertices.
+Maximal stable sets and cliques come from Bron-Kerbosch with pivoting
+over vertex bitmasks; stable sets are the cliques of the complement,
+optionally within a vertex mask. Maximum stable sets come from their
+own branch and bound on the complement, pruned at the best size found
+so far, so no smaller maximal set is ever listed. Guarded at 24
+vertices.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ ENUMERATION_VERTEX_LIMIT = 24
 class StableSetFamily:
     sets: tuple  # frozensets of vertex ids, sorted for determinism
     kind: str  # "maximal" or "maximum"
+    masks: tuple  # the same sets as vertex bitmasks, in the same order
 
     def __iter__(self):
         return iter(self.sets)
@@ -58,13 +62,49 @@ def _bron_kerbosch(adj, start):
     return out
 
 
-def _mask_to_set(mask):
+def _maximum_sets(comp, start):
+    """All maximum cliques, given by adjacency bitmasks, inside the start mask.
+
+    Branches on the lowest candidate, taking it first, so every set is
+    built in increasing vertex order and the sets come out sorted by
+    their member lists. Only sets of the best size so far are kept, and
+    a branch stops once its size plus its candidate count falls below
+    that size.
+    """
+    best = 0
+    out = []
+
+    def expand(r, size, p):
+        nonlocal best
+        if not p:
+            if size > best:
+                best = size
+                out.clear()
+            if size == best:
+                out.append(r)
+            return
+        while p and size + p.bit_count() >= best:
+            b = p & -p
+            expand(r | b, size + 1, p & comp[b.bit_length() - 1])
+            p ^= b
+
+    expand(0, 0, start)
+    return out
+
+
+def _members(mask):
     out = []
     while mask:
         b = mask & -mask
         out.append(b.bit_length() - 1)
         mask ^= b
-    return frozenset(out)
+    return out
+
+
+def _sorted_family(masks):
+    """(frozensets, masks), both in the order of the sorted member lists."""
+    order = sorted((_members(m), m) for m in masks)
+    return tuple(frozenset(ms) for ms, _ in order), tuple(m for _, m in order)
 
 
 def _check_size(g, limit):
@@ -76,30 +116,34 @@ def _check_size(g, limit):
         )
 
 
-def maximal_cliques(g, limit=None):
-    """Maximal cliques as frozensets, sorted for determinism."""
-    _check_size(g, limit)
-    masks = _bron_kerbosch([g.adj_mask(v) for v in range(g.n)], (1 << g.n) - 1)
-    return tuple(sorted((_mask_to_set(m) for m in masks), key=sorted))
-
-
-def maximal_stable_sets(g, limit=None, within=None):
-    """Maximal stable sets of g inside the vertex mask within (default: all), in g's ids."""
+def _complement_within(g, limit, within):
+    """Complement adjacency masks and the start mask (default: every vertex)."""
     _check_size(g, limit)
     full = (1 << g.n) - 1
     if within is not None and within & ~full:
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
     comp = [~g.adj_mask(v) & full & ~(1 << v) for v in range(g.n)]
-    masks = _bron_kerbosch(comp, full if within is None else within)
-    sets = tuple(sorted((_mask_to_set(m) for m in masks), key=sorted))
-    return StableSetFamily(sets=sets, kind="maximal")
+    return comp, full if within is None else within
+
+
+def maximal_cliques(g, limit=None):
+    """Maximal cliques as frozensets, sorted for determinism."""
+    _check_size(g, limit)
+    masks = _bron_kerbosch([g.adj_mask(v) for v in range(g.n)], (1 << g.n) - 1)
+    return _sorted_family(masks)[0]
+
+
+def maximal_stable_sets(g, limit=None, within=None):
+    """Maximal stable sets of g inside the vertex mask within (default: all), in g's ids."""
+    sets, masks = _sorted_family(_bron_kerbosch(*_complement_within(g, limit, within)))
+    return StableSetFamily(sets=sets, kind="maximal", masks=masks)
 
 
 def maximum_stable_sets(g, limit=None, within=None):
-    fam = maximal_stable_sets(g, limit=limit, within=within)
-    alpha = max((len(s) for s in fam.sets), default=0)
-    sets = tuple(s for s in fam.sets if len(s) == alpha)
-    return StableSetFamily(sets=sets, kind="maximum")
+    """Maximum stable sets of g inside the vertex mask within (default: all), in g's ids."""
+    masks = tuple(_maximum_sets(*_complement_within(g, limit, within)))
+    sets = tuple(frozenset(_members(m)) for m in masks)
+    return StableSetFamily(sets=sets, kind="maximum", masks=masks)
 
 
 def membership_probabilities(g, limit=None):

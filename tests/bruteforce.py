@@ -111,6 +111,13 @@ def bf_omega_v(g, v):
     return 1 + best
 
 
+def bf_clique_average_bound(g):
+    """Clique average from its definition: Fraction averages of
+    (d(v) + 1 + omega(v)) / 2 over every maximal clique."""
+    glp = [Fraction(g.degree(v) + 1 + bf_omega_v(g, v), 2) for v in range(g.n)]
+    return max(sum(glp[v] for v in c) / len(c) for c in bf_maximal_cliques(g))
+
+
 def bf_subgraph_neighbourhood_bound(g):
     """Question bound from its definition, one induced subgraph at a time.
 

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from superlocal import (
     DomainError,
     FractionalColouring,
+    InternalBugError,
     SimpleGraph,
+    StableSetFamily,
     fractional_chromatic_number,
     gamma_ll_prime,
     superlocal_fractional_colour,
@@ -119,6 +121,15 @@ def test_larger_budget_allowed():
     assert trace.bound == 4
     assert fc.total == F(5, 2)
     assert verify_fractional_colouring(g, fc, 4).valid
+
+
+def test_no_vertex_in_a_maximum_set_raises(monkeypatch):
+    empty = StableSetFamily(sets=(frozenset(),), kind="maximum", masks=(0,))
+    monkeypatch.setattr(
+        "superlocal.frac_colour.maximum_stable_sets", lambda g, within: empty
+    )
+    with pytest.raises(InternalBugError, match="no vertex lies in any maximum stable set"):
+        superlocal_fractional_colour(cycle(5))
 
 
 def test_all_small_classes_valid(classes6):

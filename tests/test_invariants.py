@@ -31,6 +31,7 @@ from superlocal import (
     vertex_bounds,
 )
 from bruteforce import (
+    bf_clique_average_bound,
     bf_clique_number,
     bf_gamma_bar_ll,
     bf_gamma_ll_prime,
@@ -67,20 +68,24 @@ def multigraphs_st():
     )
 
 
-small_graphs_st = st.integers(1, 8).flatmap(
-    lambda n: st.builds(
-        SimpleGraph,
-        st.just(n),
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-                lambda p: p[0] != p[1]
-            ),
-            max_size=20,
+def graphs_st(max_n, max_edges):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            SimpleGraph,
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda p: p[0] != p[1]
+                ),
+                max_size=max_edges,
+            )
+            if n >= 2
+            else st.just([]),
         )
-        if n >= 2
-        else st.just([]),
     )
-)
+
+
+small_graphs_st = graphs_st(8, 20)
 
 
 def seeded_g12():
@@ -264,6 +269,15 @@ class TestAverageBounds:
         g = pendant_clique(6)
         assert g.n == 42
         assert clique_average_bound(g) == 9
+
+    def test_clique_average_matches_bruteforce(self, classes6, connected7):
+        assert len(connected7) == 996
+        for g in classes6 + connected7:
+            assert clique_average_bound(g) == bf_clique_average_bound(g)
+
+    @given(graphs_st(10, 30))
+    def test_clique_average_matches_bruteforce_random(self, g):
+        assert clique_average_bound(g) == bf_clique_average_bound(g)
 
     def test_clique_average_needs_vertices(self):
         with pytest.raises(DomainError):

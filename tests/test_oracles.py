@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from superlocal import (
     DomainError,
+    InternalBugError,
     LinearIntervalRepresentation,
     SimpleGraph,
     SizeLimitError,
@@ -122,6 +123,48 @@ class TestFractionalChromatic:
     def test_set_limit(self):
         with pytest.raises(SizeLimitError):
             fractional_chromatic_solution(cycle(5), set_limit=4)
+
+
+H = F(1, 2)
+
+
+class TestCertificateRejections:
+    """Each corrupted simplex result on C5 trips its own certificate check.
+
+    C5's maximal stable sets are {0,2}, {0,3}, {1,3}, {1,4}, {2,4}, and
+    its only optimum is 1/2 on every vertex and on every set.
+    """
+
+    @pytest.mark.parametrize(
+        "value, y, w, message",
+        [
+            (F(5, 2), [-H, 1, 1, H, H], [H] * 5, "negative dual vertex weight"),
+            (F(5, 2), [1, H, H, H, 0], [H] * 5, "overloads a stable set"),
+            (F(5, 2), [H] * 5, [-H, 1, H, H, 1], "negative stable set weight"),
+            (F(5, 2), [H] * 5, [H, H, H, 1, 0], "fail to cover a vertex"),
+            (F(3), [H] * 5, [H] * 5, "objective values disagree"),
+        ],
+        ids=["negative-dual", "overload", "negative-weight", "uncovered", "objective"],
+    )
+    def test_corrupted_solution_raises(self, monkeypatch, value, y, w, message):
+        monkeypatch.setattr(
+            "superlocal.oracles.solve_simplex", lambda a, b, c: (value, y, w)
+        )
+        with pytest.raises(InternalBugError, match=message):
+            fractional_chromatic_solution(cycle(5))
+
+    def test_mixed_denominators_accepted(self, monkeypatch):
+        # P4 has sets {0,2}, {0,3}, {1,3} and many optimal fractional
+        # cliques; this one mixes halves and thirds
+        y = [H, F(2, 3), H, F(1, 3)]
+        w = [F(1), F(0), F(1)]
+        monkeypatch.setattr(
+            "superlocal.oracles.solve_simplex", lambda a, b, c: (F(2), y, w)
+        )
+        sol = fractional_chromatic_solution(path(4))
+        assert sol.value == 2
+        assert sol.dual == tuple(y)
+        assert sol.weights == {frozenset({0, 2}): 1, frozenset({1, 3}): 1}
 
 
 class TestComplementMatching:
