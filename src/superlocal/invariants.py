@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError, SizeLimitError
 from .graphs import line_graph
-from .stable_sets import maximal_cliques
+from .stable_sets import _bron_kerbosch
 
 SUBGRAPH_SCAN_LIMIT = 12
 
@@ -234,19 +234,26 @@ def clique_average_bound(g):
     """Max over maximal cliques of the average per-vertex local bound.
 
     Twice gamma_l_prime(v) is the integer d(v) + 1 + omega(v), so each
-    clique's average is its integer sum over twice its size. The best
-    (sum, size) pair is compared by cross products, and the one
-    Fraction is built at the end.
+    clique's average is its integer sum over twice its size. The
+    cliques are read as bare masks from Bron-Kerbosch and summed by a
+    bit loop; the best (sum, size) pair is compared by cross products,
+    and the one Fraction is built at the end.
     """
     if g.n == 0:
         raise DomainError("clique average needs a nonempty vertex set")
     twice = [g.degree(v) + 1 + om for v, om in enumerate(_omegas(g))]
+    adj = [g.adj_mask(v) for v in range(g.n)]
     best_num, best_den = 0, 1
     # no size refusal here: the scan is over the graph's own cliques
-    for clique in maximal_cliques(g, limit=max(g.n, 1)):
-        total = sum(map(twice.__getitem__, clique))
-        if total * best_den > best_num * len(clique):
-            best_num, best_den = total, len(clique)
+    for clique in _bron_kerbosch(adj, (1 << g.n) - 1):
+        total = size = 0
+        while clique:
+            b = clique & -clique
+            total += twice[b.bit_length() - 1]
+            size += 1
+            clique ^= b
+        if total * best_den > best_num * size:
+            best_num, best_den = total, size
     return Fraction(best_num, 2 * best_den)
 
 
@@ -266,18 +273,34 @@ def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
 
     The max is over every induced subgraph H = G[mask] and every vertex
     v of H of the average of gamma_l_prime, computed in H, over the
-    closed neighbourhood of v in H. Scans all 2^n - 1 subgraphs, so
-    refuses above the limit.
+    closed neighbourhood of v in H. Builds a table over all 2^n vertex
+    sets, so refuses above the limit.
 
     One pass in increasing order fills clq[s], the clique number of
     every vertex set s: with v the lowest vertex of s and rest = s - v,
     a largest clique of s either avoids v or is v plus a clique inside
-    N(v), so clq[s] = max(clq[rest], 1 + clq[rest & N(v)]). In H, with
-    nv = N(v) & mask, twice gamma_l_prime(v) is the integer
-    h(v) = |nv| + 2 + clq[nv], and the closed-neighbourhood average is
-    (h(v) + sum of h(u) over u in nv) / (2 (|nv| + 1)). The best
-    average is kept as an integer pair compared by cross products, and
-    the one Fraction is built at the end.
+    N(v), so clq[s] = max(clq[rest], 1 + clq[rest & N(v)]).
+
+    Lemma: only the subgraphs that delete part of one neighbourhood
+    need a visit. In H, twice gamma_l_prime(u) is the integer
+    h_H(u) = d_H(u) + 1 + omega_H(u), and both terms can only grow when
+    vertices are added to H. Fix v and T = N_H(v). Every mask with that
+    T is {v} | T | S with S outside N[v], and the average is over the
+    fixed set {v} | T, so the best such mask takes all of S: it is
+    full ^ (N(v) ^ T), that is G - (N(v) - T). The scan therefore runs
+    T over the subsets of N(v), by t = (t - 1) & N(v) down to 0. The
+    centre has h = |T| + 2 + clq[T]; each u in T has
+    h = |N(u) & mask| + 2 + clq[N(u) & mask].
+
+    Prune: h_H(u) <= h_G(u), so every average at v is at most
+    cap(v) = max of h_G over N[v], and v is skipped once that cannot
+    beat the best average so far. The best value does not depend on
+    the order of the vertices.
+
+    Cost: sum over v of 2^d(v) subgraphs, at most d(v) + 1 table reads
+    each, plus the 2^n clq table. The best average is kept as an
+    integer pair compared by cross products, and the one Fraction is
+    built at the end.
     """
     if g.n > limit:
         raise SizeLimitError(
@@ -286,6 +309,7 @@ def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
     if g.n == 0:
         raise DomainError("bound needs a nonempty vertex set")
     n = g.n
+    full = (1 << n) - 1
     adj = [g.adj_mask(v) for v in range(n)]
     clq = [0] * (1 << n)
     for s in range(1, 1 << n):
@@ -294,29 +318,28 @@ def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
         a = clq[rest]
         b = 1 + clq[rest & adj[low.bit_length() - 1]]
         clq[s] = a if a >= b else b
+    h_g = [adj[v].bit_count() + 2 + clq[adj[v]] for v in range(n)]
     best_num, best_den = 0, 1
-    h = [0] * n
-    for mask in range(1, 1 << n):
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            nv = adj[v] & mask
-            h[v] = nv.bit_count() + 2 + clq[nv]
-            m ^= b
-        m = mask
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            nv = adj[v] & mask
-            num = h[v]
+    for v in range(n):
+        cap = max(h_g[u] for u in (v,) + g.neighbours(v))
+        if cap * best_den <= best_num:
+            continue
+        nbrs = adj[v]
+        t = nbrs
+        while True:
+            mask = full ^ nbrs ^ t
+            num = t.bit_count() + 2 + clq[t]
             den = 1
-            while nv:
-                c = nv & -nv
-                num += h[c.bit_length() - 1]
+            m = t
+            while m:
+                b = m & -m
+                nu = adj[b.bit_length() - 1] & mask
+                num += nu.bit_count() + 2 + clq[nu]
                 den += 1
-                nv ^= c
+                m ^= b
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
-            m ^= b
+            if not t:
+                break
+            t = (t - 1) & nbrs
     return Fraction(best_num, 2 * best_den)

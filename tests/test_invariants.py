@@ -96,6 +96,14 @@ def seeded_g12():
     )
 
 
+def seeded_dense_g12():
+    """A seeded G(12, 9/10): dense neighbourhoods, so the scan rarely prunes."""
+    rng = random.Random(4)
+    return SimpleGraph(
+        12, [e for e in itertools.combinations(range(12), 2) if rng.randrange(10)]
+    )
+
+
 class TestCliqueNumbers:
     def test_omega_v_matches_bruteforce(self, classes6):
         for g in classes6:
@@ -319,12 +327,41 @@ class TestAverageBounds:
     def test_subgraph_bound_matches_bruteforce_random(self, g):
         assert subgraph_neighbourhood_bound(g) == bf_subgraph_neighbourhood_bound(g)
 
-    @pytest.mark.parametrize("g", [petersen(), seeded_g12()], ids=["petersen", "g12"])
+    @given(graphs_st(8, 28))
+    def test_subgraph_bound_matches_bruteforce_dense(self, g):
+        # near-complete neighbourhoods, where 2^d(v) is largest
+        assert subgraph_neighbourhood_bound(g) == bf_subgraph_neighbourhood_bound(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [petersen(), seeded_g12(), seeded_dense_g12()],
+        ids=["petersen", "g12", "dense_g12"],
+    )
     def test_subgraph_bound_over_induced_subgraphs(self, g):
         best = Fraction(0)
         for mask in range(1, 1 << g.n):
             h, _ = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
             best = max(best, max(neighbourhood_average(h, v) for v in range(h.n)))
+        assert subgraph_neighbourhood_bound(g) == best
+
+    @pytest.mark.parametrize(
+        "g",
+        [petersen(), seeded_g12(), seeded_dense_g12(), pendant_clique(3)],
+        ids=["petersen", "g12", "dense_g12", "pendant_clique3"],
+    )
+    def test_subgraph_bound_over_neighbourhood_deletions(self, g):
+        # the lemma's route: G - (N(v) - T) for each v and each T within N(v)
+        # the prune fires on Petersen and K_n: every vertex after the first is skipped
+        best = Fraction(0)
+        for v in range(g.n):
+            nbrs = g.neighbours(v)
+            for r in range(len(nbrs) + 1):
+                for t in itertools.combinations(nbrs, r):
+                    gone = set(nbrs) - set(t)
+                    h, labels = induced_subgraph(
+                        g, [u for u in range(g.n) if u not in gone]
+                    )
+                    best = max(best, neighbourhood_average(h, labels.index(v)))
         assert subgraph_neighbourhood_bound(g) == best
 
     def test_subgraph_bound_limit(self):
