@@ -218,17 +218,18 @@ def cmd_edgecolour(args):
     if args.verify:
         if k != gamma_bar_ll_via_line_graph(mg):
             raise InternalBugError("colour count differs from the line-graph bound")
+    assignment = colouring.assignment
     if args.format == "json":
         out = {
             "k": k,
-            "colours": {str(e): colouring.assignment[e] for e in sorted(colouring.assignment)},
+            "colours": {str(e): assignment[e] for e in sorted(assignment)},
         }
         if args.verify:
             out["verified"] = True
         return _json(out)
     lines = [f"k {k}"]
-    for eid in sorted(colouring.assignment):
-        lines.append(f"{eid} {colouring.assignment[eid]}")
+    for eid in sorted(assignment):
+        lines.append(f"{eid} {assignment[eid]}")
     if args.verify:
         lines.append("verify ok")
     return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Constructive edge colouring at the nine-expression bound.
 
-Vizing-style machinery: partial colourings with incremental missing
-sets, maximal fans with witness chains, rotation, alternating-path
+Vizing-style machinery: partial colourings with per-vertex colour
+bitmasks, maximal fans with witness chains, rotation, alternating-path
 swaps, and the two-vertex fan sequence used when every relevant missing
 set is pairwise disjoint. Situations the bound provably excludes raise
 bug signals instead of being handled.
@@ -15,16 +15,43 @@ from .errors import DomainError, InternalBugError
 from .invariants import gamma_bar_ll
 
 
+def _bits(mask):
+    """Positions of the set bits of mask, ascending."""
+    digits = bin(mask)[:1:-1]  # digits[c] is bit c
+    c = digits.find("1")
+    while c >= 0:
+        yield c
+        c = digits.find("1", c + 1)
+
+
+def _lowest(mask):
+    """Position of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class PartialEdgeColouring:
-    """Mutable proper partial colouring with per-vertex colour indexes."""
+    """Mutable proper partial colouring with per-vertex colour indexes.
+
+    Each vertex w keeps three views of the colours at it: the index
+    _at[w] (colour -> edge), the bitmask _present[w] (bit c set when
+    colour c is at w) and _count[w], the number of coloured edges at w.
+    A change checks only what it writes, at each endpoint: the colour's
+    bit and index entry were clear (an assignment) or named this edge (a
+    removal), and the count still equals the index size. None of this
+    reads a whole mask or walks the incident edges. validate() rebuilds
+    every vertex from the assignment once and compares all three views.
+    """
 
     def __init__(self, mg, k, assignment=None):
         if k < 0:
             raise DomainError("colour count must be nonnegative")
         self.mg = mg
         self.k = k
+        self._full = ((1 << k) - 1) << 1  # bits 1..k
         self._col = {}
         self._at = [dict() for _ in range(mg.n)]
+        self._present = [0] * mg.n
+        self._count = [0] * mg.n
         self.stats = {}
         if assignment:
             for eid in sorted(assignment):
@@ -34,6 +61,8 @@ class PartialEdgeColouring:
         c = PartialEdgeColouring(self.mg, self.k)
         c._col = dict(self._col)
         c._at = [dict(d) for d in self._at]
+        c._present = list(self._present)
+        c._count = list(self._count)
         return c
 
     @property
@@ -45,10 +74,24 @@ class PartialEdgeColouring:
         return self._col.get(eid)
 
     def present(self, w):
-        return set(self._at[w])
+        return set(_bits(self._present[w]))
 
     def missing(self, w):
-        return set(range(1, self.k + 1)) - set(self._at[w])
+        return set(_bits(self.missing_mask(w)))
+
+    def missing_mask(self, w):
+        """Bit c set for each colour c in 1..k that is not at w."""
+        return self._full & ~self._present[w]
+
+    def least_common_missing(self, u, v):
+        """The lowest set bit of missing_mask(u) & missing_mask(v), or None.
+
+        It reads the present masks, whose length is the highest colour
+        at u or v, rather than k.
+        """
+        taken = self._present[u] | self._present[v] | 1  # bit 0 is no colour
+        colour = (taken ^ (taken + 1)).bit_length() - 1  # lowest clear bit
+        return colour if colour <= self.k else None
 
     def edge_at(self, w, colour):
         return self._at[w].get(colour)
@@ -62,20 +105,33 @@ class PartialEdgeColouring:
         if colour in self._at[u] or colour in self._at[v]:
             raise DomainError(f"colour {colour} already present at an endpoint of edge {eid}")
         self._col[eid] = colour
-        self._at[u][colour] = eid
-        self._at[v][colour] = eid
-        self._check(u)
-        self._check(v)
+        for w in (u, v):
+            present = self._present[w]
+            if present >> colour & 1:
+                raise InternalBugError(
+                    f"colour {colour} in the mask at vertex {w} but not in its index"
+                )
+            self._present[w] = present | (1 << colour)
+            self._at[w][colour] = eid
+            self._count[w] += 1
+            self._check_count(w)
 
     def unassign(self, eid):
         u, v = self.mg.endpoints(eid)
         if eid not in self._col:
             raise DomainError(f"edge {eid} is not coloured")
         colour = self._col.pop(eid)
-        del self._at[u][colour]
-        del self._at[v][colour]
-        self._check(u)
-        self._check(v)
+        for w in (u, v):
+            if self._at[w].pop(colour, None) != eid:
+                raise InternalBugError(f"colour {colour} at vertex {w} was not on edge {eid}")
+            present = self._present[w]
+            if not present >> colour & 1:
+                raise InternalBugError(
+                    f"colour {colour} on edge {eid} missing from the mask at vertex {w}"
+                )
+            self._present[w] = present ^ (1 << colour)
+            self._count[w] -= 1
+            self._check_count(w)
 
     def is_complete(self):
         return len(self._col) == self.mg.edge_count
@@ -83,8 +139,15 @@ class PartialEdgeColouring:
     def uncoloured(self):
         return tuple(e for e in range(self.mg.edge_count) if e not in self._col)
 
+    def _check_count(self, w):
+        if self._count[w] != len(self._at[w]):
+            raise InternalBugError(
+                f"colour index at vertex {w} holds {len(self._at[w])} colours, "
+                f"its count {self._count[w]}"
+            )
+
     def _check(self, w):
-        """Rebuild vertex w's colour index from the assignment; mismatch is a bug."""
+        """Rebuild vertex w's colour views from the assignment; mismatch is a bug."""
         rebuilt = {}
         for eid in self.mg.incident(w):
             colour = self._col.get(eid)
@@ -99,9 +162,12 @@ class PartialEdgeColouring:
             rebuilt[colour] = eid
         if rebuilt != self._at[w]:
             raise InternalBugError(f"colour index at vertex {w} diverged from the assignment")
+        self._check_count(w)
+        if rebuilt.keys() != set(_bits(self._present[w])):
+            raise InternalBugError(f"colour mask at vertex {w} diverged from the assignment")
 
     def validate(self):
-        """Recompute every vertex's index from the assignment; mismatch is a bug."""
+        """Rebuild every vertex's colour views from the assignment; mismatch is a bug."""
         for eid in self._col:
             self.mg.endpoints(eid)
         for w in range(self.mg.n):
@@ -133,8 +199,11 @@ def _assign_or_bug(c, eid, colour, context):
 def build_maximal_fan(mg, c, e, hinge):
     """Greedy maximal fan; deterministic by ascending colour scans.
 
-    Uncoloured edges other than e are treated as absent, so the fan
-    lives in the already-inserted subgraph.
+    Each step takes the least colour missing at some fan vertex and
+    present at the hinge whose hinge edge leads outside the fan; its
+    witness is the earliest fan vertex missing that colour. Uncoloured
+    edges other than e are treated as absent, so the fan lives in the
+    already-inserted subgraph.
     """
     if c.colour_of(e) is not None:
         raise DomainError(f"edge {e} is already coloured")
@@ -145,27 +214,28 @@ def build_maximal_fan(mg, c, e, hinge):
     edges = [e]
     witnesses = [None]
     in_fan = {v1}
-    pool = {}  # colour -> earliest fan index missing it
-    for colour in sorted(c.missing(v1)):
-        pool.setdefault(colour, 0)
+    misses = [c.missing_mask(v1)]  # misses[i]: colours missing at vertices[i]
+    pool = misses[0]  # colours missing at some fan vertex
+    at_hinge = ~c.missing_mask(hinge)
     while True:
-        progressed = False
-        for colour in sorted(pool):
+        for colour in _bits(pool & at_hinge):
             eid = c.edge_at(hinge, colour)
             if eid is None:
-                continue
+                raise InternalBugError(
+                    f"colour {colour} in the mask at vertex {hinge} but not in its index"
+                )
             w = _other(mg, eid, hinge)
-            if w == hinge or w in in_fan:
+            if w in in_fan:
                 continue
+            first = next(i for i, miss in enumerate(misses) if miss >> colour & 1)
             vertices.append(w)
             edges.append(eid)
-            witnesses.append((pool[colour], colour))
+            witnesses.append((first, colour))
             in_fan.add(w)
-            for c2 in sorted(c.missing(w)):
-                pool.setdefault(c2, len(vertices) - 1)
-            progressed = True
+            misses.append(c.missing_mask(w))
+            pool |= misses[-1]
             break
-        if not progressed:
+        else:
             break
     return Fan(
         edge=e,
@@ -214,7 +284,7 @@ def _walk_chain(c, a, b, start):
     start must miss at least one of the two colours, so the walk is a
     simple path; a revisited vertex means the colouring was broken.
     """
-    follow = b if a in c.missing(start) else a
+    follow = b if c.missing_mask(start) >> a & 1 else a
     vertices = [start]
     edges = []
     seen = {start}
@@ -241,11 +311,11 @@ def kempe_swap(c, a, b, start):
             raise DomainError(f"colour {colour} outside 1..{c.k}")
     if not 0 <= start < c.mg.n:
         raise DomainError(f"vertex {start} out of range")
-    miss = c.missing(start)
-    if a not in miss and b not in miss:
+    miss = c.missing_mask(start)
+    if not miss >> a & 1 and not miss >> b & 1:
         raise DomainError(f"vertex {start} misses neither colour {a} nor {b}")
     cc = c.copy()
-    if a in miss and b in miss:
+    if miss >> a & 1 and miss >> b & 1:
         return cc  # empty chain
     _, edges = _walk_chain(c, a, b, start)
     for eid in edges:
@@ -285,9 +355,9 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
                 f"stats={stats}, uncoloured={cur.uncoloured()}"
             )
         u, v = mg.endpoints(hole)
-        common = cur.missing(u) & cur.missing(v)
-        if common:
-            _assign_or_bug(cur, hole, min(common), "direct colouring collided")
+        colour = cur.least_common_missing(u, v)
+        if colour is not None:
+            _assign_or_bug(cur, hole, colour, "direct colouring collided")
             stats["direct"] += 1
             return cur
 
@@ -306,27 +376,28 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
                 "impossible at the nine-expression bound"
             )
 
-        hinge_missing = cur.missing(hinge)
+        hinge_missing = cur.missing_mask(hinge)
         for j in range(2, ell + 1):
-            inter = hinge_missing & cur.missing(fan.vertices[j - 1])
+            inter = hinge_missing & cur.missing_mask(fan.vertices[j - 1])
             if inter:
                 cur = rotate_fan(cur, fan, j)
-                _assign_or_bug(cur, fan.edges[j - 1], min(inter), "rotation target collided")
+                _assign_or_bug(cur, fan.edges[j - 1], _lowest(inter), "rotation target collided")
                 stats["rotation"] += 1
                 return cur
 
         swap_pair = None
         for i in range(1, ell + 1):
             for j in range(i + 1, ell + 1):
-                inter = cur.missing(fan.vertices[i - 1]) & cur.missing(fan.vertices[j - 1])
+                inter = cur.missing_mask(fan.vertices[i - 1])
+                inter &= cur.missing_mask(fan.vertices[j - 1])
                 if inter:
-                    swap_pair = (fan.vertices[i - 1], fan.vertices[j - 1], min(inter))
+                    swap_pair = (fan.vertices[i - 1], fan.vertices[j - 1], _lowest(inter))
                     break
             if swap_pair:
                 break
         if swap_pair:
             vi, vj, gamma = swap_pair
-            a = min(hinge_missing)
+            a = _lowest(hinge_missing)
             chain_i, _ = _walk_chain(cur, a, gamma, vi)
             if hinge not in chain_i:
                 cur = kempe_swap(cur, a, gamma, vi)
@@ -353,15 +424,15 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
         v_next = fan.vertices[1]
         if seq is None:
             seq = {"alphas": [], "prev": None, "hinge": hinge}
-        prev_missing = sorted(cur.missing(v_prev))
+        prev_missing = cur.missing_mask(v_prev)
         if len(seq["alphas"]) >= 2:
             alpha = seq["alphas"][-2]
-            if alpha not in prev_missing:
+            if not prev_missing >> alpha & 1:
                 raise InternalBugError(
                     f"forced colour {alpha} not missing at fan vertex {v_prev}"
                 )
         else:
-            alpha = prev_missing[0]
+            alpha = _lowest(prev_missing)
 
         eid_alpha = cur.edge_at(hinge, alpha)
         if eid_alpha is None:
@@ -397,13 +468,13 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
     prev_hole, prev_alpha, prev_v = seq["prev"]
     if v_next == prev_v:
         return None  # the swap ahead would collide with the colouring behind
-    for beta in sorted(cur.missing(prev_v)):
+    for beta in _bits(cur.missing_mask(prev_v)):
         if beta == alpha:
             continue
         eid_beta = cur.edge_at(hinge, beta)
         if eid_beta is None or _other(mg, eid_beta, hinge) != v_prev:
             continue
-        if beta not in cur.missing(v_next):
+        if not cur.missing_mask(v_next) >> beta & 1:
             continue
         # roll back the previous transition
         cur.unassign(prev_hole)
@@ -427,9 +498,9 @@ def fan_sequence_resolve(mg, c0, f0):
     if len(f0.vertices) != 2:
         raise DomainError(f"fan sequence needs a fan of size 2, got {len(f0.vertices)}")
     sets = [
-        c0.missing(f0.hinge),
-        c0.missing(f0.vertices[0]),
-        c0.missing(f0.vertices[1]),
+        c0.missing_mask(f0.hinge),
+        c0.missing_mask(f0.vertices[0]),
+        c0.missing_mask(f0.vertices[1]),
     ]
     for i in range(3):
         for j in range(i + 1, 3):

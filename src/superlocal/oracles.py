@@ -188,11 +188,23 @@ def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
         raise SizeLimitError(f"matching oracle limited to {limit} vertices, got {n}")
     if n == 0:
         return 0, VertexColouring((), 0)
-    alpha = stability_number(g)
-    if alpha >= 3:
-        raise DomainError(f"stability number {alpha} exceeds 2")
     cg = complement(g)
     adj = [cg.adj_mask(v) for v in range(n)]
+    # alpha >= 3 exactly when three vertices are pairwise non-adjacent,
+    # a triangle v < u < w of the complement
+    for v in range(n):
+        later = adj[v] >> (v + 1) << (v + 1)
+        while later:
+            ub = later & -later
+            later ^= ub
+            u = ub.bit_length() - 1
+            third = later & adj[u]
+            if third:
+                w = (third & -third).bit_length() - 1
+                raise DomainError(
+                    f"stability number exceeds 2: vertices {v}, {u} and {w} "
+                    "are pairwise non-adjacent"
+                )
     # every entry is at most n/2, so one byte holds it
     dp = bytearray(1 << n)
     _kernels.matching_dp(adj, dp)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import superlocal
-from superlocal import Multigraph, cli, parse_graph6, parse_multigraph, to_graph6
+from superlocal import Multigraph, cli, format_multigraph, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
 from conftest import count_validations, corrupted_fractional_colour, cycle, petersen
@@ -214,6 +215,27 @@ class TestEdgecolour:
         code, out, _ = run(capsys, "edgecolour", c5_file)
         assert code == 0
         assert out.splitlines()[0] == "k 3"
+
+    def test_output_pinned(self, capsys, tmp_path):
+        # sha256 of plain and json stdout on a seeded 60-vertex multigraph
+        # with 1,708 edges, as written when the colour sets were Python sets
+        rng = random.Random(1)
+        edges = []
+        for u in range(60):
+            for v in range(u + 1, 60):
+                if rng.randrange(2):
+                    edges.extend([(u, v)] * rng.randint(1, 3))
+        p = tmp_path / "large.mg"
+        p.write_text(format_multigraph(Multigraph(60, edges[:1708])), encoding="ascii")
+        digests = []
+        for fmt in ("plain", "json"):
+            code, out, _ = run(capsys, "edgecolour", str(p), "--format", fmt)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode("ascii")).hexdigest())
+        assert digests == [
+            "b0e14509518f485609f0f67a2ca605a93b6e5cf3bc8f4c83f448139efd7ee8ed",
+            "ecd491ebe3154be478eb448b3b62b6c8d1d717439ce4bd0a803374557ca96e2b",
+        ]
 
 
 class TestLinegraph:

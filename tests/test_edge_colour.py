@@ -1,4 +1,7 @@
+import ast
+import hashlib
 import random
+import sys
 
 import pytest
 
@@ -16,8 +19,11 @@ from superlocal import (
     random_corpus,
     rotate_fan,
 )
+import branch_search
 from bruteforce import bf_chi_prime
 from conftest import count_validations, cycle, path, petersen
+
+ACCEPTANCE_SEED = 20240815
 
 
 def triangle_state():
@@ -25,6 +31,54 @@ def triangle_state():
     mg = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
     c = PartialEdgeColouring(mg, 3, {0: 1, 2: 2})
     return mg, c
+
+
+def check_views_after_changes(monkeypatch):
+    """After every assign and unassign, compare both endpoints' colour views.
+
+    The mask, the count and the index must each equal what the
+    assignment gives, recomputed here without the class's own checks.
+    Returns the list of edges changed so far.
+    """
+    changed = []
+    for name in ("assign", "unassign"):
+        original = getattr(PartialEdgeColouring, name)
+
+        def checked(self, eid, *colour, _original=original):
+            _original(self, eid, *colour)
+            for w in self.mg.endpoints(eid):
+                at = {}
+                for e in self.mg.incident(w):
+                    if self.colour_of(e) is not None:
+                        at[self.colour_of(e)] = e
+                held = (self._present[w], self._count[w], self._at[w])
+                assert held == (sum(1 << col for col in at), len(at), at)
+            changed.append(eid)
+
+        monkeypatch.setattr(PartialEdgeColouring, name, checked)
+    return changed
+
+
+def count_rebuilds(monkeypatch):
+    """Record, per _check(w) call, whether it ran inside validate()."""
+    inside = []
+    depth = [0]
+    validate, check = PartialEdgeColouring.validate, PartialEdgeColouring._check
+
+    def counted_validate(self):
+        depth[0] += 1
+        try:
+            return validate(self)
+        finally:
+            depth[0] -= 1
+
+    def counted_check(self, w):
+        inside.append(depth[0] > 0)
+        return check(self, w)
+
+    monkeypatch.setattr(PartialEdgeColouring, "validate", counted_validate)
+    monkeypatch.setattr(PartialEdgeColouring, "_check", counted_check)
+    return inside
 
 
 def crafted_sequence_state():
@@ -106,6 +160,14 @@ class TestPartialEdgeColouring:
         with pytest.raises(InternalBugError, match="vertex 2"):
             d.unassign(1)
 
+    def test_index_naming_another_edge_fails_at_removal(self):
+        # vertex 2's entry for colour 2 names edge 0, not edge 1
+        mg = Multigraph(3, [(0, 1), (1, 2)])
+        c = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        c._at[2][2] = 0
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            c.unassign(1)
+
     def test_corrupt_index_elsewhere_fails_at_validate(self):
         # vertex 0 is on edge 0 only; changes to edge 1 never rebuild it
         mg = Multigraph(4, [(0, 1), (2, 3)])
@@ -117,6 +179,71 @@ class TestPartialEdgeColouring:
         with pytest.raises(InternalBugError, match="vertex 0"):
             c.validate()
 
+    def test_corrupt_mask_fails_at_the_change(self):
+        # vertex 2's mask gains colour 2, which no edge carries there;
+        # assigning colour 2 at vertex 2 reads that bit
+        mg = Multigraph(3, [(0, 1), (1, 2)])
+        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c._present[2] |= 1 << 2
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            c.assign(1, 2)
+        # vertex 2's mask loses colour 2, which edge 1 carries there
+        d = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        d._present[2] &= ~(1 << 2)
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            d.unassign(1)
+
+    def test_corrupt_count_fails_at_the_change(self):
+        mg = Multigraph(3, [(0, 1), (1, 2)])
+        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c._count[2] += 1
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            c.assign(1, 2)
+        d = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        d._count[2] -= 1
+        with pytest.raises(InternalBugError, match="vertex 2"):
+            d.unassign(1)
+
+    @pytest.mark.parametrize("view, w, colour", [("mask", 0, 2), ("count", 0, 0), ("mask", 2, 3)])
+    def test_corrupt_views_elsewhere_fail_at_validate(self, view, w, colour):
+        # a change reads only its own colour's bit and its endpoints'
+        # counts: vertex 0 is on edge 0 only, and no change below uses
+        # colour 3; validate() compares every vertex's whole mask and count
+        mg = Multigraph(4, [(0, 1), (2, 3)])
+        c = PartialEdgeColouring(mg, 3, {0: 1})
+        if view == "mask":
+            c._present[w] |= 1 << colour
+        else:
+            c._count[w] += 1
+        c.assign(1, 1)
+        c.unassign(1)
+        c.assign(1, 2)
+        with pytest.raises(InternalBugError, match=f"vertex {w}"):
+            c.validate()
+
+    def test_copy_has_its_own_masks_and_counts(self):
+        mg = Multigraph(3, [(0, 1), (1, 2)])
+        c = PartialEdgeColouring(mg, 2, {0: 1})
+        d = c.copy()
+        d.unassign(0)
+        d.assign(1, 1)
+        assert c.present(1) == {1} and c.missing(2) == {1, 2}
+        assert c._count == [1, 1, 0]
+        assert d.present(1) == {1} and d.missing(2) == {2}
+        assert d._count == [0, 1, 1]
+        assert c.validate() and d.validate()
+
+    def test_sets_follow_the_masks(self):
+        mg = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+        c = PartialEdgeColouring(mg, 70, {0: 3, 1: 65, 2: 1})
+        assert c.present(1) == {1, 3, 65}
+        assert c.missing(1) == set(range(1, 71)) - {1, 3, 65}
+        assert c.missing_mask(1) == sum(1 << col for col in c.missing(1))
+        assert c.least_common_missing(0, 1) == 2
+        full = PartialEdgeColouring(Multigraph(2, [(0, 1)]), 1, {0: 1})
+        assert full.least_common_missing(0, 1) is None
+        assert full.missing(0) == set()
+
 
 class TestBuildMaximalFan:
     def test_triangle_example(self):
@@ -127,6 +254,24 @@ class TestBuildMaximalFan:
         assert fan.vertices == (2, 1)
         assert fan.edges == (1, 0)
         assert fan.witnesses == (None, (0, 1))
+
+    def test_witness_is_earliest_fan_vertex(self):
+        # star at hinge 0: colour 2 is missing at both fan vertices 1 and
+        # 2, so vertex 3's witness is the earlier one
+        mg = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
+        c = PartialEdgeColouring(mg, 3, {1: 1, 2: 2})
+        fan = build_maximal_fan(mg, c, 0, 0)
+        assert fan.vertices == (1, 2, 3)
+        assert fan.witnesses == (None, (0, 1), (0, 2))
+        r = rotate_fan(c, fan, 3)
+        assert r.assignment == {0: 2, 1: 1}
+        assert r.validate()
+
+    def test_hinge_mask_without_index_entry_is_bug(self):
+        mg, c = triangle_state()
+        c._present[0] |= 1 << 3  # colour 3 is on no edge at the hinge
+        with pytest.raises(InternalBugError, match="vertex 0"):
+            build_maximal_fan(mg, c, 1, 0)
 
     def test_dipole_size_one(self):
         mg = Multigraph(2, [(0, 1), (0, 1)])
@@ -307,6 +452,28 @@ class TestEdgeColour:
         assert set(s) == {"direct", "rotation", "kempe", "sequence_steps", "beta_swaps"}
         assert s["direct"] + s["rotation"] + s["beta_swaps"] == mg.edge_count
 
+    def test_rebuilds_only_inside_validate(self, monkeypatch):
+        # each change checks what it wrote; the one validate() at the end
+        # rebuilds every vertex once
+        inside = count_rebuilds(monkeypatch)
+        mg = Multigraph.of_simple(petersen())
+        edge_colour(mg)
+        assert inside == [True] * mg.n
+        mg = Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)])
+        inside.clear()
+        _, col = edge_colour(mg, insertion_order=[4, 6, 5, 0, 2, 3, 1])
+        assert col.stats["kempe"] == 1
+        assert inside == [True] * mg.n
+
+    def test_dipole_at_scale(self):
+        # one colour per parallel edge; each insertion reads only the
+        # present masks, so 20,000 edges colour in well under a second
+        m = 20_000
+        k, col = edge_colour(Multigraph(2, [(0, 1)] * m))
+        assert k == m
+        assert col.assignment == {eid: eid + 1 for eid in range(m)}
+        assert col.validate()
+
     def test_one_validation_per_colouring(self, monkeypatch):
         # the mutators check every change; the finished colouring is
         # validated once (the rare-branch fixtures below check the same)
@@ -336,6 +503,27 @@ class TestEdgeColour:
         with pytest.raises(DomainError):
             edge_colour(mg, insertion_order=[0])
 
+    def test_corpus_colourings_pinned(self):
+        # sha256 over (k, sorted assignment, stats) for the 500-multigraph
+        # acceptance corpus, as computed when the colour sets were Python sets
+        digest = hashlib.sha256()
+        for mg in random_corpus("multigraph", seed=ACCEPTANCE_SEED, count=500):
+            k, col = edge_colour(mg)
+            record = (k, sorted(col.assignment.items()), sorted(col.stats.items()))
+            digest.update(repr(record).encode("ascii"))
+        assert digest.hexdigest() == "c16be0d3fa9f032ba03bbfaede7e99a5e88be6b03a2f151da2ddd4500a700c0f"
+
+    def test_views_agree_after_every_change_on_corpus(self, monkeypatch):
+        # the acceptance corpus fires two rotations and a fan-sequence step
+        changed = check_views_after_changes(monkeypatch)
+        fired = {"rotation": 0, "sequence_steps": 0}
+        for mg in random_corpus("multigraph", seed=ACCEPTANCE_SEED, count=500):
+            _, col = edge_colour(mg)
+            for case in fired:
+                fired[case] += col.stats[case]
+        assert fired == {"rotation": 2, "sequence_steps": 1}
+        assert len(changed) > 5_951
+
     def test_corpus_meets_bound_and_line_graph(self):
         for mg in random_corpus("multigraph", seed=20240817, count=100):
             k, col = edge_colour(mg)
@@ -363,21 +551,25 @@ class TestRareBranches:
 
     def test_kempe_swap(self, monkeypatch):
         calls = count_validations(monkeypatch)
+        changed = check_views_after_changes(monkeypatch)
         mg = Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)])
         k, col = edge_colour(mg, insertion_order=[4, 6, 5, 0, 2, 3, 1])
         assert col.stats == _stats(direct=7, kempe=1)
         assert len(calls) == 1
+        assert len(changed) > mg.edge_count  # the swap unassigned and reassigned
         assert k == gamma_bar_ll_via_line_graph(mg) == 4
         assert col.is_complete() and col.validate()
 
     def test_rotation_and_sequence_step(self, monkeypatch):
         calls = count_validations(monkeypatch)
+        changed = check_views_after_changes(monkeypatch)
         mg = Multigraph(
             5, [(1, 4), (0, 3), (1, 4), (2, 4), (1, 3), (2, 4), (1, 3), (0, 3)]
         )
         k, col = edge_colour(mg, insertion_order=[7, 5, 1, 3, 2, 4, 6, 0])
         assert col.stats == _stats(direct=7, rotation=1, sequence_steps=1)
         assert len(calls) == 1
+        assert len(changed) > mg.edge_count
         assert k == gamma_bar_ll_via_line_graph(mg)
         assert col.is_complete() and col.validate()
 
@@ -391,8 +583,27 @@ class TestRareBranches:
         fan = build_maximal_fan(mg, c0, hole, min(mg.endpoints(hole)))
         assert len(fan.vertices) == 2
         calls = count_validations(monkeypatch)
+        changed = check_views_after_changes(monkeypatch)
         done = fan_sequence_resolve(mg, c0, fan)
         assert done.stats == _stats(rotation=1, sequence_steps=1)
         assert len(calls) == 1
+        assert changed
         assert done.is_complete() and done.validate()
         assert c0.colour_of(hole) is None
+
+    def test_branch_search_runs(self, monkeypatch, capsys):
+        # a short seeded search that reaches fan_sequence_resolve; the
+        # search reads missing() as sets, and its find must replay
+        argv = ["branch_search.py", "--seed", "4", "--trials", "4000"]
+        monkeypatch.setattr(sys, "argv", argv)
+        branch_search.main()
+        found = {}
+        for line in capsys.readouterr().out.splitlines():
+            case, literal = line.split(": ", 1)
+            found[case] = ast.literal_eval(literal)
+        assert set(found) == {"fan_sequence_resolve"}
+        hit = found["fan_sequence_resolve"]
+        mg = Multigraph(hit["n"], hit["edges"])
+        c0 = PartialEdgeColouring(mg, gamma_bar_ll(mg), hit["assignment"])
+        fan = build_maximal_fan(mg, c0, hit["hole"], min(mg.endpoints(hit["hole"])))
+        assert fan_sequence_resolve(mg, c0, fan).stats == hit["stats"]

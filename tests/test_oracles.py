@@ -1,3 +1,5 @@
+import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -185,6 +187,20 @@ class TestComplementMatching:
             chi_via_complement_matching(path(5))
         with pytest.raises(DomainError):
             chi_via_complement_matching(SimpleGraph(3))
+
+    def test_refusal_names_a_stable_triple(self, classes6):
+        # the refusal is exactly alpha >= 3, and it names its witness
+        refused = 0
+        for g in classes6:
+            if stability_number(g) <= 2:
+                continue
+            refused += 1
+            with pytest.raises(DomainError, match="pairwise non-adjacent") as info:
+                chi_via_complement_matching(g)
+            triple = [int(t) for t in re.findall(r"\d+", str(info.value).split("vertices")[1])]
+            assert len(triple) == 3
+            assert not any(g.has_edge(a, b) for a, b in itertools.combinations(triple, 2))
+        assert refused > 50
 
     def test_fixtures(self):
         assert chi_via_complement_matching(cycle(5))[0] == 3
