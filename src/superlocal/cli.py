@@ -26,6 +26,7 @@ from .harness import (
     CheckFlags,
     MULTI_CLAIMS,
     SIMPLE_CLAIMS,
+    bounds_to_dict,
     enumerate_graph_classes,
     frac_str,
     multigraph_line,
@@ -39,6 +40,7 @@ from .invariants import (
     gamma_bar_ll_via_line_graph,
     gamma_ll,
     graph_bounds,
+    vertex_bounds,
 )
 from .oracles import (
     CHROMATIC_VERTEX_LIMIT,
@@ -141,20 +143,12 @@ def cmd_bounds(args):
             "gamma_bar_ll": gamma_bar_ll(g) if g.edge_count else None,
         }
         return _render(out, args.format)
-    b = graph_bounds(g)
-    vb = b.vertex
+    vb = vertex_bounds(g)
     out = {
         "kind": "simple",
         "n": g.n,
         "m": g.edge_count,
-        "delta": b.delta,
-        "omega": b.omega,
-        "gamma_prime": frac_str(b.gamma_prime),
-        "gamma": b.gamma,
-        "gamma_l_prime": frac_str(b.gamma_l_prime),
-        "gamma_l": b.gamma_l,
-        "gamma_ll_prime": frac_str(b.gamma_ll_prime),
-        "gamma_ll": b.gamma_ll,
+        **bounds_to_dict(graph_bounds(g)),
         "vertex_degree": list(vb.degree),
         "vertex_omega": list(vb.omega),
         "vertex_gamma_l_prime": [frac_str(x) for x in vb.gamma_l_prime],

@@ -18,10 +18,39 @@ def _pair(u, v):
     return (u, v) if u < v else (v, u)
 
 
-class SimpleGraph:
-    """Undirected simple graph on vertex ids 0..n-1."""
+def max_clique_size(adj, mask):
+    """Largest clique inside the vertex mask, branch and bound.
 
-    __slots__ = ("n", "edges", "_adj")
+    Branches on the lowest candidate first and drops a branch once its
+    size plus its candidates cannot beat the best; the frames wait on an
+    explicit stack, so no recursion limit bounds the depth.
+    """
+    best = 0
+    stack = []  # (clique size, candidates still to branch on)
+    size, p = 0, mask
+    while True:
+        if size + p.bit_count() > best:
+            if not p:
+                best = size
+            else:
+                b = p & -p
+                if p ^ b:
+                    stack.append((size, p ^ b))
+                size, p = size + 1, p & adj[b.bit_length() - 1]
+                continue
+        if not stack:
+            return best
+        size, p = stack.pop()
+
+
+class SimpleGraph:
+    """Undirected simple graph on vertex ids 0..n-1; adj[v] is v's neighbour mask.
+
+    omegas() is kept after its first call (the graph is immutable, so it
+    cannot go stale); equality and hashing read only n and the edges.
+    """
+
+    __slots__ = ("n", "edges", "adj", "_omega")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -38,20 +67,25 @@ class SimpleGraph:
             adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
-        object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "adj", tuple(adj))
+        object.__setattr__(self, "_omega", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
+
+    def omegas(self):
+        """omega(v), the size of the largest clique containing v, for every vertex."""
+        if self._omega is None:
+            om = tuple(1 + max_clique_size(self.adj, a) for a in self.adj)
+            object.__setattr__(self, "_omega", om)
+        return self._omega
 
     @property
     def edge_count(self):
         return len(self.edges)
 
-    def adj_mask(self, v):
-        return self._adj[v]
-
     def neighbours(self, v):
-        m = self._adj[v]
+        m = self.adj[v]
         out = []
         while m:
             b = m & -m
@@ -60,12 +94,12 @@ class SimpleGraph:
         return tuple(out)
 
     def degree(self, v):
-        return self._adj[v].bit_count()
+        return self.adj[v].bit_count()
 
     def has_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise DomainError(f"vertex pair ({u},{v}) out of range")
-        return bool(self._adj[u] >> v & 1)
+        return bool(self.adj[u] >> v & 1)
 
     def is_connected(self):
         if self.n <= 1:
@@ -77,7 +111,7 @@ class SimpleGraph:
             m = frontier
             while m:
                 b = m & -m
-                nxt |= self._adj[b.bit_length() - 1]
+                nxt |= self.adj[b.bit_length() - 1]
                 m ^= b
             frontier = nxt & ~seen
             seen |= nxt
@@ -244,9 +278,15 @@ def complement(g):
     edges = []
     for u in range(g.n):
         for v in range(u + 1, g.n):
-            if not g.adj_mask(u) >> v & 1:
+            if not g.adj[u] >> v & 1:
                 edges.append((u, v))
     return SimpleGraph(g.n, edges)
+
+
+def complement_masks(g):
+    """Adjacency masks of the complement of g."""
+    full = (1 << g.n) - 1
+    return [full ^ a ^ (1 << v) for v, a in enumerate(g.adj)]
 
 
 def induced_subgraph(g, vertices):
@@ -268,7 +308,7 @@ def induced_subgraph(g, vertices):
     index = {v: i for i, v in enumerate(labels)}
     edges = []
     for i, v in enumerate(labels):
-        m = g.adj_mask(v)
+        m = g.adj[v]
         for w in labels[i + 1 :]:
             if m >> w & 1:
                 edges.append((index[v], index[w]))
@@ -329,7 +369,7 @@ def to_graph6(g):
     bits = []
     for v in range(1, n):
         for u in range(v):
-            bits.append(g.adj_mask(u) >> v & 1)
+            bits.append(g.adj[u] >> v & 1)
     while len(bits) % 6:
         bits.append(0)
     for i in range(0, len(bits), 6):

@@ -709,6 +709,20 @@ def _opt(value, conv):
     return None if value is None else conv(value)
 
 
+def bounds_to_dict(b):
+    """The eight GraphBounds values, fractions as "p/q" strings."""
+    return {
+        "delta": b.delta,
+        "omega": b.omega,
+        "gamma_prime": frac_str(b.gamma_prime),
+        "gamma": b.gamma,
+        "gamma_l_prime": frac_str(b.gamma_l_prime),
+        "gamma_l": b.gamma_l,
+        "gamma_ll_prime": frac_str(b.gamma_ll_prime),
+        "gamma_ll": b.gamma_ll,
+    }
+
+
 def report_to_dict(report):
     if isinstance(report, MultigraphReport):
         return {
@@ -722,18 +736,10 @@ def report_to_dict(report):
             "verdicts": dict(sorted(report.verdicts.items())),
             "bug": report.bug,
         }
-    b = report.bounds
     return {
         "encoding": report.encoding,
         "n": report.n,
-        "delta": b.delta,
-        "omega": b.omega,
-        "gamma_prime": frac_str(b.gamma_prime),
-        "gamma": b.gamma,
-        "gamma_l_prime": frac_str(b.gamma_l_prime),
-        "gamma_l": b.gamma_l,
-        "gamma_ll_prime": frac_str(b.gamma_ll_prime),
-        "gamma_ll": b.gamma_ll,
+        **bounds_to_dict(report.bounds),
         "chi": report.chi,
         "chi_f": _opt(report.chi_f, frac_str),
         "alpha": report.alpha,

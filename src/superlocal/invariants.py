@@ -19,48 +19,15 @@ from .stable_sets import _bron_kerbosch
 SUBGRAPH_SCAN_LIMIT = 12
 
 
-def _max_clique_size(adj, mask):
-    """Largest clique inside the vertex mask, branch and bound."""
-    best = 0
-
-    def expand(size, p):
-        nonlocal best
-        if size + p.bit_count() <= best:
-            return
-        if p == 0:
-            best = max(best, size)
-            return
-        while p:
-            if size + p.bit_count() <= best:
-                return
-            b = p & -p
-            v = b.bit_length() - 1
-            expand(size + 1, p & adj[v])
-            p ^= b
-
-    expand(0, mask)
-    return best
-
-
 def clique_number(g):
-    if g.n == 0:
-        return 0
-    adj = [g.adj_mask(v) for v in range(g.n)]
-    return _max_clique_size(adj, (1 << g.n) - 1)
+    return max(g.omegas(), default=0)
 
 
 def omega_v(g, v):
     """Size of the largest clique containing v."""
     if not 0 <= v < g.n:
         raise DomainError(f"vertex {v} out of range")
-    adj = [g.adj_mask(u) for u in range(g.n)]
-    return 1 + _max_clique_size(adj, adj[v])
-
-
-def _omegas(g):
-    """omega(v) for every vertex, over one shared adjacency list."""
-    adj = [g.adj_mask(v) for v in range(g.n)]
-    return [1 + _max_clique_size(adj, adj[v]) for v in range(g.n)]
+    return g.omegas()[v]
 
 
 def gamma_l_prime_vertex(g, v):
@@ -91,20 +58,15 @@ def gamma_ll_prime_edge(g, u, v):
     return Fraction(g.degree(u) + g.degree(v) + omega_v(g, u) + omega_v(g, v) + 2, 4)
 
 
-def _gamma_ll_prime(g, omegas):
-    """gamma_ll_prime over an omega vector the caller already has."""
+def gamma_ll_prime(g):
+    """Max of the per-edge bound; 1 on an edgeless nonempty graph, 0 on the empty graph."""
     if g.n == 0:
         return Fraction(0)
     if not g.edges:
         return Fraction(1)
     # s(x) = d(x) + 1 + omega(x); the edge bound is (s(u) + s(v)) / 4
-    s = [g.degree(v) + 1 + om for v, om in enumerate(omegas)]
+    s = [g.degree(v) + 1 + om for v, om in enumerate(g.omegas())]
     return Fraction(max(s[u] + s[v] for u, v in g.edges), 4)
-
-
-def gamma_ll_prime(g):
-    """Max of the per-edge bound; 1 on an edgeless nonempty graph, 0 on the empty graph."""
-    return _gamma_ll_prime(g, _omegas(g))
 
 
 def gamma_ll(g):
@@ -120,7 +82,7 @@ class VertexBounds:
 
 def vertex_bounds(g):
     deg = tuple(g.degree(v) for v in range(g.n))
-    om = tuple(_omegas(g))
+    om = g.omegas()
     glp = tuple(Fraction(deg[v] + 1 + om[v], 2) for v in range(g.n))
     return VertexBounds(degree=deg, omega=om, gamma_l_prime=glp)
 
@@ -135,19 +97,18 @@ class GraphBounds:
     gamma_l: int
     gamma_ll_prime: Fraction
     gamma_ll: int
-    vertex: VertexBounds  # the per-vertex arrays the maxima above come from
 
 
 def graph_bounds(g):
     if g.n == 0:
         z = Fraction(0)
-        return GraphBounds(0, 0, z, 0, z, 0, z, 0, VertexBounds((), (), ()))
-    vb = vertex_bounds(g)
-    delta = max(vb.degree)
-    omega = max(vb.omega)
+        return GraphBounds(0, 0, z, 0, z, 0, z, 0)
+    deg = [g.degree(v) for v in range(g.n)]
+    om = g.omegas()
+    delta, omega = max(deg), max(om)
     gp = Fraction(delta + 1 + omega, 2)
-    glp = max(vb.gamma_l_prime)
-    gllp = _gamma_ll_prime(g, vb.omega)
+    glp = Fraction(max(d + 1 + o for d, o in zip(deg, om)), 2)
+    gllp = gamma_ll_prime(g)
     return GraphBounds(
         delta=delta,
         omega=omega,
@@ -157,7 +118,6 @@ def graph_bounds(g):
         gamma_l=math.ceil(glp),
         gamma_ll_prime=gllp,
         gamma_ll=math.ceil(gllp),
-        vertex=vb,
     )
 
 
@@ -241,11 +201,10 @@ def clique_average_bound(g):
     """
     if g.n == 0:
         raise DomainError("clique average needs a nonempty vertex set")
-    twice = [g.degree(v) + 1 + om for v, om in enumerate(_omegas(g))]
-    adj = [g.adj_mask(v) for v in range(g.n)]
+    twice = [g.degree(v) + 1 + om for v, om in enumerate(g.omegas())]
     best_num, best_den = 0, 1
     # no size refusal here: the scan is over the graph's own cliques
-    for clique in _bron_kerbosch(adj, (1 << g.n) - 1):
+    for clique in _bron_kerbosch(g.adj, (1 << g.n) - 1):
         total = size = 0
         while clique:
             b = clique & -clique
@@ -261,7 +220,7 @@ def neighbourhood_average(g, v):
     """Average of gamma_l_prime over the closed neighbourhood of v."""
     if not 0 <= v < g.n:
         raise DomainError(f"vertex {v} out of range")
-    om = _omegas(g)
+    om = g.omegas()
     members = (v,) + g.neighbours(v)
     # twice gamma_l_prime(u) is d(u) + 1 + omega(u)
     total = sum(g.degree(u) + 1 + om[u] for u in members)
@@ -310,7 +269,7 @@ def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
         raise DomainError("bound needs a nonempty vertex set")
     n = g.n
     full = (1 << n) - 1
-    adj = [g.adj_mask(v) for v in range(n)]
+    adj = g.adj
     clq = [0] * (1 << n)
     for s in range(1, 1 << n):
         low = s & -s

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import DomainError, InternalBugError, SizeLimitError
-from .graphs import complement, realize_linear_interval
-from .invariants import _max_clique_size, clique_number
+from .graphs import complement_masks, max_clique_size, realize_linear_interval
+from .invariants import clique_number
 from .simplex import solve_simplex
 from .stable_sets import ENUMERATION_VERTEX_LIMIT, maximal_stable_sets
 
@@ -78,7 +78,7 @@ def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
     n = g.n
     if n == 0:
         return 0, VertexColouring((), 0)
-    adj = [g.adj_mask(v) for v in range(n)]
+    adj = g.adj
     lb = clique_number(g)
     greedy = _dsatur_greedy(adj, n)
     best = greedy[:]
@@ -115,11 +115,7 @@ def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
 def stability_number(g, limit=ENUMERATION_VERTEX_LIMIT):
     if g.n > limit:
         raise SizeLimitError(f"stability number limited to {limit} vertices, got {g.n}")
-    if g.n == 0:
-        return 0
-    full = (1 << g.n) - 1
-    comp = [~g.adj_mask(v) & full & ~(1 << v) for v in range(g.n)]
-    return _max_clique_size(comp, full)
+    return max_clique_size(complement_masks(g), (1 << g.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -188,8 +184,7 @@ def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
         raise SizeLimitError(f"matching oracle limited to {limit} vertices, got {n}")
     if n == 0:
         return 0, VertexColouring((), 0)
-    cg = complement(g)
-    adj = [cg.adj_mask(v) for v in range(n)]
+    adj = complement_masks(g)
     # alpha >= 3 exactly when three vertices are pairwise non-adjacent,
     # a triangle v < u < w of the complement
     for v in range(n):

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SizeLimitError
+from .graphs import complement_masks
 
 ENUMERATION_VERTEX_LIMIT = 24
 
@@ -32,34 +33,39 @@ class StableSetFamily:
 
 
 def _bron_kerbosch(adj, start):
-    """All maximal cliques, given by adjacency bitmasks, inside the start mask."""
-    out = []
+    """All maximal cliques, given by adjacency bitmasks, inside the start mask.
 
-    def expand(r, p, x):
+    Branches in increasing order on p & ~adj[pivot]; the frames wait on
+    an explicit stack, so no recursion limit bounds the depth.
+    """
+    out = []
+    stack = []  # (r, p, x, candidates not yet branched on, never 0)
+    r, p, x = 0, start, 0
+    while True:
+        cand = 0
         if p == 0 and x == 0:
             out.append(r)
-            return
-        # pivot with most candidates removed; ties go to the lowest id
-        best, best_cnt = -1, -1
-        m = p | x
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            cnt = (p & adj[u]).bit_count()
-            if cnt > best_cnt:
-                best, best_cnt = u, cnt
-            m ^= b
-        cand = p & ~adj[best]
-        while cand:
-            b = cand & -cand
-            v = b.bit_length() - 1
-            expand(r | b, p & adj[v], x & adj[v])
-            p ^= b
-            x |= b
-            cand ^= b
-
-    expand(0, start, 0)
-    return out
+        else:
+            # pivot with most candidates removed; ties go to the lowest id
+            best, best_cnt = -1, -1
+            m = p | x
+            while m:
+                b = m & -m
+                u = b.bit_length() - 1
+                cnt = (p & adj[u]).bit_count()
+                if cnt > best_cnt:
+                    best, best_cnt = u, cnt
+                m ^= b
+            cand = p & ~adj[best]
+        if not cand:
+            if not stack:
+                return out
+            r, p, x, cand = stack.pop()
+        b = cand & -cand
+        if cand ^ b:
+            stack.append((r, p ^ b, x | b, cand ^ b))
+        nbrs = adj[b.bit_length() - 1]
+        r, p, x = r | b, p & nbrs, x & nbrs
 
 
 def _maximum_sets(comp, start):
@@ -69,27 +75,28 @@ def _maximum_sets(comp, start):
     built in increasing vertex order and the sets come out sorted by
     their member lists. Only sets of the best size so far are kept, and
     a branch stops once its size plus its candidate count falls below
-    that size.
+    that size; the frames wait on an explicit stack.
     """
     best = 0
     out = []
-
-    def expand(r, size, p):
-        nonlocal best
+    stack = []  # (set, size, candidates still to branch on)
+    r, size, p = 0, 0, start
+    while True:
         if not p:
             if size > best:
                 best = size
                 out.clear()
             if size == best:
                 out.append(r)
-            return
-        while p and size + p.bit_count() >= best:
+        elif size + p.bit_count() >= best:
             b = p & -p
-            expand(r | b, size + 1, p & comp[b.bit_length() - 1])
-            p ^= b
-
-    expand(0, 0, start)
-    return out
+            if p ^ b:
+                stack.append((r, size, p ^ b))
+            r, size, p = r | b, size + 1, p & comp[b.bit_length() - 1]
+            continue
+        if not stack:
+            return out
+        r, size, p = stack.pop()
 
 
 def _members(mask):
@@ -122,14 +129,13 @@ def _complement_within(g, limit, within):
     full = (1 << g.n) - 1
     if within is not None and within & ~full:
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
-    comp = [~g.adj_mask(v) & full & ~(1 << v) for v in range(g.n)]
-    return comp, full if within is None else within
+    return complement_masks(g), full if within is None else within
 
 
 def maximal_cliques(g, limit=None):
     """Maximal cliques as frozensets, sorted for determinism."""
     _check_size(g, limit)
-    masks = _bron_kerbosch([g.adj_mask(v) for v in range(g.n)], (1 << g.n) - 1)
+    masks = _bron_kerbosch(g.adj, (1 << g.n) - 1)
     return _sorted_family(masks)[0]
 
 

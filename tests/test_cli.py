@@ -13,7 +13,7 @@ import superlocal
 from superlocal import Multigraph, cli, format_multigraph, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
-from conftest import count_validations, corrupted_fractional_colour, cycle, petersen
+from conftest import complete, count_validations, corrupted_fractional_colour, cycle, petersen
 
 
 @pytest.fixture
@@ -78,23 +78,41 @@ class TestBounds:
         assert a == b
 
     def test_one_clique_search_per_vertex(self, capsys, monkeypatch, tmp_path):
-        # the per-vertex arrays come from the graph_bounds pass, not a second one
-        from superlocal import invariants
+        # the per-vertex arrays and the maxima read one cached omega vector
+        from superlocal import graphs
 
-        real = invariants._max_clique_size
+        real = graphs.max_clique_size
         calls = []
 
         def counted(adj, mask):
             calls.append(mask)
             return real(adj, mask)
 
-        monkeypatch.setattr(invariants, "_max_clique_size", counted)
+        monkeypatch.setattr(graphs, "max_clique_size", counted)
         p = tmp_path / "petersen.g6"
         p.write_text(to_graph6(petersen()) + "\n", encoding="ascii")
         code, out, _ = run(capsys, "bounds", str(p))
         assert code == 0
         assert len(calls) == 10
         assert json.loads(out)["vertex_omega"] == [2] * 10
+
+    def test_complete_graph_deeper_than_the_recursion_limit(self, tmp_path):
+        # each clique search runs n - 1 levels deep; the searches keep
+        # their frames on a stack of their own
+        n = sys.getrecursionlimit() + 10
+        p = tmp_path / "complete.g6"
+        p.write_text(to_graph6(complete(n)) + "\n", encoding="ascii")
+        src = Path(superlocal.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "superlocal.cli", "bounds", str(p)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0
+        assert "Traceback" not in done.stderr
+        out = json.loads(done.stdout)
+        assert (out["omega"], out["gamma_ll"]) == (n, n)
 
 
 class TestOracle:

@@ -68,6 +68,18 @@ class TestSimpleGraph:
         with pytest.raises(AttributeError):
             g.n = 5
 
+    def test_omega_cache_keeps_identity_and_immutability(self):
+        g = petersen()
+        om = g.omegas()
+        assert om == (2,) * 10
+        assert g.omegas() is om
+        twin = SimpleGraph(g.n, g.edges)
+        assert g == twin and hash(g) == hash(twin)
+        for name in ("n", "adj", "_omega"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, None)
+        assert g.omegas() is om
+
     def test_connectivity(self):
         assert cycle(5).is_connected()
         assert not SimpleGraph(3, [(0, 1)]).is_connected()

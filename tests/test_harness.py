@@ -231,6 +231,24 @@ class TestCheckGraph:
             "question-bound": "holds",
         }
 
+    def test_one_clique_search_per_vertex_and_one_for_alpha(self, monkeypatch):
+        # chi's lower bound, the construction and the clique average all
+        # read the omega vector that graph_bounds filled
+        from superlocal import graphs, oracles
+
+        real = graphs.max_clique_size
+        calls = []
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return real(adj, mask)
+
+        monkeypatch.setattr(graphs, "max_clique_size", counted)
+        monkeypatch.setattr(oracles, "max_clique_size", counted)
+        r = check_graph(petersen())
+        assert len(calls) == 10 + 1
+        assert (r.bounds.omega, r.chi, r.alpha) == (2, 3, 4)
+
     def test_cycle5_as_circular_interval(self):
         r = check_graph(cycle(5), CheckFlags(circular_interval=True))
         assert r.verdicts["round-up"] == "holds"

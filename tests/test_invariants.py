@@ -374,16 +374,16 @@ class TestAverageBounds:
 
 
 def test_graph_bounds_computes_omega_once(monkeypatch):
-    from superlocal import invariants
+    from superlocal import graphs
 
-    real = invariants._max_clique_size
+    real = graphs.max_clique_size
     calls = []
 
     def counted(adj, mask):
         calls.append(mask)
         return real(adj, mask)
 
-    monkeypatch.setattr(invariants, "_max_clique_size", counted)
+    monkeypatch.setattr(graphs, "max_clique_size", counted)
     b = graph_bounds(petersen())
     # one clique search per vertex neighbourhood, shared by every bound
     assert len(calls) == 10

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from superlocal import (
     maximum_stable_sets,
     membership_probabilities,
 )
+from superlocal.graphs import max_clique_size
+from superlocal.stable_sets import _bron_kerbosch, _maximum_sets
 from bruteforce import (
     bf_maximal_cliques,
     bf_maximal_stable_sets,
@@ -120,6 +123,16 @@ def test_complete_graph_families():
     assert [sorted(s) for s in maximal_stable_sets(g)] == [[0], [1], [2], [3]]
     assert list(maximal_cliques(g)) == [frozenset(range(4))]
     assert membership_probabilities(g) == {v: Fraction(1, 4) for v in range(4)}
+
+
+def test_searches_deeper_than_the_recursion_limit():
+    # on K_n every search takes one vertex per level, n levels deep
+    n = sys.getrecursionlimit() + 10
+    full = (1 << n) - 1
+    adj = [full ^ (1 << v) for v in range(n)]
+    assert max_clique_size(adj, full) == n
+    assert _bron_kerbosch(adj, full) == [full]
+    assert _maximum_sets(adj, full) == [full]
 
 
 def test_edgeless_graph():
