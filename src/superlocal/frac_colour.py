@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalBugError
 from .invariants import gamma_ll_prime
-from .stable_sets import maximum_stable_sets
+from .stable_sets import _check_size, maximum_stable_sets
 
 
 @dataclass(frozen=True)
@@ -51,8 +51,10 @@ def superlocal_fractional_colour(g, bound=None):
     bound defaults to the graph's superlocal value and must not be
     below it. Only an overfilled vertex is caught here; callers run
     verify_fractional_colouring, and an invalid weighting is a bug
-    signal, not an input error.
+    signal, not an input error. A graph above the stable-set
+    enumeration limit is refused before the target is computed.
     """
+    _check_size(g, None)
     target = gamma_ll_prime(g)
     bound = target if bound is None else Fraction(bound)
     if bound < target:
@@ -126,30 +128,54 @@ def superlocal_fractional_colour(g, bound=None):
 
 
 def verify_fractional_colouring(g, fc, bound):
-    """Exact check: stable keys, positive weights, unit coverage, total within bound."""
+    """Exact check: stable keys, positive weights, unit coverage, total within bound.
+
+    Every weight, the recorded total and the bound are scaled to one
+    common denominator, so the sums and comparisons are on integers and
+    a Fraction is built only for a violation message. A set is stable
+    when no member u has a neighbour among the members above it.
+    """
     violations = []
-    cover = {v: Fraction(0) for v in range(g.n)}
-    for key in sorted(fc.weights, key=sorted):
-        w = fc.weights[key]
+    n, adj = g.n, g.adj
+    keys = sorted(fc.weights, key=sorted)
+    recorded, limit = Fraction(fc.total), Fraction(bound)
+    weights = [Fraction(fc.weights[key]) for key in keys]
+    den = math.lcm(
+        recorded.denominator, limit.denominator, *(w.denominator for w in weights)
+    )
+    cover = [0] * n
+    total = 0
+    for key, w in zip(keys, weights):
         members = sorted(key)
-        if w <= 0:
-            violations.append(f"set {members} has nonpositive weight {w}")
+        scaled = w.numerator * (den // w.denominator)
+        total += scaled
+        if scaled <= 0:
+            violations.append(f"set {members} has nonpositive weight {fc.weights[key]}")
+        mask = 0
         for v in members:
-            if not 0 <= v < g.n:
+            if 0 <= v < n:
+                mask |= 1 << v
+            else:
                 violations.append(f"set {members} contains unknown vertex {v}")
-        for i, u in enumerate(members):
-            for v in members[i + 1 :]:
-                if 0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v):
+        for u in members:
+            if 0 <= u < n:
+                clash = adj[u] & mask & ~((2 << u) - 1)
+                while clash:
+                    b = clash & -clash
+                    v = b.bit_length() - 1
                     violations.append(f"set {members} is not stable: edge ({u},{v})")
-        for v in members:
-            if v in cover:
-                cover[v] += w
-    for v in range(g.n):
-        if cover[v] != 1:
-            violations.append(f"vertex {v} covered {cover[v]}, expected 1")
-    total = sum(fc.weights.values(), Fraction(0))
-    if total != fc.total:
-        violations.append(f"recorded total {fc.total} differs from actual {total}")
-    if total > Fraction(bound):
-        violations.append(f"total {total} exceeds bound {Fraction(bound)}")
+                    clash ^= b
+        while mask:
+            b = mask & -mask
+            cover[b.bit_length() - 1] += scaled
+            mask ^= b
+    for v in range(n):
+        if cover[v] != den:
+            violations.append(f"vertex {v} covered {Fraction(cover[v], den)}, expected 1")
+    if total != recorded.numerator * (den // recorded.denominator):
+        violations.append(
+            f"recorded total {fc.total} differs from actual {Fraction(total, den)}"
+        )
+    if total > limit.numerator * (den // limit.denominator):
+        violations.append(f"total {Fraction(total, den)} exceeds bound {limit}")
     return ColouringVerdict(valid=not violations, violations=tuple(violations))

@@ -18,6 +18,16 @@ def _pair(u, v):
     return (u, v) if u < v else (v, u)
 
 
+def _members(mask):
+    """The set bits of a mask, ascending, as a tuple of vertex ids."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
+
+
 def max_clique_size(adj, mask):
     """Largest clique inside the vertex mask, branch and bound.
 
@@ -56,17 +66,24 @@ class SimpleGraph:
         if n < 0:
             raise DomainError("vertex count must be nonnegative")
         adj = [0] * n
-        seen = set()
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise DomainError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise DomainError(f"loop at vertex {u} not allowed")
-            seen.add(_pair(u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        # the masks hold each pair once, so reading the neighbours above
+        # every u gives the edges deduplicated and in ascending order
+        listed = []
+        for u, a in enumerate(adj):
+            m = a >> (u + 1)
+            while m:
+                b = m & -m
+                listed.append((u, u + b.bit_length()))
+                m ^= b
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        object.__setattr__(self, "edges", tuple(listed))
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_omega", None)
 
@@ -85,13 +102,7 @@ class SimpleGraph:
         return len(self.edges)
 
     def neighbours(self, v):
-        m = self.adj[v]
-        out = []
-        while m:
-            b = m & -m
-            out.append(b.bit_length() - 1)
-            m ^= b
-        return tuple(out)
+        return _members(self.adj[v])
 
     def degree(self, v):
         return self.adj[v].bit_count()
@@ -153,9 +164,13 @@ def pair_index(u, v, n):
 
 
 class Multigraph:
-    """Loopless multigraph; edge ids 0..m-1 index the listing order."""
+    """Loopless multigraph; edge ids 0..m-1 index the listing order.
 
-    __slots__ = ("n", "edges", "_incident", "_mu")
+    adj[v] is v's neighbour mask in the support (the underlying simple
+    graph), built once with the incidence lists and multiplicities.
+    """
+
+    __slots__ = ("n", "edges", "adj", "_incident", "_mu")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -173,8 +188,13 @@ class Multigraph:
             incident[u].append(eid)
             incident[v].append(eid)
             mu[p] = mu.get(p, 0) + 1
+        adj = [0] * n
+        for u, v in mu:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(listed))
+        object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_incident", tuple(tuple(ids) for ids in incident))
         object.__setattr__(self, "_mu", mu)
 
@@ -208,11 +228,9 @@ class Multigraph:
         return self._mu.get(_pair(u, v), 0)
 
     def neighbours(self, v):
-        out = set()
-        for eid in self.incident(v):
-            a, b = self.edges[eid]
-            out.add(b if a == v else a)
-        return tuple(sorted(out))
+        if not 0 <= v < self.n:
+            raise DomainError(f"vertex {v} out of range")
+        return _members(self.adj[v])
 
     def support(self):
         """Underlying simple graph on the same vertex set."""

@@ -159,24 +159,51 @@ def gamma_bar_ll(mg):
     g over the incident edge ids of some vertex v; a neighbour u with
     mu(uv) >= 2 may fill both places (the pair u = w). Halving and
     rounding up is one ceiling division by 4.
+
+    The multiplicities are read once into per-vertex rows mu[u][v], and
+    t(uv) = mu(uv) + max(mu(uw) + mu(vw)) is one bit loop over the
+    common-neighbour mask adj[u] & adj[v] of the support. Each vertex
+    keeps its two largest g as they arrive, so nothing is sorted.
     """
     if mg.edge_count == 0:
         raise DomainError("edge bound undefined on an edgeless multigraph")
-    deg = [mg.degree(v) for v in range(mg.n)]
-    nbrs = [mg.neighbours(v) for v in range(mg.n)]
-    g = {}  # doubled edge term, under both orientations of each support edge
-    for u in range(mg.n):
-        for v in nbrs[u]:
-            if u < v:
-                du, dv = deg[u], deg[v]
-                g[u, v] = g[v, u] = (
-                    max(2 * du + dv, 2 * dv + du, du + dv + t_value(mg, u, v)) - mg.mu(u, v)
-                )
-    best = 0
-    for v in range(mg.n):
-        terms = sorted(g[u, v] for u in nbrs[v] for _ in range(min(mg.mu(u, v), 2)))
-        if len(terms) >= 2:
-            best = max(best, terms[-1] + terms[-2])
+    n, adj = mg.n, mg.adj
+    deg = [mg.degree(v) for v in range(n)]
+    mu = [{} for _ in range(n)]
+    for u in range(n):
+        above = adj[u] >> (u + 1) << (u + 1)
+        while above:
+            b = above & -above
+            v = b.bit_length() - 1
+            mu[u][v] = mu[v][u] = mg.mu(u, v)
+            above ^= b
+    first = [0] * n  # largest g at each vertex so far (every g is positive)
+    second = [0] * n  # second largest, 0 while fewer than two edges
+    for u in range(n):
+        mu_u, du = mu[u], deg[u]
+        for v, m_uv in mu_u.items():
+            if v < u:
+                continue
+            mu_v, dv = mu[v], deg[v]
+            common = adj[u] & adj[v]
+            t = 0
+            while common:
+                b = common & -common
+                w = b.bit_length() - 1
+                s = mu_u[w] + mu_v[w]
+                if s > t:
+                    t = s
+                common ^= b
+            if t:
+                t += m_uv
+            g = max(2 * du + dv, 2 * dv + du, du + dv + t) - m_uv
+            for x in (u, v):
+                if g > first[x]:
+                    second[x] = g if m_uv >= 2 else first[x]
+                    first[x] = g
+                elif g > second[x]:
+                    second[x] = g
+    best = max((a + b for a, b in zip(first, second) if b), default=0)
     if best == 0:
         # no two edges share an endpoint: the line graph is edgeless
         return 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SizeLimitError
-from .graphs import complement_masks
+from .graphs import _members, complement_masks
 
 ENUMERATION_VERTEX_LIMIT = 24
 
@@ -97,15 +97,6 @@ def _maximum_sets(comp, start):
         if not stack:
             return out
         r, size, p = stack.pop()
-
-
-def _members(mask):
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return out
 
 
 def _sorted_family(masks):

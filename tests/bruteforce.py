@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 from superlocal import (
+    ColouringVerdict,
     FractionalColouring,
     InternalBugError,
     IterationRecord,
@@ -189,6 +190,38 @@ def bf_superlocal_fractional_colour(g):
         FractionalColouring(weights=weights, total=total),
         IterationTrace(bound=bound, records=tuple(records)),
     )
+
+
+def bf_verify_fractional_colouring(g, fc, bound):
+    """Reference for verify_fractional_colouring: the same checks and
+    messages in the same order, on Fractions, with stability tested
+    pair by pair through has_edge."""
+    violations = []
+    cover = {v: Fraction(0) for v in range(g.n)}
+    for key in sorted(fc.weights, key=sorted):
+        w = fc.weights[key]
+        members = sorted(key)
+        if w <= 0:
+            violations.append(f"set {members} has nonpositive weight {w}")
+        for v in members:
+            if not 0 <= v < g.n:
+                violations.append(f"set {members} contains unknown vertex {v}")
+        for i, u in enumerate(members):
+            for v in members[i + 1 :]:
+                if 0 <= u < g.n and 0 <= v < g.n and g.has_edge(u, v):
+                    violations.append(f"set {members} is not stable: edge ({u},{v})")
+        for v in members:
+            if v in cover:
+                cover[v] += w
+    for v in range(g.n):
+        if cover[v] != 1:
+            violations.append(f"vertex {v} covered {cover[v]}, expected 1")
+    total = sum(fc.weights.values(), Fraction(0))
+    if total != fc.total:
+        violations.append(f"recorded total {fc.total} differs from actual {total}")
+    if total > Fraction(bound):
+        violations.append(f"total {total} exceeds bound {Fraction(bound)}")
+    return ColouringVerdict(valid=not violations, violations=tuple(violations))
 
 
 def bf_colourable(g, k):

@@ -9,13 +9,14 @@ from superlocal import (
     FractionalColouring,
     InternalBugError,
     SimpleGraph,
+    SizeLimitError,
     StableSetFamily,
     fractional_chromatic_number,
     gamma_ll_prime,
     superlocal_fractional_colour,
     verify_fractional_colouring,
 )
-from bruteforce import bf_superlocal_fractional_colour
+from bruteforce import bf_superlocal_fractional_colour, bf_verify_fractional_colouring
 from conftest import complete, cycle, double_star, petersen
 
 F = Fraction
@@ -160,6 +161,60 @@ def test_matches_reference_on_connected7(connected7):
 @given(graphs_st(10, 30))
 def test_matches_reference_random(g):
     assert_matches_reference(g)
+
+
+def test_refuses_before_computing_the_target(monkeypatch):
+    from superlocal import graphs
+
+    calls = []
+    real = graphs.max_clique_size
+
+    def counted(adj, mask):
+        calls.append(mask)
+        return real(adj, mask)
+
+    monkeypatch.setattr(graphs, "max_clique_size", counted)
+    with pytest.raises(SizeLimitError, match="limited to 24 vertices, got 25"):
+        superlocal_fractional_colour(complete(25))
+    # the size refusal comes first: no clique search for the target
+    assert calls == []
+
+
+def corruptions(g, fc, bound):
+    """(weights, total, bound) triples, each with one fault planted."""
+    weights = list(fc.weights.items())
+    first_key, first_w = weights[0]
+    dropped = dict(weights[1:])
+    rescaled = dict(weights)
+    rescaled[first_key] = first_w * F(2, 3)
+    unknown = dict(weights)
+    unknown[frozenset({0, g.n, g.n + 2})] = F(1, 7)
+    out = [
+        (dropped, fc.total, bound),
+        (rescaled, fc.total, bound),
+        (unknown, fc.total, bound),
+        (dict(weights), fc.total, fc.total - F(1, 3)),
+    ]
+    if g.edges:
+        unstable = dict(weights)
+        unstable[frozenset(g.edges[-1])] = F(-1, 5)
+        out.append((unstable, fc.total + F(1, 2), bound))
+    return out
+
+
+def test_verifier_matches_reference(classes6):
+    checked = violations = 0
+    for g in classes6:
+        fc, trace = superlocal_fractional_colour(g)
+        cases = [(fc.weights, fc.total, trace.bound)] + corruptions(g, fc, trace.bound)
+        for weights, total, bound in cases:
+            colouring = FractionalColouring(weights=weights, total=total)
+            got = verify_fractional_colouring(g, colouring, bound)
+            assert got == bf_verify_fractional_colouring(g, colouring, bound)
+            checked += 1
+            violations += len(got.violations)
+    assert checked > 5 * len(classes6)
+    assert violations > 4 * len(classes6)
 
 
 class TestVerifierRejections:

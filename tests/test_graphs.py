@@ -24,7 +24,7 @@ from superlocal import (
 )
 from superlocal import graphs
 from superlocal.graphs import GRAPH6_VERTEX_LIMIT
-from conftest import complete, cycle, path, petersen
+from conftest import complete, cycle, multigraphs_st, path, petersen
 
 graphs_st = st.integers(0, 10).flatmap(
     lambda n: st.builds(
@@ -46,6 +46,28 @@ class TestSimpleGraph:
         g = SimpleGraph(4, [(2, 1), (1, 2), (0, 3)])
         assert g.edges == ((0, 3), (1, 2))
         assert g.edge_count == 2
+
+    @given(
+        st.integers(2, 9).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                        lambda p: p[0] != p[1]
+                    ),
+                    max_size=30,
+                ),
+            )
+        )
+    )
+    def test_edges_read_off_the_masks(self, case):
+        # duplicates and both orientations collapse to ascending pairs
+        n, pairs = case
+        pairs = pairs + [(v, u) for u, v in pairs[::2]]
+        g = SimpleGraph(n, pairs)
+        assert g.edges == tuple(sorted({(min(e), max(e)) for e in pairs}))
+        for v in range(n):
+            assert g.adj[v] == sum(1 << u for u in g.neighbours(v))
 
     def test_rejects_loops_and_range(self):
         with pytest.raises(DomainError):
@@ -193,6 +215,16 @@ class TestMultigraph:
         assert mg.incident(1) == (0, 1, 2)
         assert mg.degree(1) == 3
         assert mg.neighbours(1) == (0, 2)
+
+    @given(multigraphs_st())
+    def test_support_masks(self, mg):
+        for v in range(mg.n):
+            others = [sum(mg.endpoints(e)) - v for e in mg.incident(v)]
+            assert mg.adj[v] == sum(1 << u for u in set(others))
+            nbrs = mg.neighbours(v)
+            assert list(nbrs) == sorted(set(others))
+        with pytest.raises(DomainError):
+            mg.neighbours(mg.n)
 
     def test_rejects_loops(self):
         with pytest.raises(DomainError):

@@ -38,34 +38,19 @@ from bruteforce import (
     bf_omega_v,
     bf_subgraph_neighbourhood_bound,
 )
-from conftest import complete, cycle, double_star, path, pendant_clique, petersen
+from conftest import (
+    complete,
+    cycle,
+    double_star,
+    multigraphs_st,
+    path,
+    pendant_clique,
+    petersen,
+)
 
 
 # path 1-0-2-3 with multiplicities 3, 2, 3
 PARALLEL_PATH = [(0, 1)] * 3 + [(0, 2)] * 2 + [(2, 3)] * 3
-
-
-def multigraphs_st():
-    def build(n, picks):
-        edges = []
-        for (u, v), m in picks:
-            if u != v and u < n and v < n:
-                edges.extend([(u, v)] * m)
-        return Multigraph(n, edges)
-
-    return st.integers(2, 6).flatmap(
-        lambda n: st.builds(
-            build,
-            st.just(n),
-            st.lists(
-                st.tuples(
-                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                    st.integers(1, 3),
-                ),
-                max_size=8,
-            ),
-        )
-    )
 
 
 def graphs_st(max_n, max_edges):
@@ -217,10 +202,14 @@ class TestMultigraphBound:
             (Multigraph(6, [(0, 1), (2, 3), (4, 5)]), 1),
             (Multigraph(4, [(0, 1), (0, 2), (0, 3)]), 3),  # simple star: no u = w
             (Multigraph(4, PARALLEL_PATH), 7),
-            (Multigraph(2, [(0, 1)] * 4), 4),
             (Multigraph.of_simple(petersen()), 4),
             (Multigraph.of_simple(cycle(5)), 3),
         ]
+        # dipoles: no common neighbour (t = 0), and from m = 2 on the one
+        # support edge fills both places at each end
+        for m in range(2, 7):
+            cases.append((Multigraph(2, [(0, 1)] * m), m))
+        # fat triangles: every edge has a common neighbour, t = 3 * mu
         for mu in (1, 2, 3):
             cases.append(
                 (Multigraph(3, [(0, 1), (0, 2), (1, 2)] * mu), 3 * mu)
@@ -255,6 +244,16 @@ class TestMultigraphBound:
         assert max(nine_expressions(mg, 2, 0, 2)) == 13
         assert max(nine_expressions(mg, 1, 0, 2)) == Fraction(23, 2)
         assert gamma_bar_ll(mg) == 7
+
+    def test_seeded_dense_multigraph(self):
+        rng = random.Random(20)
+        edges = []
+        for u, v in itertools.combinations(range(20), 2):
+            if rng.randrange(10) < 7:
+                edges.extend([(u, v)] * rng.randint(1, 3))
+        mg = Multigraph(20, edges)
+        k = gamma_bar_ll(mg)
+        assert k == bf_gamma_bar_ll(mg) == gamma_bar_ll_via_line_graph(mg)
 
     @given(multigraphs_st())
     def test_at_least_max_degree(self, mg):
