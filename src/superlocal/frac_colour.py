@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalBugError
 from .invariants import gamma_ll_prime
-from .stable_sets import _check_size, maximum_stable_sets
+from .stable_sets import check_enumeration_size, maximum_stable_sets
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def superlocal_fractional_colour(g, bound=None):
     signal, not an input error. A graph above the stable-set
     enumeration limit is refused before the target is computed.
     """
-    _check_size(g, None)
+    check_enumeration_size(g)
     target = gamma_ll_prime(g)
     bound = target if bound is None else Fraction(bound)
     if bound < target:

@@ -10,6 +10,7 @@ constructors raise DomainError on misuse.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import DomainError, GraphFormatError, SizeLimitError
 
@@ -18,7 +19,7 @@ def _pair(u, v):
     return (u, v) if u < v else (v, u)
 
 
-def _members(mask):
+def mask_members(mask):
     """The set bits of a mask, ascending, as a tuple of vertex ids."""
     out = []
     while mask:
@@ -102,7 +103,7 @@ class SimpleGraph:
         return len(self.edges)
 
     def neighbours(self, v):
-        return _members(self.adj[v])
+        return mask_members(self.adj[v])
 
     def degree(self, v):
         return self.adj[v].bit_count()
@@ -164,13 +165,9 @@ def pair_index(u, v, n):
 
 
 class Multigraph:
-    """Loopless multigraph; edge ids 0..m-1 index the listing order.
+    """Loopless multigraph; edge ids 0..m-1 index the listing order."""
 
-    adj[v] is v's neighbour mask in the support (the underlying simple
-    graph), built once with the incidence lists and multiplicities.
-    """
-
-    __slots__ = ("n", "edges", "adj", "_incident", "_mu")
+    __slots__ = ("n", "edges", "_incident", "_mu")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -188,13 +185,8 @@ class Multigraph:
             incident[u].append(eid)
             incident[v].append(eid)
             mu[p] = mu.get(p, 0) + 1
-        adj = [0] * n
-        for u, v in mu:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(listed))
-        object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_incident", tuple(tuple(ids) for ids in incident))
         object.__setattr__(self, "_mu", mu)
 
@@ -227,10 +219,16 @@ class Multigraph:
             raise DomainError(f"vertex pair ({u},{v}) out of range")
         return self._mu.get(_pair(u, v), 0)
 
+    def multiplicities(self):
+        """Read-only map from each support pair (u, v), u < v, to mu(uv)."""
+        return MappingProxyType(self._mu)
+
     def neighbours(self, v):
-        if not 0 <= v < self.n:
-            raise DomainError(f"vertex {v} out of range")
-        return _members(self.adj[v])
+        out = set()
+        for eid in self.incident(v):
+            a, b = self.edges[eid]
+            out.add(b if a == v else a)
+        return tuple(sorted(out))
 
     def support(self):
         """Underlying simple graph on the same vertex set."""

@@ -160,49 +160,41 @@ def gamma_bar_ll(mg):
     mu(uv) >= 2 may fill both places (the pair u = w). Halving and
     rounding up is one ceiling division by 4.
 
-    The multiplicities are read once into per-vertex rows mu[u][v], and
-    t(uv) = mu(uv) + max(mu(uw) + mu(vw)) is one bit loop over the
-    common-neighbour mask adj[u] & adj[v] of the support. Each vertex
-    keeps its two largest g as they arrive, so nothing is sorted.
+    The support pairs are read once into per-vertex rows mu[u][v], and
+    t(uv) = mu(uv) + max(mu(uw) + mu(vw)) comes from one walk over the
+    shorter of the rows of u and v, looking each w up in the other.
+    Each vertex keeps its two largest g as they arrive, so nothing is
+    sorted, and the work space stays linear in n plus the support.
     """
     if mg.edge_count == 0:
         raise DomainError("edge bound undefined on an edgeless multigraph")
-    n, adj = mg.n, mg.adj
+    n = mg.n
+    pairs = mg.multiplicities()
     deg = [mg.degree(v) for v in range(n)]
     mu = [{} for _ in range(n)]
-    for u in range(n):
-        above = adj[u] >> (u + 1) << (u + 1)
-        while above:
-            b = above & -above
-            v = b.bit_length() - 1
-            mu[u][v] = mu[v][u] = mg.mu(u, v)
-            above ^= b
+    for (u, v), m_uv in pairs.items():
+        mu[u][v] = mu[v][u] = m_uv
     first = [0] * n  # largest g at each vertex so far (every g is positive)
     second = [0] * n  # second largest, 0 while fewer than two edges
-    for u in range(n):
-        mu_u, du = mu[u], deg[u]
-        for v, m_uv in mu_u.items():
-            if v < u:
-                continue
-            mu_v, dv = mu[v], deg[v]
-            common = adj[u] & adj[v]
-            t = 0
-            while common:
-                b = common & -common
-                w = b.bit_length() - 1
-                s = mu_u[w] + mu_v[w]
-                if s > t:
-                    t = s
-                common ^= b
-            if t:
-                t += m_uv
-            g = max(2 * du + dv, 2 * dv + du, du + dv + t) - m_uv
-            for x in (u, v):
-                if g > first[x]:
-                    second[x] = g if m_uv >= 2 else first[x]
-                    first[x] = g
-                elif g > second[x]:
-                    second[x] = g
+    for (u, v), m_uv in pairs.items():
+        du, dv = deg[u], deg[v]
+        short, other = (mu[u], mu[v]) if len(mu[u]) <= len(mu[v]) else (mu[v], mu[u])
+        t = 0
+        for w, m_w in short.items():
+            # no loops: neither u nor v has a row entry for itself, so
+            # only common neighbours w are found in both rows
+            m_other = other.get(w)
+            if m_other is not None and m_w + m_other > t:
+                t = m_w + m_other
+        if t:
+            t += m_uv
+        g = max(2 * du + dv, 2 * dv + du, du + dv + t) - m_uv
+        for x in (u, v):
+            if g > first[x]:
+                second[x] = g if m_uv >= 2 else first[x]
+                first[x] = g
+            elif g > second[x]:
+                second[x] = g
     best = max((a + b for a, b in zip(first, second) if b), default=0)
     if best == 0:
         # no two edges share an endpoint: the line graph is edgeless

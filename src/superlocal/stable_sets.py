@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SizeLimitError
-from .graphs import _members, complement_masks
+from .graphs import complement_masks, mask_members
 
 ENUMERATION_VERTEX_LIMIT = 24
 
@@ -101,11 +101,12 @@ def _maximum_sets(comp, start):
 
 def _sorted_family(masks):
     """(frozensets, masks), both in the order of the sorted member lists."""
-    order = sorted((_members(m), m) for m in masks)
+    order = sorted((mask_members(m), m) for m in masks)
     return tuple(frozenset(ms) for ms, _ in order), tuple(m for _, m in order)
 
 
-def _check_size(g, limit):
+def check_enumeration_size(g, limit=None):
+    """Refuse a graph above the vertex limit (default ENUMERATION_VERTEX_LIMIT)."""
     if limit is None:
         limit = ENUMERATION_VERTEX_LIMIT
     if g.n > limit:
@@ -116,7 +117,7 @@ def _check_size(g, limit):
 
 def _complement_within(g, limit, within):
     """Complement adjacency masks and the start mask (default: every vertex)."""
-    _check_size(g, limit)
+    check_enumeration_size(g, limit)
     full = (1 << g.n) - 1
     if within is not None and within & ~full:
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
@@ -125,7 +126,7 @@ def _complement_within(g, limit, within):
 
 def maximal_cliques(g, limit=None):
     """Maximal cliques as frozensets, sorted for determinism."""
-    _check_size(g, limit)
+    check_enumeration_size(g, limit)
     masks = _bron_kerbosch(g.adj, (1 << g.n) - 1)
     return _sorted_family(masks)[0]
 
@@ -139,7 +140,7 @@ def maximal_stable_sets(g, limit=None, within=None):
 def maximum_stable_sets(g, limit=None, within=None):
     """Maximum stable sets of g inside the vertex mask within (default: all), in g's ids."""
     masks = tuple(_maximum_sets(*_complement_within(g, limit, within)))
-    sets = tuple(frozenset(_members(m)) for m in masks)
+    sets = tuple(frozenset(mask_members(m)) for m in masks)
     return StableSetFamily(sets=sets, kind="maximum", masks=masks)
 
 

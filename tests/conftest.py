@@ -2,11 +2,9 @@ import itertools
 
 import pytest
 from hypothesis import HealthCheck, settings
-from hypothesis import strategies as st
 
 from superlocal import (
     FractionalColouring,
-    Multigraph,
     PartialEdgeColouring,
     SimpleGraph,
     enumerate_graph_classes,
@@ -84,31 +82,6 @@ def pendant_clique(k):
             edges.append((v, nxt))
             nxt += 1
     return SimpleGraph(nxt, edges)
-
-
-def multigraphs_st():
-    """Multigraphs on 2..6 vertices, up to 8 listed pairs of multiplicity 1..3."""
-
-    def build(n, picks):
-        edges = []
-        for (u, v), m in picks:
-            if u != v and u < n and v < n:
-                edges.extend([(u, v)] * m)
-        return Multigraph(n, edges)
-
-    return st.integers(2, 6).flatmap(
-        lambda n: st.builds(
-            build,
-            st.just(n),
-            st.lists(
-                st.tuples(
-                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                    st.integers(1, 3),
-                ),
-                max_size=8,
-            ),
-        )
-    )
 
 
 def corrupted_fractional_colour(g, bound=None):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,19 +39,34 @@ from bruteforce import (
     bf_omega_v,
     bf_subgraph_neighbourhood_bound,
 )
-from conftest import (
-    complete,
-    cycle,
-    double_star,
-    multigraphs_st,
-    path,
-    pendant_clique,
-    petersen,
-)
+from conftest import complete, cycle, double_star, path, pendant_clique, petersen
 
 
 # path 1-0-2-3 with multiplicities 3, 2, 3
 PARALLEL_PATH = [(0, 1)] * 3 + [(0, 2)] * 2 + [(2, 3)] * 3
+
+
+def multigraphs_st():
+    def build(n, picks):
+        edges = []
+        for (u, v), m in picks:
+            if u != v and u < n and v < n:
+                edges.extend([(u, v)] * m)
+        return Multigraph(n, edges)
+
+    return st.integers(2, 6).flatmap(
+        lambda n: st.builds(
+            build,
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                    st.integers(1, 3),
+                ),
+                max_size=8,
+            ),
+        )
+    )
 
 
 def graphs_st(max_n, max_edges):
@@ -254,6 +270,20 @@ class TestMultigraphBound:
         mg = Multigraph(20, edges)
         k = gamma_bar_ll(mg)
         assert k == bf_gamma_bar_ll(mg) == gamma_bar_ll_via_line_graph(mg)
+
+    def test_linear_memory_on_a_sparse_matching(self):
+        # a perfect matching on 20,000 vertices; a neighbour mask per
+        # vertex, as long as its largest neighbour id, would alone take
+        # n/16 = 1,250 bytes per vertex here
+        n = 20000
+        tracemalloc.start()
+        try:
+            mg = Multigraph(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
+            assert gamma_bar_ll(mg) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * n
 
     @given(multigraphs_st())
     def test_at_least_max_degree(self, mg):
