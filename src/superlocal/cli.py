@@ -44,11 +44,12 @@ from .invariants import (
 )
 from .oracles import (
     CHROMATIC_VERTEX_LIMIT,
+    check_chromatic_size,
     chromatic_number,
     fractional_chromatic_number,
     stability_number,
 )
-from .stable_sets import ENUMERATION_VERTEX_LIMIT
+from .stable_sets import ENUMERATION_VERTEX_LIMIT, check_enumeration_size
 
 # stable public tokens for the claims, mapped onto the descriptive names
 CLAIM_ALIASES = {
@@ -84,13 +85,19 @@ def _load_any(text):
     return parse_graph6(first)
 
 
-def _load_simple(text):
+def _load_simple(text, check_size, limit):
+    """The input as a simple graph.
+
+    A multigraph input runs check_size(g, limit) before support() builds
+    adjacency masks, which cost about n^2/2 bits on a sparse graph, so a
+    size refusal costs no more memory than parsing.
+    """
     g = _load_any(text)
     if isinstance(g, Multigraph):
-        support = g.support()
-        if support.edge_count != g.edge_count:
+        if any(mu > 1 for mu in g.multiplicities().values()):
             raise DomainError("this subcommand needs a simple graph")
-        return support
+        check_size(g, limit)
+        return g.support()
     return g
 
 
@@ -157,9 +164,10 @@ def cmd_bounds(args):
 
 
 def cmd_oracle(args):
-    g = _load_simple(_read_text(args.file))
     flags = CheckFlags(limit_n=args.limit_n)
-    chi, _ = chromatic_number(g, limit=flags.vertex_limit(CHROMATIC_VERTEX_LIMIT))
+    chi_limit = flags.vertex_limit(CHROMATIC_VERTEX_LIMIT)
+    g = _load_simple(_read_text(args.file), check_chromatic_size, chi_limit)
+    chi, _ = chromatic_number(g, limit=chi_limit)
     stable_limit = flags.vertex_limit(ENUMERATION_VERTEX_LIMIT)
     chi_f = fractional_chromatic_number(g, vertex_limit=stable_limit)
     alpha = stability_number(g, limit=stable_limit)
@@ -168,7 +176,7 @@ def cmd_oracle(args):
 
 
 def cmd_frac(args):
-    g = _load_simple(_read_text(args.file))
+    g = _load_simple(_read_text(args.file), check_enumeration_size, ENUMERATION_VERTEX_LIMIT)
     fc, trace = superlocal_fractional_colour(g)
     # always verified; --verify only adds the marker to the output
     verdict = verify_fractional_colouring(g, fc, trace.bound)

@@ -71,10 +71,15 @@ def _dsatur_greedy(adj, n):
     return colours
 
 
-def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
-    """Exact chi with a witness colouring."""
+def check_chromatic_size(g, limit):
+    """Refuse a graph above the branch-and-bound vertex limit."""
     if g.n > limit:
         raise SizeLimitError(f"chromatic number limited to {limit} vertices, got {g.n}")
+
+
+def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
+    """Exact chi with a witness colouring."""
+    check_chromatic_size(g, limit)
     n = g.n
     if n == 0:
         return 0, VertexColouring((), 0)
@@ -141,7 +146,7 @@ def fractional_chromatic_solution(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
         raise SizeLimitError(
             f"LP over {len(fam.sets)} stable sets exceeds the limit {set_limit}"
         )
-    rows = [[1 if v in s else 0 for v in range(n)] for s in fam.sets]
+    rows = [[(mask >> v) & 1 for v in range(n)] for mask in fam.masks]
     value, y, w = solve_simplex(rows, [1] * len(rows), [1] * n)
 
     # certificate: y is a feasible fractional clique, w a feasible

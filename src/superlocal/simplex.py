@@ -8,7 +8,13 @@ The tableau is compact: it keeps one column per nonbasic variable plus
 the right-hand side, m rows and one objective row, and no slack
 identity. Pivoting is fraction-free (Edmonds 1967; Bareiss 1968): every
 entry is an integer equal to the true rational entry times ``det``, the
-previous pivot, and each update divides exactly by ``det``. Bland's
+previous pivot, and each update ``(piv * v - f * w) // det`` divides
+exactly by ``det``; f is the row's entry in the entering column, w the
+pivot row's entry in the same column as v. When ``piv == det`` the
+update is sparse: (det * v - f * w) / det = v wherever f * w = 0, so
+only rows with f != 0 and, in them, columns with w != 0 are rewritten.
+On the 0/1 stable-set LPs that is most pivots and about a fifth of the
+entries. Otherwise every entry is rescaled and all are rewritten. Bland's
 rule picks the pivots: enter on the lowest variable id with a negative
 reduced cost, leave on the lowest ratio with ties to the lowest basis
 id; so ``det`` stays positive, signs are read off the integers and
@@ -77,10 +83,18 @@ def solve_simplex(a, b, c):
             raise InternalBugError("unbounded linear program")
         prow = rows[leave]
         piv = prow[enter]
-        for i in range(m):
-            if i != leave:
-                rows[i] = _pivot_row(rows[i], prow, piv, enter, det)
-        obj = _pivot_row(obj, prow, piv, enter, det)
+        others = [row for row in (*rows, obj) if row is not prow]
+        if piv == det:
+            # an entry with f * w == 0 keeps its value
+            others = [row for row in others if row[enter]]
+            cols = [j for j, w in enumerate(prow) if w]
+        else:
+            cols = range(nv + 1)
+        for row in others:
+            f = row[enter]
+            for j in cols:
+                row[j] = (piv * row[j] - f * prow[j]) // det
+            row[enter] = -f
         prow[enter] = det
         det = piv
         nonbasic[enter], basis[leave] = basis[leave], nonbasic[enter]
@@ -94,18 +108,3 @@ def solve_simplex(a, b, c):
         if vj >= nv:
             y[vj - nv] = Fraction(obj[j], det)
     return Fraction(obj[-1], det), x, y
-
-
-def _pivot_row(row, prow, piv, enter, det):
-    """One non-pivot row after pivoting on prow[enter] = piv."""
-    f = row[enter]
-    if f:
-        out = [piv * v - f * w for v, w in zip(row, prow)]
-    else:
-        out = [piv * v for v in row]
-    # exact: every entry is a minor of the initial tableau; on 0/1
-    # stable-set rows det is mostly 1
-    if det != 1:
-        out = [v // det for v in out]
-    out[enter] = -f
-    return out

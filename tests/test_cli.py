@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -133,9 +134,10 @@ class TestOracle:
             assert "--limit-n must be nonnegative" in err
 
     def test_rejects_true_multigraph(self, capsys, fat_triangle_file):
-        code, _, err = run(capsys, "oracle", fat_triangle_file)
-        assert code == 1
-        assert "simple graph" in err
+        for command in ("oracle", "frac"):
+            code, _, err = run(capsys, command, fat_triangle_file)
+            assert code == 1
+            assert "simple graph" in err
 
     def test_accepts_simple_multigraph_text(self, capsys, tmp_path):
         p = tmp_path / "p3.mg"
@@ -143,6 +145,49 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", str(p))
         assert code == 0
         assert json.loads(out)["chi"] == 2
+
+
+class TestRefusalMemory:
+    # support() spends about n^2/2 bits of adjacency masks on a sparse
+    # graph, so oracle and frac refuse a large multigraph text before
+    # building them and peak no higher than bounds, which keeps to the
+    # multigraph; building the masks first peaks at about four times it
+    n = 20000
+
+    @pytest.fixture
+    def matching_text(self):
+        return f"n {self.n} / " + " / ".join(f"{2 * i} {2 * i + 1} 1" for i in range(self.n // 2))
+
+    def traced(self, capsys, tmp_path, text, command, *options):
+        p = tmp_path / "input.mg"
+        p.write_text(text, encoding="ascii")
+        tracemalloc.start()
+        try:
+            code = main([command, str(p), *options])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return code, capsys.readouterr().err, peak
+
+    def test_refused_before_support(self, capsys, tmp_path, matching_text):
+        code, _, bounds_peak = self.traced(capsys, tmp_path, matching_text, "bounds")
+        assert code == 0
+        for argv, message in (
+            (("oracle",), "chromatic number limited to 16 vertices"),
+            (("oracle", "--limit-n", "3"), "chromatic number limited to 3 vertices"),
+            (("frac",), "stable set enumeration limited to 24 vertices"),
+        ):
+            code, err, peak = self.traced(capsys, tmp_path, matching_text, *argv)
+            assert code == 2
+            assert err == f"size refusal: {message}, got {self.n}\n"
+            assert peak < 1.1 * bounds_peak
+
+    def test_repeated_edge_is_still_an_input_error(self, capsys, tmp_path, matching_text):
+        doubled = matching_text.replace(" 0 1 1 ", " 0 1 2 ", 1)
+        for command in ("oracle", "frac"):
+            code, err, _ = self.traced(capsys, tmp_path, doubled, command)
+            assert code == 1
+            assert err == "error: this subcommand needs a simple graph\n"
 
 
 class TestFrac:

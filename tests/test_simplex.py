@@ -135,6 +135,28 @@ def test_matches_reference_on_stable_set_lps():
             assert solve_simplex(a, b, c) == bf_solve_simplex(a, b, c)
 
 
+# the first six graphs of the sparse-check benchmark workload, drawn from
+# random.Random(20240815) with edge probability 1/4 at n = 18, 18, 19, 19,
+# 20, 20; their LPs have 45 to 90 rows, and each one pivots both with
+# piv == det (the sparse update) and with piv != det (the dense one)
+SPARSE_CHECK_GRAPH6 = (
+    "Q@GGj_p`?_???XG?eK[@CsqA?P?",
+    "Q`VA@AXWA@`?lGC_?KOO_gPGo??",
+    "RGP?@`_EWgG??P?a_IRAK@PG_PqA?_",
+    "RS\\TD_RH[??UQGACcAP_CcFO@c_CB_",
+    "So?G?@`OSPOB`??N@CS_GWL_DGQGDAODO",
+    "So@U@?a_??FBADCo_?WD?gGQOi_GE@o_O",
+)
+
+
+@pytest.mark.parametrize("code", SPARSE_CHECK_GRAPH6)
+def test_matches_reference_on_benchmark_lps(code):
+    g = parse_graph6(code)
+    a, b, c = _stable_set_lp(g)
+    assert 45 <= len(a) <= 90
+    assert solve_simplex(a, b, c) == bf_solve_simplex(a, b, c)
+
+
 def test_stable_set_lp_at_scale():
     # a fixed 22-vertex graph of edge density about 1/4
     g = parse_graph6("UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_")
