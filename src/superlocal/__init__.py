@@ -9,7 +9,6 @@ seeded corpora.
 
 from .errors import DomainError, GraphFormatError, InternalBugError, SizeLimitError
 from .graphs import (
-    LinearIntervalRepresentation,
     Multigraph,
     SimpleGraph,
     complement,
@@ -19,16 +18,13 @@ from .graphs import (
     pair_index,
     parse_graph6,
     parse_multigraph,
-    realize_linear_interval,
     to_graph6,
 )
 from .stable_sets import (
     ENUMERATION_VERTEX_LIMIT,
     StableSetFamily,
-    maximal_cliques,
     maximal_stable_sets,
     maximum_stable_sets,
-    membership_probabilities,
 )
 from .invariants import (
     GraphBounds,
@@ -37,17 +33,10 @@ from .invariants import (
     clique_number,
     gamma_bar_ll,
     gamma_bar_ll_via_line_graph,
-    gamma_l_prime_induced,
-    gamma_l_prime_vertex,
     gamma_ll,
     gamma_ll_prime,
-    gamma_ll_prime_edge,
     graph_bounds,
-    neighbourhood_average,
-    nine_expressions,
-    omega_v,
     subgraph_neighbourhood_bound,
-    t_value,
     vertex_bounds,
 )
 from .oracles import (
@@ -55,7 +44,6 @@ from .oracles import (
     VertexColouring,
     chi_via_complement_matching,
     chromatic_number,
-    colour_linear_interval,
     fractional_chromatic_number,
     fractional_chromatic_solution,
     stability_number,
@@ -87,7 +75,6 @@ from .harness import (
     check_graph,
     check_multigraph,
     chi_prime_bruteforce,
-    enumerate_connected_graphs,
     enumerate_graph_classes,
     frac_str,
     multigraph_line,

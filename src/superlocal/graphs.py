@@ -1,15 +1,13 @@
 """Graph types and input formats.
 
-Three immutable carriers: SimpleGraph (loopless, no parallel edges),
-Multigraph (loopless, parallel edges allowed, edges carry stable ids),
-and LinearIntervalRepresentation (vertex points plus closed intervals).
+Two immutable carriers: SimpleGraph (loopless, no parallel edges) and
+Multigraph (loopless, parallel edges allowed, edges carry stable ids).
 Parsers raise GraphFormatError naming the offending byte or record,
 constructors raise DomainError on misuse.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import DomainError, GraphFormatError, SizeLimitError
@@ -246,48 +244,6 @@ class Multigraph:
 
     def __repr__(self):
         return f"Multigraph(n={self.n}, m={self.edge_count})"
-
-
-class LinearIntervalRepresentation:
-    """Vertex points in strictly increasing order plus closed rational intervals."""
-
-    __slots__ = ("points", "intervals")
-
-    def __init__(self, points, intervals=()):
-        pts = tuple(Fraction(p) for p in points)
-        for a, b in zip(pts, pts[1:]):
-            if not a < b:
-                raise DomainError("vertex points must be strictly increasing")
-        ivs = []
-        for lo, hi in intervals:
-            lo, hi = Fraction(lo), Fraction(hi)
-            if lo > hi:
-                raise DomainError(f"interval [{lo},{hi}] is empty")
-            ivs.append((lo, hi))
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "intervals", tuple(ivs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LinearIntervalRepresentation is immutable")
-
-    @property
-    def n(self):
-        return len(self.points)
-
-    def __repr__(self):
-        return f"LinearIntervalRepresentation(n={self.n}, intervals={len(self.intervals)})"
-
-
-def realize_linear_interval(rep):
-    """Graph with u ~ v iff some interval contains both points."""
-    edges = []
-    pts = rep.points
-    for lo, hi in rep.intervals:
-        inside = [i for i, p in enumerate(pts) if lo <= p <= hi]
-        for a in range(len(inside)):
-            for b in range(a + 1, len(inside)):
-                edges.append((inside[a], inside[b]))
-    return SimpleGraph(rep.n, edges)
 
 
 def complement(g):

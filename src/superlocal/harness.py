@@ -410,10 +410,6 @@ def enumerate_graph_classes(n, connected_only=False):
     return tuple(out)
 
 
-def enumerate_connected_graphs(n):
-    return enumerate_graph_classes(n, connected_only=True)
-
-
 # ---------------------------------------------------------------------------
 # seeded corpora
 

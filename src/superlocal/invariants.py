@@ -23,41 +23,6 @@ def clique_number(g):
     return max(g.omegas(), default=0)
 
 
-def omega_v(g, v):
-    """Size of the largest clique containing v."""
-    if not 0 <= v < g.n:
-        raise DomainError(f"vertex {v} out of range")
-    return g.omegas()[v]
-
-
-def gamma_l_prime_vertex(g, v):
-    """(d(v) + 1 + omega(v)) / 2, the per-vertex local bound."""
-    return Fraction(g.degree(v) + 1 + omega_v(g, v), 2)
-
-
-def gamma_l_prime_induced(g, v):
-    """Same bound computed as the global bound of the closed neighbourhood.
-
-    Coincides with gamma_l_prime_vertex because the closed neighbourhood
-    has maximum degree d(v) and clique number omega(v); kept as an
-    independent route for cross-checking.
-    """
-    from .graphs import induced_subgraph
-
-    if not 0 <= v < g.n:
-        raise DomainError(f"vertex {v} out of range")
-    sub, _ = induced_subgraph(g, (v,) + g.neighbours(v))
-    delta = max(sub.degree(u) for u in range(sub.n))
-    return Fraction(delta + 1 + clique_number(sub), 2)
-
-
-def gamma_ll_prime_edge(g, u, v):
-    """(d(u) + d(v) + omega(u) + omega(v) + 2) / 4 for an edge uv."""
-    if not g.has_edge(u, v):
-        raise DomainError(f"({u},{v}) is not an edge")
-    return Fraction(g.degree(u) + g.degree(v) + omega_v(g, u) + omega_v(g, v) + 2, 4)
-
-
 def gamma_ll_prime(g):
     """Max of the per-edge bound; 1 on an edgeless nonempty graph, 0 on the empty graph."""
     if g.n == 0:
@@ -119,32 +84,6 @@ def graph_bounds(g):
         gamma_ll_prime=gllp,
         gamma_ll=math.ceil(gllp),
     )
-
-
-def t_value(mg, u, v):
-    """max over common neighbours w of mu(uv) + mu(uw) + mu(vw); 0 without one."""
-    base = mg.mu(u, v)
-    if base == 0:
-        raise DomainError(f"({u},{v}) is not an edge")
-    best = 0
-    for w in mg.neighbours(u):
-        if w != v and mg.mu(v, w) > 0:
-            best = max(best, base + mg.mu(u, w) + mg.mu(v, w))
-    return best
-
-
-def nine_expressions(mg, u, v, w, t_uv=None, t_vw=None):
-    """The nine candidate values for the edge pair (uv, vw) with midpoint v."""
-    du, dv, dw = mg.degree(u), mg.degree(v), mg.degree(w)
-    mu_uv, mu_vw = mg.mu(u, v), mg.mu(v, w)
-    if mu_uv == 0 or mu_vw == 0:
-        raise DomainError("nine_expressions needs two edges sharing the midpoint")
-    tuv = t_value(mg, u, v) if t_uv is None else t_uv
-    tvw = t_value(mg, v, w) if t_vw is None else t_vw
-    h = Fraction(1, 2)
-    left = (du + h * (dv - mu_uv), dv + h * (du - mu_uv), h * (du + dv - mu_uv + tuv))
-    right = (dv + h * (dw - mu_vw), dw + h * (dv - mu_vw), h * (dv + dw - mu_vw + tvw))
-    return tuple(a + b for a in left for b in right)
 
 
 def gamma_bar_ll(mg):
@@ -233,17 +172,6 @@ def clique_average_bound(g):
         if total * best_den > best_num * size:
             best_num, best_den = total, size
     return Fraction(best_num, 2 * best_den)
-
-
-def neighbourhood_average(g, v):
-    """Average of gamma_l_prime over the closed neighbourhood of v."""
-    if not 0 <= v < g.n:
-        raise DomainError(f"vertex {v} out of range")
-    om = g.omegas()
-    members = (v,) + g.neighbours(v)
-    # twice gamma_l_prime(u) is d(u) + 1 + omega(u)
-    total = sum(g.degree(u) + 1 + om[u] for u in members)
-    return Fraction(total, 2 * len(members))
 
 
 def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):

@@ -1,9 +1,9 @@
 """Exact ground-truth oracles.
 
 Chromatic number by saturation-ordered branch and bound, fractional
-chromatic number by a certified exact LP, stability number, the
+chromatic number by a certified exact LP, stability number, and the
 complement-matching colouring for graphs with stability number at most
-two, and the cyclic greedy colouring of linear interval representations.
+two.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import DomainError, InternalBugError, SizeLimitError
-from .graphs import complement_masks, max_clique_size, realize_linear_interval
+from .graphs import complement_masks, max_clique_size
 from .invariants import clique_number
 from .simplex import solve_simplex
 from .stable_sets import ENUMERATION_VERTEX_LIMIT, maximal_stable_sets
@@ -130,7 +130,7 @@ class FractionalChromaticSolution:
     dual: tuple  # per-vertex fractional clique certifying optimality
 
 
-def fractional_chromatic_solution(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
+def fractional_chromatic_solution(g, vertex_limit=None):
     """Certified optimum of the covering LP over maximal stable sets.
 
     The packing dual (maximise the sum of per-vertex values subject to
@@ -142,9 +142,9 @@ def fractional_chromatic_solution(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
     if n == 0:
         return FractionalChromaticSolution(Fraction(0), {}, ())
     fam = maximal_stable_sets(g, limit=vertex_limit)
-    if len(fam.sets) > set_limit:
+    if len(fam.sets) > LP_SET_LIMIT:
         raise SizeLimitError(
-            f"LP over {len(fam.sets)} stable sets exceeds the limit {set_limit}"
+            f"LP over {len(fam.sets)} stable sets exceeds the limit {LP_SET_LIMIT}"
         )
     rows = [[(mask >> v) & 1 for v in range(n)] for mask in fam.masks]
     value, y, w = solve_simplex(rows, [1] * len(rows), [1] * n)
@@ -175,8 +175,8 @@ def fractional_chromatic_solution(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
     return FractionalChromaticSolution(value=value, weights=weights, dual=tuple(y))
 
 
-def fractional_chromatic_number(g, vertex_limit=None, set_limit=LP_SET_LIMIT):
-    return fractional_chromatic_solution(g, vertex_limit, set_limit).value
+def fractional_chromatic_number(g, vertex_limit=None):
+    return fractional_chromatic_solution(g, vertex_limit).value
 
 
 def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
@@ -242,15 +242,3 @@ def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
     if not verify_vertex_colouring(g, vc):
         raise InternalBugError("complement matching produced an improper colouring")
     return nxt, vc
-
-
-def colour_linear_interval(rep, offset=0):
-    """Left-to-right cyclic colouring with omega colours; proper for every offset."""
-    g = realize_linear_interval(rep)
-    if g.n == 0:
-        raise DomainError("empty representation has nothing to colour")
-    omega = clique_number(g)
-    if not 0 <= offset < omega:
-        raise DomainError(f"offset {offset} outside 0..{omega - 1}")
-    colours = tuple((v + offset) % omega for v in range(g.n))
-    return VertexColouring(colours, omega)

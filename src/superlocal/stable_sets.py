@@ -1,17 +1,15 @@
-"""Stable set and clique enumeration.
+"""Stable set enumeration.
 
-Maximal stable sets and cliques come from Bron-Kerbosch with pivoting
-over vertex bitmasks; stable sets are the cliques of the complement,
-optionally within a vertex mask. Maximum stable sets come from their
-own branch and bound on the complement, pruned at the best size found
-so far, so no smaller maximal set is ever listed. Guarded at 24
-vertices.
+Maximal stable sets come from Bron-Kerbosch with pivoting over vertex
+bitmasks, as the cliques of the complement, optionally within a vertex
+mask. Maximum stable sets come from their own branch and bound on the
+complement, pruned at the best size found so far, so no smaller
+maximal set is ever listed. Guarded at 24 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, SizeLimitError
 from .graphs import complement_masks, mask_members
@@ -99,12 +97,6 @@ def _maximum_sets(comp, start):
         r, size, p = stack.pop()
 
 
-def _sorted_family(masks):
-    """(frozensets, masks), both in the order of the sorted member lists."""
-    order = sorted((mask_members(m), m) for m in masks)
-    return tuple(frozenset(ms) for ms, _ in order), tuple(m for _, m in order)
-
-
 def check_enumeration_size(g, limit=None):
     """Refuse a graph above the vertex limit (default ENUMERATION_VERTEX_LIMIT)."""
     if limit is None:
@@ -124,17 +116,15 @@ def _complement_within(g, limit, within):
     return complement_masks(g), full if within is None else within
 
 
-def maximal_cliques(g, limit=None):
-    """Maximal cliques as frozensets, sorted for determinism."""
-    check_enumeration_size(g, limit)
-    masks = _bron_kerbosch(g.adj, (1 << g.n) - 1)
-    return _sorted_family(masks)[0]
-
-
 def maximal_stable_sets(g, limit=None, within=None):
     """Maximal stable sets of g inside the vertex mask within (default: all), in g's ids."""
-    sets, masks = _sorted_family(_bron_kerbosch(*_complement_within(g, limit, within)))
-    return StableSetFamily(sets=sets, kind="maximal", masks=masks)
+    masks = _bron_kerbosch(*_complement_within(g, limit, within))
+    order = sorted((mask_members(m), m) for m in masks)
+    return StableSetFamily(
+        sets=tuple(frozenset(ms) for ms, _ in order),
+        kind="maximal",
+        masks=tuple(m for _, m in order),
+    )
 
 
 def maximum_stable_sets(g, limit=None, within=None):
@@ -142,16 +132,3 @@ def maximum_stable_sets(g, limit=None, within=None):
     masks = tuple(_maximum_sets(*_complement_within(g, limit, within)))
     sets = tuple(frozenset(mask_members(m)) for m in masks)
     return StableSetFamily(sets=sets, kind="maximum", masks=masks)
-
-
-def membership_probabilities(g, limit=None):
-    """p(v) = share of maximum stable sets containing v; sums to alpha."""
-    if g.n == 0:
-        raise DomainError("membership probabilities need a nonempty vertex set")
-    fam = maximum_stable_sets(g, limit=limit)
-    count = len(fam.sets)
-    hits = [0] * g.n
-    for s in fam.sets:
-        for v in s:
-            hits[v] += 1
-    return {v: Fraction(hits[v], count) for v in range(g.n)}

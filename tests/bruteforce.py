@@ -4,10 +4,11 @@ Everything here recomputes values from first principles with plain
 subset enumeration or unpruned backtracking, sharing only the graph
 containers with the package under test (induced_subgraph and the
 fractional colouring's result classes count as containers). There are
-two exceptions: the edge bound, which takes the package's
-nine_expressions as its definition, and bf_solve_simplex, a full
-Fraction tableau that must make the same Bland pivots as the package's
-integer simplex.
+two exceptions: bf_neighbourhood_average, which reads omega from the
+graph's own omegas() so that the question-scan lemma tests reach 12
+vertices (omegas() itself is checked against bf_omega_v), and
+bf_solve_simplex, a full Fraction tableau that must make the same
+Bland pivots as the package's integer simplex.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from superlocal import (
     IterationTrace,
     SimpleGraph,
     induced_subgraph,
-    nine_expressions,
 )
 
 
@@ -110,6 +110,21 @@ def bf_omega_v(g, v):
             if bf_is_clique(g, list(combo)):
                 best = max(best, r)
     return 1 + best
+
+
+def bf_gamma_l_prime_induced(g, v):
+    """(d(v) + 1 + omega(v)) / 2 as the global bound of the closed
+    neighbourhood, which has maximum degree d(v) and clique number omega(v)."""
+    sub, _ = induced_subgraph(g, (v,) + g.neighbours(v))
+    delta = max(sub.degree(u) for u in range(sub.n))
+    return Fraction(delta + 1 + bf_clique_number(sub), 2)
+
+
+def bf_neighbourhood_average(g, v):
+    """Average of (d(u) + 1 + omega(u)) / 2 over the closed neighbourhood of v."""
+    om = g.omegas()
+    members = (v,) + g.neighbours(v)
+    return Fraction(sum(g.degree(u) + 1 + om[u] for u in members), 2 * len(members))
 
 
 def bf_clique_average_bound(g):
@@ -306,6 +321,26 @@ def bf_chi_prime(mg):
     return k
 
 
+def bf_t_value(mg, u, v):
+    """max over common neighbours w of mu(uv) + mu(uw) + mu(vw); 0 without one."""
+    return max(
+        (mg.mu(u, v) + mg.mu(u, w) + mg.mu(v, w)
+         for w in mg.neighbours(u) if w != v and mg.mu(v, w)),
+        default=0,
+    )
+
+
+def bf_nine_expressions(mg, u, v, w):
+    """The nine candidate values for the edge pair (uv, vw) with midpoint v."""
+    du, dv, dw = mg.degree(u), mg.degree(v), mg.degree(w)
+    mu_uv, mu_vw = mg.mu(u, v), mg.mu(v, w)
+    tuv, tvw = bf_t_value(mg, u, v), bf_t_value(mg, v, w)
+    h = Fraction(1, 2)
+    left = (du + h * (dv - mu_uv), dv + h * (du - mu_uv), h * (du + dv - mu_uv + tuv))
+    right = (dv + h * (dw - mu_vw), dw + h * (dv - mu_vw), h * (dv + dw - mu_vw + tvw))
+    return tuple(a + b for a in left for b in right)
+
+
 def bf_gamma_bar_ll(mg):
     """Edge bound straight from its definition.
 
@@ -319,7 +354,7 @@ def bf_gamma_bar_ll(mg):
         for e1, e2 in itertools.permutations(ids, 2):
             u = sum(mg.endpoints(e1)) - v
             w = sum(mg.endpoints(e2)) - v
-            best = max(best, max(nine_expressions(mg, u, v, w)))
+            best = max(best, max(bf_nine_expressions(mg, u, v, w)))
     if best == 0:
         return 1
     return math.ceil(best / 2)

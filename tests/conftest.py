@@ -37,11 +37,9 @@ def classes6():
 @pytest.fixture(scope="session")
 def connected7():
     """One representative per connected isomorphism class, n = 1..7."""
-    from superlocal import enumerate_connected_graphs
-
     out = []
     for n in range(1, 8):
-        out.extend(enumerate_connected_graphs(n))
+        out.extend(enumerate_graph_classes(n, connected_only=True))
     return out
 
 

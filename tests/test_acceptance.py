@@ -25,8 +25,6 @@ from superlocal import (
     gamma_ll_prime,
     graph_bounds,
     line_graph,
-    neighbourhood_average,
-    omega_v,
     random_corpus,
     search_counterexamples,
     stability_number,
@@ -34,8 +32,8 @@ from superlocal import (
     superlocal_fractional_colour,
     verify_fractional_colouring,
     verify_vertex_colouring,
-    membership_probabilities,
 )
+from bruteforce import bf_membership_probabilities, bf_neighbourhood_average
 from conftest import cycle, double_star, pendant_clique, petersen
 
 SEED = 20240815
@@ -103,7 +101,7 @@ def test_criterion_3_separating_examples():
     pc = pendant_clique(k)
     assert pc.n == 42
     for v in range(k):
-        assert neighbourhood_average(pc, v) == F(11, 2) == F(3 * k, 4) + 1
+        assert bf_neighbourhood_average(pc, v) == F(11, 2) == F(3 * k, 4) + 1
     chi_f = fractional_chromatic_number(pc, vertex_limit=pc.n)
     assert chi_f == 6
     assert F(11, 2) < chi_f
@@ -206,18 +204,19 @@ def test_criterion_9_membership_probability_inequalities():
     for n in range(1, 7):
         for g in enumerate_graph_classes(n):
             graphs += 1
-            p = membership_probabilities(g)
+            p = bf_membership_probabilities(g)
+            om = g.omegas()
             for v in range(g.n):
                 lhs = sum(p[u] for u in g.neighbours(v))
-                assert lhs >= 2 - (omega_v(g, v) + 1) * p[v]
+                assert lhs >= 2 - (om[v] + 1) * p[v]
             for u, v in g.edges:
                 nu, nv = set(g.neighbours(u)), set(g.neighbours(v))
                 joint = (nu | nv) - {u, v}
                 lhs = sum(p[x] for x in joint)
                 rhs = (
                     4
-                    - (omega_v(g, v) + 2) * p[v]
-                    - (omega_v(g, u) + 2) * p[u]
+                    - (om[v] + 2) * p[v]
+                    - (om[u] + 2) * p[u]
                     - sum(p[w] for w in nu & nv)
                 )
                 assert lhs >= rhs

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from superlocal import (
     DomainError,
     GraphFormatError,
-    LinearIntervalRepresentation,
     Multigraph,
     SimpleGraph,
     SizeLimitError,
@@ -19,7 +18,6 @@ from superlocal import (
     line_graph,
     parse_graph6,
     parse_multigraph,
-    realize_linear_interval,
     to_graph6,
 )
 from superlocal import graphs
@@ -321,29 +319,3 @@ class TestLineGraph:
         assert line_graph(Multigraph(2, [(0, 1)] * 3)) == complete(3)
         with pytest.raises(SizeLimitError, match="above the limit 6"):
             line_graph(Multigraph(2, [(0, 1)] * 4))
-
-
-class TestLinearInterval:
-    def test_points_must_increase(self):
-        with pytest.raises(DomainError):
-            LinearIntervalRepresentation([0, 0])
-        with pytest.raises(DomainError):
-            LinearIntervalRepresentation([1, 0])
-
-    def test_empty_interval_rejected(self):
-        with pytest.raises(DomainError):
-            LinearIntervalRepresentation([0, 1], [(2, 1)])
-
-    def test_realize_cliques(self):
-        rep = LinearIntervalRepresentation(
-            [0, 1, 2, 3], [(0, 1), (1, 3)]
-        )
-        g = realize_linear_interval(rep)
-        assert g.edges == ((0, 1), (1, 2), (1, 3), (2, 3))
-
-    def test_fraction_points(self):
-        rep = LinearIntervalRepresentation(
-            ["1/2", "3/4", 1], [("1/2", "3/4")]
-        )
-        g = realize_linear_interval(rep)
-        assert g.edges == ((0, 1),)

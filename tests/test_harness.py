@@ -16,7 +16,6 @@ from superlocal import (
     check_graph,
     check_multigraph,
     chi_prime_bruteforce,
-    enumerate_connected_graphs,
     enumerate_graph_classes,
     frac_str,
     gamma_bar_ll,
@@ -118,7 +117,7 @@ class TestEnumeration:
 
     def test_connected_counts(self):
         for n in range(1, 8):
-            assert len(enumerate_connected_graphs(n)) == CONNECTED_COUNTS[n - 1]
+            assert len(enumerate_graph_classes(n, connected_only=True)) == CONNECTED_COUNTS[n - 1]
 
     def test_n8_count(self):
         graphs = enumerate_graph_classes(8)

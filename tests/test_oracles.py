@@ -9,17 +9,14 @@ from hypothesis import strategies as st
 from superlocal import (
     DomainError,
     InternalBugError,
-    LinearIntervalRepresentation,
     SimpleGraph,
     SizeLimitError,
     VertexColouring,
     chi_via_complement_matching,
     chromatic_number,
     clique_number,
-    colour_linear_interval,
     fractional_chromatic_number,
     fractional_chromatic_solution,
-    realize_linear_interval,
     stability_number,
     verify_vertex_colouring,
 )
@@ -123,8 +120,12 @@ class TestFractionalChromatic:
             assert clique_number(g) <= chi_f <= chromatic_number(g)[0]
 
     def test_set_limit(self):
-        with pytest.raises(SizeLimitError):
-            fractional_chromatic_solution(cycle(5), set_limit=4)
+        # eight disjoint triangles: 24 vertices and 3^8 = 6561 maximal stable sets
+        g = SimpleGraph(
+            24, [(t + a, t + b) for t in range(0, 24, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
+        )
+        with pytest.raises(SizeLimitError, match="LP over 6561 stable sets"):
+            fractional_chromatic_solution(g)
 
 
 H = F(1, 2)
@@ -223,11 +224,15 @@ class TestMatchingKernel:
             assert dp[(1 << g.n) - 1] == bf_matching_number(g)
 
 
-def interval_reps():
+def interval_graphs():
+    """Graphs on points 0..n-1 with u ~ v iff some closed interval [a, b] holds both."""
+
     def build(n, pairs):
-        pts = list(range(n))
-        ivs = [(min(a, b), max(a, b)) for a, b in pairs]
-        return LinearIntervalRepresentation(pts, ivs)
+        edges = set()
+        for a, b in pairs:
+            lo, hi = min(a, b), max(a, b)
+            edges.update(itertools.combinations(range(lo, hi + 1), 2))
+        return SimpleGraph(n, edges)
 
     return st.integers(1, 8).flatmap(
         lambda n: st.builds(
@@ -242,37 +247,9 @@ def interval_reps():
 
 
 class TestLinearIntervalColouring:
-    def test_path_pattern(self):
-        rep = LinearIntervalRepresentation([0, 1, 2], [(0, 1), (1, 2)])
-        vc = colour_linear_interval(rep)
-        assert vc.colours == (0, 1, 0)
-        assert vc.k == 2
-
-    def test_clique_uses_all(self):
-        rep = LinearIntervalRepresentation(range(5), [(0, 4)])
-        vc = colour_linear_interval(rep)
-        assert sorted(vc.colours) == [0, 1, 2, 3, 4]
-
-    def test_offsets(self):
-        rep = LinearIntervalRepresentation(range(6), [(0, 2), (2, 4), (3, 5)])
-        g = realize_linear_interval(rep)
-        k = colour_linear_interval(rep).k
-        for off in range(k):
-            vc = colour_linear_interval(rep, offset=off)
-            assert verify_vertex_colouring(g, vc)
-        with pytest.raises(DomainError):
-            colour_linear_interval(rep, offset=k)
-        with pytest.raises(DomainError):
-            colour_linear_interval(rep, offset=-1)
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            colour_linear_interval(LinearIntervalRepresentation([]))
-
-    @given(interval_reps())
-    def test_proper_and_optimal_random(self, rep):
-        g = realize_linear_interval(rep)
-        vc = colour_linear_interval(rep)
+    @given(interval_graphs())
+    def test_proper_and_optimal_random(self, g):
+        # interval graphs are perfect: chi equals omega
+        k, vc = chromatic_number(g)
         assert verify_vertex_colouring(g, vc)
-        # omega colours match chi on these graphs
-        assert vc.k == chromatic_number(g)[0] == clique_number(g)
+        assert k == clique_number(g)

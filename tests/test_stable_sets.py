@@ -8,11 +8,12 @@ from superlocal import (
     DomainError,
     SimpleGraph,
     SizeLimitError,
+    complement,
+    enumerate_graph_classes,
     induced_subgraph,
-    maximal_cliques,
     maximal_stable_sets,
     maximum_stable_sets,
-    membership_probabilities,
+    stability_number,
 )
 from superlocal.graphs import max_clique_size
 from superlocal.stable_sets import _bron_kerbosch, _maximum_sets
@@ -26,8 +27,9 @@ from conftest import complete, cycle, path, petersen
 
 
 def test_maximal_cliques_match_bruteforce(classes6):
+    # the maximal cliques of g are the maximal stable sets of its complement
     for g in classes6:
-        assert list(maximal_cliques(g)) == bf_maximal_cliques(g)
+        assert list(maximal_stable_sets(complement(g))) == bf_maximal_cliques(g)
 
 
 def test_maximal_stable_sets_match_bruteforce(classes6):
@@ -88,41 +90,33 @@ def test_within_rejects_masks_outside_the_graph():
     assert list(maximal_stable_sets(SimpleGraph(0), within=0)) == [frozenset()]
 
 
-def test_membership_probabilities_match_bruteforce(classes6):
-    for g in classes6:
-        p = membership_probabilities(g)
-        assert p == bf_membership_probabilities(g)
-        assert all(isinstance(x, Fraction) for x in p.values())
-
-
 def test_membership_probabilities_sum_to_alpha(classes6):
+    # bf_membership_probabilities is the reference that the expected-weight
+    # inequalities below and acceptance criterion 9 read
     for g in classes6:
-        p = membership_probabilities(g)
-        alpha = max(len(s) for s in maximal_stable_sets(g))
-        assert sum(p.values()) == alpha
+        assert sum(bf_membership_probabilities(g).values()) == stability_number(g)
 
 
 def test_cycle5_probabilities_uniform():
-    p = membership_probabilities(cycle(5))
+    p = bf_membership_probabilities(cycle(5))
     assert p == {v: Fraction(2, 5) for v in range(5)}
 
 
 def test_petersen_probabilities_uniform():
-    p = membership_probabilities(petersen())
+    p = bf_membership_probabilities(petersen())
     assert p == {v: Fraction(2, 5) for v in range(10)}
 
 
 def test_path3_probabilities():
     # unique maximum stable set: the two leaves
-    p = membership_probabilities(path(3))
+    p = bf_membership_probabilities(path(3))
     assert p == {0: Fraction(1), 1: Fraction(0), 2: Fraction(1)}
 
 
 def test_complete_graph_families():
     g = complete(4)
     assert [sorted(s) for s in maximal_stable_sets(g)] == [[0], [1], [2], [3]]
-    assert list(maximal_cliques(g)) == [frozenset(range(4))]
-    assert membership_probabilities(g) == {v: Fraction(1, 4) for v in range(4)}
+    assert list(maximal_stable_sets(complement(g))) == [frozenset(range(4))]
 
 
 def test_searches_deeper_than_the_recursion_limit():
@@ -139,16 +133,14 @@ def test_edgeless_graph():
     g = SimpleGraph(3)
     fam = maximal_stable_sets(g)
     assert list(fam) == [frozenset({0, 1, 2})]
-    assert [sorted(s) for s in maximal_cliques(g)] == [[0], [1], [2]]
+    assert [sorted(s) for s in maximal_stable_sets(complement(g))] == [[0], [1], [2]]
 
 
 def test_empty_graph():
     # the empty set is vacuously the unique maximal stable set / clique
     g = SimpleGraph(0)
     assert list(maximal_stable_sets(g)) == [frozenset()]
-    assert list(maximal_cliques(g)) == [frozenset()]
-    with pytest.raises(DomainError):
-        membership_probabilities(g)
+    assert list(maximal_stable_sets(complement(g))) == [frozenset()]
 
 
 def test_size_limit_enforced():
@@ -156,7 +148,7 @@ def test_size_limit_enforced():
     with pytest.raises(SizeLimitError):
         maximal_stable_sets(g)
     with pytest.raises(SizeLimitError):
-        maximal_cliques(cycle(5), limit=4)
+        maximal_stable_sets(cycle(5), limit=4)
     assert len(maximal_stable_sets(g, limit=25)) == 1
 
 
@@ -177,31 +169,29 @@ def test_maximum_sets_appear_in_maximal_family(classes6):
 def test_expected_neighbourhood_weight_vertex():
     # for a uniform random maximum stable set S and every vertex v:
     # E(|S ∩ N(v)|) >= 2 - (omega(v)+1) Pr(v in S)
-    from superlocal import enumerate_graph_classes, omega_v
-
     for n in range(1, 8):
         for g in enumerate_graph_classes(n):
-            p = membership_probabilities(g)
+            p = bf_membership_probabilities(g)
+            om = g.omegas()
             for v in range(g.n):
                 lhs = sum(p[u] for u in g.neighbours(v))
-                assert lhs >= 2 - (omega_v(g, v) + 1) * p[v]
+                assert lhs >= 2 - (om[v] + 1) * p[v]
 
 
 def test_expected_neighbourhood_weight_edge():
     # edge version over N(u,v) = (N(u) ∪ N(v)) \ {u,v}
-    from superlocal import enumerate_graph_classes, omega_v
-
     for n in range(1, 8):
         for g in enumerate_graph_classes(n):
-            p = membership_probabilities(g) if g.n else {}
+            p = bf_membership_probabilities(g)
+            om = g.omegas()
             for u, v in g.edges:
                 nu, nv = set(g.neighbours(u)), set(g.neighbours(v))
                 joint = (nu | nv) - {u, v}
                 lhs = sum(p[x] for x in joint)
                 rhs = (
                     4
-                    - (omega_v(g, v) + 2) * p[v]
-                    - (omega_v(g, u) + 2) * p[u]
+                    - (om[v] + 2) * p[v]
+                    - (om[u] + 2) * p[u]
                     - sum(p[w] for w in nu & nv)
                 )
                 assert lhs >= rhs
