@@ -15,7 +15,6 @@ from .graphs import (
     format_multigraph,
     induced_subgraph,
     line_graph,
-    pair_index,
     parse_graph6,
     parse_multigraph,
     to_graph6,

@@ -81,12 +81,13 @@ def orbit_representatives(n):
     """Sorted least edge masks of the isomorphism classes of n-vertex graphs.
 
     Vertex-orderly generation (Read 1978, "Every one a winner"; McKay
-    1998, "Isomorph-free exhaustive generation"). Bit pair_index(u, v, n)
-    of a mask is edge uv, so vertex 0's edges are the n-1 lowest bits and
-    the bits above them are the mask of G - 0. If M is the least mask of
-    G's orbit and labels x as 0, then M >> (n-1) is the least mask of the
-    orbit of G - x: a smaller labelling of G - x would extend, with x at
-    0, to a smaller one of G. So every representative is (P << (n-1)) | S
+    1998, "Isomorph-free exhaustive generation"). Bit k of a mask is
+    the pair of lexicographic rank k (as in SimpleGraph.from_edge_mask),
+    so vertex 0's edges are the n-1 lowest bits and the bits above them
+    are the mask of G - 0. If M is the least mask of G's orbit and labels
+    x as 0, then M >> (n-1) is the least mask of the orbit of G - x: a
+    smaller labelling of G - x would extend, with x at 0, to a smaller
+    one of G. So every representative is (P << (n-1)) | S
     for an (n-1)-vertex representative P and some S < 2^(n-1), and such
     a candidate is kept when no relabelling gives a smaller mask.
     """

@@ -80,7 +80,9 @@ def _load_any(text):
     if not stripped:
         raise GraphFormatError("empty input")
     first = stripped.split("\n", 1)[0].strip()
-    if first.startswith("n ") or first == "n" or stripped.startswith("n "):
+    # the header's first token is "n" alone; a graph6 line may start with
+    # the byte n (47 vertices), but never with n and whitespace
+    if first.split(None, 1)[0] == "n":
         return parse_multigraph(text)
     return parse_graph6(first)
 

@@ -127,15 +127,9 @@ class SimpleGraph:
             seen |= nxt
         return seen == (1 << self.n) - 1
 
-    def edge_mask(self):
-        """Pack the edge set into an integer, bit index = lexicographic pair rank."""
-        mask = 0
-        for u, v in self.edges:
-            mask |= 1 << pair_index(u, v, self.n)
-        return mask
-
     @classmethod
     def from_edge_mask(cls, n, mask):
+        """The graph whose pair of lexicographic rank k is an edge iff bit k is set."""
         edges = []
         k = 0
         for u in range(n):
@@ -153,13 +147,6 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, m={self.edge_count})"
-
-
-def pair_index(u, v, n):
-    """Rank of pair (u,v), u < v, in lexicographic order over all pairs."""
-    if u > v:
-        u, v = v, u
-    return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
 class Multigraph:
@@ -212,21 +199,9 @@ class Multigraph:
     def degree(self, v):
         return len(self.incident(v))
 
-    def mu(self, u, v):
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise DomainError(f"vertex pair ({u},{v}) out of range")
-        return self._mu.get(_pair(u, v), 0)
-
     def multiplicities(self):
         """Read-only map from each support pair (u, v), u < v, to mu(uv)."""
         return MappingProxyType(self._mu)
-
-    def neighbours(self, v):
-        out = set()
-        for eid in self.incident(v):
-            a, b = self.edges[eid]
-            out.add(b if a == v else a)
-        return tuple(sorted(out))
 
     def support(self):
         """Underlying simple graph on the same vertex set."""
@@ -461,10 +436,7 @@ def parse_multigraph(text):
 
 def format_multigraph(mg):
     """Canonical listing: sorted pairs, one record per pair."""
-    mu = {}
-    for p in mg.edges:
-        mu[p] = mu.get(p, 0) + 1
     lines = [f"n {mg.n}"]
-    for (u, v), m in sorted(mu.items()):
+    for (u, v), m in sorted(mg.multiplicities().items()):
         lines.append(f"{u} {v} {m}")
     return "\n".join(lines) + "\n"

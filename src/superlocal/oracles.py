@@ -1,9 +1,10 @@
 """Exact ground-truth oracles.
 
 Chromatic number by saturation-ordered branch and bound, fractional
-chromatic number by a certified exact LP, stability number, and the
-complement-matching colouring for graphs with stability number at most
-two.
+chromatic number certified by a clique and a DSATUR colouring of the
+same size where they meet and by an exact LP otherwise, stability
+number, and the complement-matching colouring for graphs with stability
+number at most two.
 """
 
 from __future__ import annotations
@@ -14,10 +15,14 @@ from fractions import Fraction
 
 from . import _kernels
 from .errors import DomainError, InternalBugError, SizeLimitError
-from .graphs import complement_masks, max_clique_size
+from .graphs import complement_masks, mask_members, max_clique_size
 from .invariants import clique_number
 from .simplex import solve_simplex
-from .stable_sets import ENUMERATION_VERTEX_LIMIT, maximal_stable_sets
+from .stable_sets import (
+    ENUMERATION_VERTEX_LIMIT,
+    check_enumeration_size,
+    maximal_stable_sets,
+)
 
 CHROMATIC_VERTEX_LIMIT = 16
 MATCHING_VERTEX_LIMIT = 20
@@ -126,21 +131,80 @@ def stability_number(g, limit=ENUMERATION_VERTEX_LIMIT):
 @dataclass(frozen=True)
 class FractionalChromaticSolution:
     value: Fraction
-    weights: dict  # frozenset -> positive Fraction, a valid fractional colouring
+    # frozenset -> positive Fraction, a fractional colouring of total value:
+    # over stable sets, and over maximal ones on the LP route
+    weights: dict
     dual: tuple  # per-vertex fractional clique certifying optimality
 
 
-def fractional_chromatic_solution(g, vertex_limit=None):
-    """Certified optimum of the covering LP over maximal stable sets.
+def _clique_of_size(adj, cand, size):
+    """Members of a clique of the given size inside the mask cand, which
+    must hold one: the lowest candidate u stays while a clique of the
+    size still left fits in u and its neighbours within cand."""
+    members = []
+    while size and cand:
+        b = cand & -cand
+        u = b.bit_length() - 1
+        if 1 + max_clique_size(adj, cand & adj[u]) >= size:
+            members.append(u)
+            cand &= adj[u]
+            size -= 1
+        else:
+            cand ^= b
+    return members
 
-    The packing dual (maximise the sum of per-vertex values subject to
-    at most 1 on every stable set) is solved exactly; covering weights
-    come from the optimal tableau. Both feasibilities and equality of
-    the two objective values are re-checked before returning.
+
+def _integral_solution(g, omega, colours):
+    """chi_f = omega, certified by weight 1 on each of omega stable
+    colour classes and on each vertex of an omega-clique."""
+    adj = g.adj
+    # every vertex of a largest clique has omega(v) = omega
+    top = 0
+    for v, om in enumerate(g.omegas()):
+        if om == omega:
+            top |= 1 << v
+    clique = _clique_of_size(adj, top, omega)
+    cmask = sum(1 << u for u in set(clique))
+    if cmask.bit_count() != omega or any(cmask & ~adj[u] != 1 << u for u in clique):
+        raise InternalBugError("clique witness is not a clique of omega vertices")
+    classes = [0] * omega
+    for v, c in enumerate(colours):
+        if 0 <= c < omega:
+            classes[c] |= 1 << v
+    covered = 0
+    for cls in classes:
+        if any(adj[v] & cls for v in mask_members(cls)):
+            raise InternalBugError("colour class is not a stable set")
+        covered |= cls
+    if covered != (1 << g.n) - 1:
+        raise InternalBugError("colour classes fail to cover a vertex")
+    one, zero = Fraction(1), Fraction(0)
+    return FractionalChromaticSolution(
+        value=Fraction(omega),
+        weights={frozenset(mask_members(cls)): one for cls in classes},
+        dual=tuple(one if cmask >> v & 1 else zero for v in range(g.n)),
+    )
+
+
+def fractional_chromatic_solution(g, vertex_limit=None):
+    """Certified optimum of the covering LP over stable sets.
+
+    When the DSATUR colouring uses omega colours, its classes (weight 1
+    each) and a largest clique (weight 1 on each member) are primal and
+    dual solutions of value omega, so chi_f = omega with no enumeration.
+    Otherwise the packing dual over the maximal stable sets (maximise
+    the sum of per-vertex values subject to at most 1 on every set) is
+    solved exactly, and the covering weights come from the optimal
+    tableau. Either certificate is re-checked before returning.
     """
+    check_enumeration_size(g, vertex_limit)
     n = g.n
     if n == 0:
         return FractionalChromaticSolution(Fraction(0), {}, ())
+    omega = clique_number(g)
+    colours = _dsatur_greedy(g.adj, n)
+    if max(colours) + 1 == omega:
+        return _integral_solution(g, omega, colours)
     fam = maximal_stable_sets(g, limit=vertex_limit)
     if len(fam.sets) > LP_SET_LIMIT:
         raise SizeLimitError(

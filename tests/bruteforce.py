@@ -41,16 +41,25 @@ def bf_is_clique(g, members):
 
 
 def bf_maximal_stable_sets(g):
+    """Backtracking over every stable set, each vertex out or (when no
+    member is adjacent) in; a complete set is kept when every other
+    vertex has a neighbour in it."""
     out = []
-    for mask in range(1 << g.n):
-        members = _members(mask, g.n)
-        if not bf_is_stable(g, members):
-            continue
-        if any(
-            bf_is_stable(g, members + [w]) for w in range(g.n) if w not in members
-        ):
-            continue
-        out.append(frozenset(members))
+
+    def rec(v, members):
+        if v == g.n:
+            if all(
+                any(g.has_edge(w, u) for u in members)
+                for w in range(g.n)
+                if w not in members
+            ):
+                out.append(frozenset(members))
+            return
+        rec(v + 1, members)
+        if not any(g.has_edge(u, v) for u in members):
+            rec(v + 1, members + [v])
+
+    rec(0, [])
     return sorted(out, key=sorted)
 
 
@@ -321,11 +330,17 @@ def bf_chi_prime(mg):
     return k
 
 
+def _bf_mu(mg, u, v):
+    """Multiplicity of the pair uv, 0 off the support."""
+    return mg.multiplicities().get((min(u, v), max(u, v)), 0)
+
+
 def bf_t_value(mg, u, v):
     """max over common neighbours w of mu(uv) + mu(uw) + mu(vw); 0 without one."""
     return max(
-        (mg.mu(u, v) + mg.mu(u, w) + mg.mu(v, w)
-         for w in mg.neighbours(u) if w != v and mg.mu(v, w)),
+        (_bf_mu(mg, u, v) + _bf_mu(mg, u, w) + _bf_mu(mg, v, w)
+         for w in range(mg.n)
+         if w not in (u, v) and _bf_mu(mg, u, w) and _bf_mu(mg, v, w)),
         default=0,
     )
 
@@ -333,7 +348,7 @@ def bf_t_value(mg, u, v):
 def bf_nine_expressions(mg, u, v, w):
     """The nine candidate values for the edge pair (uv, vw) with midpoint v."""
     du, dv, dw = mg.degree(u), mg.degree(v), mg.degree(w)
-    mu_uv, mu_vw = mg.mu(u, v), mg.mu(v, w)
+    mu_uv, mu_vw = _bf_mu(mg, u, v), _bf_mu(mg, v, w)
     tuv, tvw = bf_t_value(mg, u, v), bf_t_value(mg, v, w)
     h = Fraction(1, 2)
     left = (du + h * (dv - mu_uv), dv + h * (du - mu_uv), h * (du + dv - mu_uv + tuv))
@@ -369,12 +384,18 @@ def bf_isomorphic(g, h):
     return False
 
 
+def bf_edge_mask(g):
+    """The edge set as an integer: bit k is the pair of lexicographic rank k,
+    the bit order of SimpleGraph.from_edge_mask, ranked by itertools."""
+    pairs = itertools.combinations(range(g.n), 2)
+    return sum(1 << k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v))
+
+
 def bf_perm_edge_maps(n):
     """Edge-index permutation table, one tuple per vertex permutation.
 
     Edge indices are ranks in lexicographic pair order, the bit order of
-    SimpleGraph.edge_mask, listed here by itertools rather than by the
-    package's pair_index.
+    bf_edge_mask, listed by itertools.
     """
     pairs = list(itertools.combinations(range(n), 2))
     rank = {pair: k for k, pair in enumerate(pairs)}

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -10,6 +11,7 @@ from superlocal import (
     enumerate_graph_classes,
     superlocal_fractional_colour,
 )
+from bruteforce import bf_maximal_stable_sets, bf_solve_simplex
 
 settings.register_profile(
     "det",
@@ -41,6 +43,36 @@ def connected7():
     for n in range(1, 8):
         out.extend(enumerate_graph_classes(n, connected_only=True))
     return out
+
+
+# the first six graphs of the sparse-check benchmark workload, drawn from
+# random.Random(20240815) with edge probability 1/4 at n = 18, 18, 19, 19,
+# 20, 20; their LPs have 45 to 90 rows, and each one pivots both with
+# piv == det (the sparse update) and with piv != det (the dense one)
+SPARSE_CHECK_GRAPH6 = (
+    "Q@GGj_p`?_???XG?eK[@CsqA?P?",
+    "Q`VA@AXWA@`?lGC_?KOO_gPGo??",
+    "RGP?@`_EWgG??P?a_IRAK@PG_PqA?_",
+    "RS\\TD_RH[??UQGACcAP_CcFO@c_CB_",
+    "So?G?@`OSPOB`??N@CS_GWL_DGQGDAODO",
+    "So@U@?a_??FBADCo_?WD?gGQOi_GE@o_O",
+)
+
+
+# a fixed 22-vertex graph of edge density about 1/4, with 163 maximal
+# stable sets and chi_f 4
+GRAPH22_GRAPH6 = "UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_"
+
+
+@functools.cache
+def reference_stable_set_lp(g):
+    """The covering LP of g over bf_maximal_stable_sets, as (rows, b, c),
+    and the reference simplex's (value, x, y) on it; kept per graph, since
+    the simplex and the oracle tests both solve the largest ones, so its
+    callers only read the result."""
+    rows = [[int(v in s) for v in range(g.n)] for s in bf_maximal_stable_sets(g)]
+    lp = (rows, [1] * len(rows), [1] * g.n)
+    return lp, bf_solve_simplex(*lp)
 
 
 def graph_from_pairs(n, pairs):

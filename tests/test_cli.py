@@ -66,6 +66,23 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["n"] == 5
 
+    def test_multigraph_header_with_a_tab(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("n\t3\n0 1 2\n"))
+        code, out, _ = run(capsys, "bounds", "-")
+        assert code == 0
+        d = json.loads(out)
+        assert (d["kind"], d["n"], d["m"]) == ("multigraph", 3, 2)
+
+    def test_graph6_line_starting_with_n(self, capsys, monkeypatch):
+        # byte n is the graph6 size of a 47-vertex graph
+        text = to_graph6(cycle(47))
+        assert text[0] == "n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        code, out, _ = run(capsys, "bounds", "-")
+        assert code == 0
+        d = json.loads(out)
+        assert (d["kind"], d["n"], d["m"]) == ("simple", 47, 47)
+
     def test_out_file(self, capsys, c5_file, tmp_path):
         target = tmp_path / "bounds.json"
         code, out, _ = run(capsys, "bounds", c5_file, "--out", str(target))

@@ -57,6 +57,39 @@ def test_every_export_has_a_caller_in_the_package():
     assert unused == []
 
 
+# the graph carriers, whose methods the export list does not name
+CARRIERS = ("SimpleGraph", "Multigraph")
+
+
+def attributes_read(trees, skip):
+    """Attribute names read in the package's modules outside the node skip."""
+    out = set()
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_carrier_method_has_a_caller_in_the_package():
+    # read by name, so a method shares its caller with any other
+    # attribute of that name
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    unread = [
+        f"{cls.name}.{member.name}"
+        for cls in trees["graphs.py"].body
+        if isinstance(cls, ast.ClassDef) and cls.name in CARRIERS
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+        if member.name not in attributes_read(trees.values(), member)
+    ]
+    assert unread == []
+
+
 def test_readme_library_block_runs():
     text = README.read_text()
     section = text[text.index("\n## Library\n"):]

@@ -17,17 +17,26 @@ from superlocal import (
     clique_number,
     fractional_chromatic_number,
     fractional_chromatic_solution,
+    parse_graph6,
     stability_number,
     verify_vertex_colouring,
 )
-from superlocal import _kernels
+from superlocal import _kernels, oracles
 from bruteforce import (
     bf_chromatic_number,
     bf_is_stable,
     bf_matching_number,
     bf_stability_number,
 )
-from conftest import complete, cycle, path, petersen
+from conftest import (
+    GRAPH22_GRAPH6,
+    SPARSE_CHECK_GRAPH6,
+    complete,
+    cycle,
+    path,
+    petersen,
+    reference_stable_set_lp,
+)
 
 F = Fraction
 
@@ -120,12 +129,68 @@ class TestFractionalChromatic:
             assert clique_number(g) <= chi_f <= chromatic_number(g)[0]
 
     def test_set_limit(self):
-        # eight disjoint triangles: 24 vertices and 3^8 = 6561 maximal stable sets
+        # six disjoint triangles and the wheel W5: 24 vertices, omega 3 and
+        # DSATUR 4, so the LP is reached, over 3^6 * 6 = 4374 maximal stable sets
+        triangles = [(t + a, t + b) for t in range(0, 18, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
+        wheel = [(18 + i, 18 + (i + 1) % 5) for i in range(5)] + [(18 + i, 23) for i in range(5)]
+        g = SimpleGraph(24, triangles + wheel)
+        with pytest.raises(SizeLimitError, match="LP over 4374 stable sets"):
+            fractional_chromatic_solution(g)
+
+    def test_integral_route_passes_the_set_limit(self):
+        # eight disjoint triangles: 3^8 = 6561 maximal stable sets, but
+        # three colour classes and a triangle settle chi_f = 3 without them
         g = SimpleGraph(
             24, [(t + a, t + b) for t in range(0, 24, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
         )
-        with pytest.raises(SizeLimitError, match="LP over 6561 stable sets"):
-            fractional_chromatic_solution(g)
+        assert fractional_chromatic_number(g) == 3
+
+    def test_both_routes_match_the_reference_lp(self, classes6, monkeypatch):
+        # chi_f against the reference simplex over the brute-force maximal
+        # stable sets, with each certificate re-checked against those sets
+        real = oracles.solve_simplex
+        lp_calls = []
+
+        def counted(a, b, c):
+            lp_calls.append(len(a))
+            return real(a, b, c)
+
+        monkeypatch.setattr(oracles, "solve_simplex", counted)
+        larger = [parse_graph6(code) for code in (*SPARSE_CHECK_GRAPH6, GRAPH22_GRAPH6)]
+        routes = {"lp": 0, "integral": 0}
+        for g in [g for g in classes6 if g.n] + larger:
+            before = len(lp_calls)
+            sol = fractional_chromatic_solution(g)
+            routes["lp" if len(lp_calls) > before else "integral"] += 1
+            (rows, _, _), (value, _, _) = reference_stable_set_lp(g)
+            assert sol.value == value
+            cover = [F(0)] * g.n
+            for s, w in sol.weights.items():
+                assert w > 0 and bf_is_stable(g, sorted(s))
+                for v in s:
+                    cover[v] += w
+            assert min(cover) >= 1 and sum(sol.weights.values()) == value
+            assert min(sol.dual) >= 0 and sum(sol.dual) == value
+            for row in rows:
+                assert sum(y for y, bit in zip(sol.dual, row) if bit) <= 1
+        assert routes["lp"] > 0 and routes["integral"] > 0
+        assert len(lp_calls) == routes["lp"]
+
+    @pytest.mark.parametrize(
+        "target, fake, message",
+        [
+            ("_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a stable set"),
+            ("_dsatur_greedy", lambda adj, n: [0, 1, -1], "fail to cover a vertex"),
+            ("_clique_of_size", lambda adj, cand, size: [0, 2], "not a clique"),
+            ("_clique_of_size", lambda adj, cand, size: [1], "not a clique"),
+        ],
+        ids=["improper-colouring", "uncovered", "non-clique", "small-clique"],
+    )
+    def test_corrupted_integral_certificate_raises(self, monkeypatch, target, fake, message):
+        # P3 has omega 2, so a two-colouring and an edge certify chi_f = 2
+        monkeypatch.setattr(oracles, target, fake)
+        with pytest.raises(InternalBugError, match=message):
+            fractional_chromatic_solution(path(3))
 
 
 H = F(1, 2)
@@ -157,17 +222,25 @@ class TestCertificateRejections:
             fractional_chromatic_solution(cycle(5))
 
     def test_mixed_denominators_accepted(self, monkeypatch):
-        # P4 has sets {0,2}, {0,3}, {1,3} and many optimal fractional
-        # cliques; this one mixes halves and thirds
-        y = [H, F(2, 3), H, F(1, 3)]
-        w = [F(1), F(0), F(1)]
-        monkeypatch.setattr(
-            "superlocal.oracles.solve_simplex", lambda a, b, c: (F(2), y, w)
-        )
-        sol = fractional_chromatic_solution(path(4))
-        assert sol.value == 2
+        # C5 (0..4) beside the edge 56 has omega 2 and chi 3, so it reaches
+        # the LP; its sets pair each of C5's five with 5 or with 6. The
+        # clique is 1/2 on C5, and this colouring splits C5's halves
+        # between 5 and 6 in halves, thirds and sixths
+        g = SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+        y = [H] * 5 + [F(0)] * 2
+        w = [H, 0, H, 0, F(1, 6), F(1, 3), 0, H, 0, H]
+        monkeypatch.setattr(oracles, "solve_simplex", lambda a, b, c: (F(5, 2), y, w))
+        sol = fractional_chromatic_solution(g)
+        assert sol.value == F(5, 2)
         assert sol.dual == tuple(y)
-        assert sol.weights == {frozenset({0, 2}): 1, frozenset({1, 3}): 1}
+        assert sol.weights == {
+            frozenset({0, 2, 5}): H,
+            frozenset({0, 3, 5}): H,
+            frozenset({1, 3, 5}): F(1, 6),
+            frozenset({1, 3, 6}): F(1, 3),
+            frozenset({1, 4, 6}): H,
+            frozenset({2, 4, 6}): H,
+        }
 
 
 class TestComplementMatching:

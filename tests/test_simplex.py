@@ -13,6 +13,7 @@ from superlocal import (
 )
 from superlocal.simplex import solve_simplex
 from bruteforce import bf_solve_simplex
+from conftest import GRAPH22_GRAPH6, SPARSE_CHECK_GRAPH6, reference_stable_set_lp
 
 F = Fraction
 
@@ -135,37 +136,21 @@ def test_matches_reference_on_stable_set_lps():
             assert solve_simplex(a, b, c) == bf_solve_simplex(a, b, c)
 
 
-# the first six graphs of the sparse-check benchmark workload, drawn from
-# random.Random(20240815) with edge probability 1/4 at n = 18, 18, 19, 19,
-# 20, 20; their LPs have 45 to 90 rows, and each one pivots both with
-# piv == det (the sparse update) and with piv != det (the dense one)
-SPARSE_CHECK_GRAPH6 = (
-    "Q@GGj_p`?_???XG?eK[@CsqA?P?",
-    "Q`VA@AXWA@`?lGC_?KOO_gPGo??",
-    "RGP?@`_EWgG??P?a_IRAK@PG_PqA?_",
-    "RS\\TD_RH[??UQGACcAP_CcFO@c_CB_",
-    "So?G?@`OSPOB`??N@CS_GWL_DGQGDAODO",
-    "So@U@?a_??FBADCo_?WD?gGQOi_GE@o_O",
-)
-
-
 @pytest.mark.parametrize("code", SPARSE_CHECK_GRAPH6)
 def test_matches_reference_on_benchmark_lps(code):
     g = parse_graph6(code)
-    a, b, c = _stable_set_lp(g)
-    assert 45 <= len(a) <= 90
-    assert solve_simplex(a, b, c) == bf_solve_simplex(a, b, c)
+    lp, reference = reference_stable_set_lp(g)
+    assert _stable_set_lp(g) == lp
+    assert 45 <= len(lp[0]) <= 90
+    assert solve_simplex(*lp) == reference
 
 
 def test_stable_set_lp_at_scale():
-    # a fixed 22-vertex graph of edge density about 1/4
-    g = parse_graph6("UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_")
+    # the covering LP of a 22-vertex graph, whose chi_f itself needs no LP
+    g = parse_graph6(GRAPH22_GRAPH6)
     assert g.n == 22
-    assert len(maximal_stable_sets(g).sets) == 163
-    sol = fractional_chromatic_solution(g)
-    assert sol.value == 4
-    assert sum(sol.weights.values()) == sol.value
-    for v in range(g.n):
-        assert sum(w for s, w in sol.weights.items() if v in s) >= 1
-    assert len(sol.dual) == g.n
-    assert sum(sol.dual) == sol.value
+    lp, reference = reference_stable_set_lp(g)
+    assert _stable_set_lp(g) == lp
+    assert len(lp[0]) == 163
+    assert solve_simplex(*lp) == reference
+    assert reference[0] == fractional_chromatic_solution(g).value == 4
