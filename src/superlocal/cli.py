@@ -74,6 +74,14 @@ def _read_text(path):
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path, text):
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
 def _load_any(text):
     """Multigraph text when the first record is a header, graph6 otherwise."""
     stripped = text.strip()
@@ -291,8 +299,11 @@ def _parse_params(spec):
         if "=" not in item:
             raise DomainError(f"parameter {item!r} is not key=value")
         key, value = item.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise DomainError(f"parameter {key!r} given twice")
         try:
-            out[key.strip()] = Fraction(value.strip()) if "/" in value else int(value)
+            out[key] = Fraction(value.strip()) if "/" in value else int(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"parameter {item!r}: {exc}") from None
     return out
@@ -322,7 +333,10 @@ def cmd_search(args):
         space = random_corpus(args.corpus, args.seed, args.count, **params)
     summary = search_counterexamples(space, flags=flags)
     if args.out:
-        write_reports(summary.reports, args.out + ".jsonl", args.out + ".csv")
+        try:
+            write_reports(summary.reports, args.out + ".jsonl", args.out + ".csv")
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.out}: {exc}") from exc
     return _render(summary_to_dict(summary), args.format)
 
 
@@ -349,8 +363,8 @@ def _parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, fmt_default="json", fmts=("json", "plain"), limit_n=False):
-        p.add_argument("--format", choices=fmts, default=fmt_default)
+    def add_common(p, fmt_default="json", limit_n=False):
+        p.add_argument("--format", choices=("json", "plain"), default=fmt_default)
         p.add_argument("--out", default=None, help="write output to a file")
         if limit_n:
             p.add_argument("--limit-n", type=int, default=None, dest="limit_n",
@@ -421,6 +435,11 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         text = args.func(args)
+        out_path = getattr(args, "out", None)
+        if out_path and args.func is not cmd_search:
+            _write_text(out_path, text)
+        else:
+            sys.stdout.write(text)
     except (GraphFormatError, DomainError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -430,12 +449,6 @@ def main(argv=None):
     except InternalBugError as exc:
         print(f"bug signal: {exc}", file=sys.stderr)
         return 3
-    out_path = getattr(args, "out", None)
-    if out_path and args.func is not cmd_search:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -42,7 +42,7 @@ class PartialEdgeColouring:
     every vertex from the assignment once and compares all three views.
     """
 
-    def __init__(self, mg, k, assignment=None):
+    def __init__(self, mg, k):
         if k < 0:
             raise DomainError("colour count must be nonnegative")
         self.mg = mg
@@ -53,17 +53,6 @@ class PartialEdgeColouring:
         self._present = [0] * mg.n
         self._count = [0] * mg.n
         self.stats = {}
-        if assignment:
-            for eid in sorted(assignment):
-                self.assign(eid, assignment[eid])
-
-    def copy(self):
-        c = PartialEdgeColouring(self.mg, self.k)
-        c._col = dict(self._col)
-        c._at = [dict(d) for d in self._at]
-        c._present = list(self._present)
-        c._count = list(self._count)
-        return c
 
     @property
     def assignment(self):
@@ -72,12 +61,6 @@ class PartialEdgeColouring:
     def colour_of(self, eid):
         self.mg.endpoints(eid)
         return self._col.get(eid)
-
-    def present(self, w):
-        return set(_bits(self._present[w]))
-
-    def missing(self, w):
-        return set(_bits(self.missing_mask(w)))
 
     def missing_mask(self, w):
         """Bit c set for each colour c in 1..k that is not at w."""
@@ -247,7 +230,7 @@ def build_maximal_fan(mg, c, e, hinge):
 
 
 def rotate_fan(c, fan, j):
-    """Move the uncoloured slot to the hinge edge of fan vertex j (1-based).
+    """Move the uncoloured slot to the hinge edge of fan vertex j (1-based), in c.
 
     Walks the witness chain from j back to the uncoloured edge; each
     hinge edge on the chain takes the witness colour of its successor.
@@ -255,27 +238,25 @@ def rotate_fan(c, fan, j):
     """
     if not 1 <= j <= len(fan.vertices):
         raise DomainError(f"rotation index {j} outside 1..{len(fan.vertices)}")
-    cc = c.copy()
     if j == 1:
-        return cc
+        return
     chain = [j - 1]
     while chain[-1] != 0:
         w = fan.witnesses[chain[-1]]
         if w is None:
             raise InternalBugError("witness chain broken: missing witness")
         chain.append(w[0])
-    if cc.colour_of(fan.edges[chain[0]]) != fan.witnesses[chain[0]][1]:
+    if c.colour_of(fan.edges[chain[0]]) != fan.witnesses[chain[0]][1]:
         raise InternalBugError("witness chain broken: stale witness colour")
-    cc.unassign(fan.edges[chain[0]])
+    c.unassign(fan.edges[chain[0]])
     for m in range(len(chain) - 1):
         src, dst = chain[m], chain[m + 1]
         colour = fan.witnesses[src][1]
         if dst != 0:
-            if cc.colour_of(fan.edges[dst]) != fan.witnesses[dst][1]:
+            if c.colour_of(fan.edges[dst]) != fan.witnesses[dst][1]:
                 raise InternalBugError("witness chain broken: stale witness colour")
-            cc.unassign(fan.edges[dst])
-        _assign_or_bug(cc, fan.edges[dst], colour, "witness chain broken")
-    return cc
+            c.unassign(fan.edges[dst])
+        _assign_or_bug(c, fan.edges[dst], colour, "witness chain broken")
 
 
 def _walk_chain(c, a, b, start):
@@ -303,7 +284,10 @@ def _walk_chain(c, a, b, start):
 
 
 def kempe_swap(c, a, b, start):
-    """Exchange colours a and b along the alternating path from start."""
+    """Exchange colours a and b along the alternating path from start, in c.
+
+    A start that misses both colours has an empty path, and c stays as it is.
+    """
     if a == b:
         raise DomainError("swap needs two distinct colours")
     for colour in (a, b):
@@ -314,16 +298,12 @@ def kempe_swap(c, a, b, start):
     miss = c.missing_mask(start)
     if not miss >> a & 1 and not miss >> b & 1:
         raise DomainError(f"vertex {start} misses neither colour {a} nor {b}")
-    cc = c.copy()
-    if miss >> a & 1 and miss >> b & 1:
-        return cc  # empty chain
     _, edges = _walk_chain(c, a, b, start)
+    swapped = [(eid, b if c.colour_of(eid) == a else a) for eid in edges]
     for eid in edges:
-        cc.unassign(eid)
-    for eid in edges:
-        old = c.colour_of(eid)
-        _assign_or_bug(cc, eid, b if old == a else a, "alternating swap collided")
-    return cc
+        c.unassign(eid)
+    for eid, colour in swapped:
+        _assign_or_bug(c, eid, colour, "alternating swap collided")
 
 
 def _fresh_stats():
@@ -337,7 +317,7 @@ def _fresh_stats():
 
 
 def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
-    """Colour the hole edge, possibly moving it first; returns the colouring.
+    """Colour the hole edge in cur, possibly moving it first.
 
     Dispatch per state: direct colouring, fan rotation on a
     hinge/fan-vertex coincidence, alternating swap on a fan/fan
@@ -359,7 +339,7 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
         if colour is not None:
             _assign_or_bug(cur, hole, colour, "direct colouring collided")
             stats["direct"] += 1
-            return cur
+            return
 
         if seq is not None:
             hinge = seq["hinge"]
@@ -380,10 +360,10 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
         for j in range(2, ell + 1):
             inter = hinge_missing & cur.missing_mask(fan.vertices[j - 1])
             if inter:
-                cur = rotate_fan(cur, fan, j)
+                rotate_fan(cur, fan, j)
                 _assign_or_bug(cur, fan.edges[j - 1], _lowest(inter), "rotation target collided")
                 stats["rotation"] += 1
-                return cur
+                return
 
         swap_pair = None
         for i in range(1, ell + 1):
@@ -400,7 +380,7 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
             a = _lowest(hinge_missing)
             chain_i, _ = _walk_chain(cur, a, gamma, vi)
             if hinge not in chain_i:
-                cur = kempe_swap(cur, a, gamma, vi)
+                kempe_swap(cur, a, gamma, vi)
             else:
                 chain_j, _ = _walk_chain(cur, a, gamma, vj)
                 if hinge in chain_j:
@@ -408,7 +388,7 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
                         "both alternating chains reached the hinge; "
                         "chains of one colour pair must be vertex-disjoint"
                     )
-                cur = kempe_swap(cur, a, gamma, vj)
+                kempe_swap(cur, a, gamma, vj)
             stats["kempe"] += 1
             seq = None  # colours changed under the sequence's assumptions
             continue
@@ -442,12 +422,10 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
                 "the forced colour's hinge edge must end at the second fan vertex"
             )
 
-        if seq["prev"] is not None:
-            done = _try_beta_swap(
-                mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, stats
-            )
-            if done is not None:
-                return done
+        if seq["prev"] is not None and _try_beta_swap(
+            mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, stats
+        ):
+            return
 
         cur.unassign(eid_alpha)
         _assign_or_bug(cur, hole, alpha, "fan sequence transition collided")
@@ -462,12 +440,12 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
     """Resolve by rolling back one transition and swapping a parallel edge.
 
     Needs a colour beta missing at the step-before vertex and at the
-    vertex ahead, sitting on an edge parallel to the hole. Returns the
-    finished colouring or None.
+    vertex ahead, sitting on an edge parallel to the hole. Returns
+    whether it finished the colouring.
     """
     prev_hole, prev_alpha, prev_v = seq["prev"]
     if v_next == prev_v:
-        return None  # the swap ahead would collide with the colouring behind
+        return False  # the swap ahead would collide with the colouring behind
     for beta in _bits(cur.missing_mask(prev_v)):
         if beta == alpha:
             continue
@@ -486,14 +464,14 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
         _assign_or_bug(cur, eid_alpha, beta, "parallel swap collided")
         _assign_or_bug(cur, prev_hole, beta, "freed colour collided")
         stats["beta_swaps"] += 1
-        return cur
-    return None
+        return True
+    return False
 
 
 def fan_sequence_resolve(mg, c0, f0):
-    """Run the insertion loop from a size-2 all-disjoint maximal fan.
+    """Run the insertion loop in c0 from a size-2 all-disjoint maximal fan.
 
-    Returns the colouring; its stats count the resolution cases that fired.
+    Afterwards c0.stats counts the resolution cases that fired.
     """
     if len(f0.vertices) != 2:
         raise DomainError(f"fan sequence needs a fan of size 2, got {len(f0.vertices)}")
@@ -508,35 +486,26 @@ def fan_sequence_resolve(mg, c0, f0):
                 raise DomainError(
                     "fan sequence needs pairwise disjoint missing sets"
                 )
-    cur = c0.copy()
     stats = _fresh_stats()
-    cur = _resolve_hole(mg, cur, f0.edge, stats, forced_hinge=f0.hinge)
-    cur.validate()
-    cur.stats = stats
-    return cur
+    _resolve_hole(mg, c0, f0.edge, stats, forced_hinge=f0.hinge)
+    c0.validate()
+    c0.stats = stats
 
 
-def edge_colour(mg, insertion_order=None):
+def edge_colour(mg):
     """Colour every edge with k equal to the nine-expression bound.
 
-    Edges are inserted in listing order unless an explicit permutation
-    of edge ids is given. Returns (k, colouring); colouring.stats counts
-    how often each resolution case fired.
+    Edges are inserted in listing order. Returns (k, colouring);
+    colouring.stats counts how often each resolution case fired.
     """
     m = mg.edge_count
     if m == 0:
         raise DomainError("nothing to colour: the multigraph has no edges")
-    if insertion_order is None:
-        order = list(range(m))
-    else:
-        order = list(insertion_order)
-        if sorted(order) != list(range(m)):
-            raise DomainError("insertion order must be a permutation of all edge ids")
     k = gamma_bar_ll(mg)
     cur = PartialEdgeColouring(mg, k)
     stats = _fresh_stats()
-    for eid in order:
-        cur = _resolve_hole(mg, cur, eid, stats)
+    for eid in range(m):
+        _resolve_hole(mg, cur, eid, stats)
     if not cur.is_complete():
         raise InternalBugError(f"edges left uncoloured: {cur.uncoloured()}")
     cur.validate()

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalBugError
+from .errors import InternalBugError
 from .invariants import gamma_ll_prime
 from .stable_sets import check_enumeration_size, maximum_stable_sets
 
@@ -45,20 +45,17 @@ class ColouringVerdict:
     violations: tuple
 
 
-def superlocal_fractional_colour(g, bound=None):
+def superlocal_fractional_colour(g):
     """Returns (FractionalColouring, IterationTrace) without verifying them.
 
-    bound defaults to the graph's superlocal value and must not be
-    below it. Only an overfilled vertex is caught here; callers run
+    The budget, trace.bound, is the graph's superlocal value. Only an
+    overfilled vertex is caught here; callers run
     verify_fractional_colouring, and an invalid weighting is a bug
     signal, not an input error. A graph above the stable-set
-    enumeration limit is refused before the target is computed.
+    enumeration limit is refused before the bound is computed.
     """
     check_enumeration_size(g)
-    target = gamma_ll_prime(g)
-    bound = target if bound is None else Fraction(bound)
-    if bound < target:
-        raise DomainError(f"bound {bound} is below the superlocal value {target}")
+    bound = gamma_ll_prime(g)
 
     # vertex v still lacks coverage num[v] / den[v] (reduced), 1 - wo(v)
     num = [1] * g.n

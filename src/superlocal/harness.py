@@ -15,7 +15,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _kernels
@@ -371,18 +371,21 @@ def check_multigraph(mg, flags=None):
     )
 
 
-def chi_prime_bruteforce(mg, cap=CHI_PRIME_STEP_CAP):
-    """Exact chromatic index by backtracking feasibility per colour count."""
+def chi_prime_bruteforce(mg):
+    """Exact chromatic index by backtracking feasibility per colour count.
+
+    Each count's search stops after CHI_PRIME_STEP_CAP steps.
+    """
     m = mg.edge_count
     if m == 0:
         return 0
     eu, ev = zip(*mg.edges)
     delta = max(mg.degree(v) for v in range(mg.n))
     for k in range(delta, delta + m + 1):
-        res = _kernels.edge_colouring_feasible(eu, ev, k, mg.n, cap)
+        res = _kernels.edge_colouring_feasible(eu, ev, k, mg.n, CHI_PRIME_STEP_CAP)
         if res == -1:
             raise SizeLimitError(
-                f"edge-colouring search exceeded {cap} steps at k={k}"
+                f"edge-colouring search exceeded {CHI_PRIME_STEP_CAP} steps at k={k}"
             )
         if res == 1:
             return k
@@ -427,7 +430,7 @@ def _random_simple(rng, n_max, p):
 
 
 def _random_multigraph(rng, n_max, p, mu_max, max_edges):
-    n = rng.randint(2, max(2, n_max))
+    n = rng.randint(2, n_max)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -504,6 +507,8 @@ def random_corpus(kind, seed, count, **params):
             cfg[key] = int(cfg[key])
             if cfg[key] < 1:
                 raise DomainError(f"corpus needs {key} >= 1")
+    if kind == "multigraph" and cfg["n"] < 2:
+        raise DomainError(f"multigraph corpus needs n >= 2, got {cfg['n']}")
     if "p" in cfg:
         cfg["p"] = Fraction(cfg["p"])
         if not 0 <= cfg["p"] <= 1:
@@ -646,15 +651,13 @@ def _finding_values(claim, report):
     return tuple(sorted(pairs))
 
 
-def search_counterexamples(space, claims=None, flags=None):
+def search_counterexamples(space, flags=None):
     """Stream check_graph / check_multigraph over a graph collection.
 
     A violated hard claim aborts immediately; a violated open claim is
     re-verified by brute force and recorded as a finding.
     """
     base = flags or CheckFlags()
-    if claims is not None:
-        base = replace(base, claims=tuple(claims))
     for claim in base.claims:
         if claim not in SIMPLE_CLAIMS + MULTI_CLAIMS:
             raise DomainError(f"unknown claim {claim!r}")

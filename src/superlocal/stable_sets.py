@@ -1,9 +1,9 @@
 """Stable set enumeration.
 
 Maximal stable sets come from Bron-Kerbosch with pivoting over vertex
-bitmasks, as the cliques of the complement, optionally within a vertex
-mask. Maximum stable sets come from their own branch and bound on the
-complement, pruned at the best size found so far, so no smaller
+bitmasks, as the cliques of the complement. Maximum stable sets come
+from their own branch and bound on the complement, optionally within a
+vertex mask, pruned at the best size found so far, so no smaller
 maximal set is ever listed. Guarded at 24 vertices.
 """
 
@@ -20,14 +20,7 @@ ENUMERATION_VERTEX_LIMIT = 24
 @dataclass(frozen=True)
 class StableSetFamily:
     sets: tuple  # frozensets of vertex ids, sorted for determinism
-    kind: str  # "maximal" or "maximum"
     masks: tuple  # the same sets as vertex bitmasks, in the same order
-
-    def __iter__(self):
-        return iter(self.sets)
-
-    def __len__(self):
-        return len(self.sets)
 
 
 def _bron_kerbosch(adj, start):
@@ -107,28 +100,25 @@ def check_enumeration_size(g, limit=None):
         )
 
 
-def _complement_within(g, limit, within):
-    """Complement adjacency masks and the start mask (default: every vertex)."""
+def maximal_stable_sets(g, limit=None):
+    """Maximal stable sets of g, in g's ids."""
     check_enumeration_size(g, limit)
-    full = (1 << g.n) - 1
-    if within is not None and within & ~full:
-        raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
-    return complement_masks(g), full if within is None else within
-
-
-def maximal_stable_sets(g, limit=None, within=None):
-    """Maximal stable sets of g inside the vertex mask within (default: all), in g's ids."""
-    masks = _bron_kerbosch(*_complement_within(g, limit, within))
+    masks = _bron_kerbosch(complement_masks(g), (1 << g.n) - 1)
     order = sorted((mask_members(m), m) for m in masks)
     return StableSetFamily(
         sets=tuple(frozenset(ms) for ms, _ in order),
-        kind="maximal",
         masks=tuple(m for _, m in order),
     )
 
 
-def maximum_stable_sets(g, limit=None, within=None):
+def maximum_stable_sets(g, within=None):
     """Maximum stable sets of g inside the vertex mask within (default: all), in g's ids."""
-    masks = tuple(_maximum_sets(*_complement_within(g, limit, within)))
+    check_enumeration_size(g)
+    full = (1 << g.n) - 1
+    if within is None:
+        within = full
+    elif within & ~full:
+        raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
+    masks = tuple(_maximum_sets(complement_masks(g), within))
     sets = tuple(frozenset(mask_members(m)) for m in masks)
-    return StableSetFamily(sets=sets, kind="maximum", masks=masks)
+    return StableSetFamily(sets=sets, masks=masks)

@@ -4,12 +4,15 @@
 
 Random multigraphs on 3..6 vertices with 3..9 edges feed two searches:
 
-* edge_colour under a random insertion order: for each of the rotation,
+* edge_colour on the multigraph with its edges listed in a random order
+  (edge_colour inserts them in listing order): for each of the rotation,
   Kempe-swap and fan-sequence branches, the input with the fewest edges
   (then vertices) that fires it;
 * a random maximal partial colouring at k = gamma_bar_ll: the smallest
   state with a hole whose maximal fan has size 2 and pairwise disjoint
-  missing sets, which is the input of fan_sequence_resolve.
+  missing sets, which is the input of fan_sequence_resolve. This
+  partial-state search is how fan_sequence_resolve is reached directly,
+  and where a state for the beta-swap would be looked for.
 
 Each result prints as a Python literal with the stats it produced;
 TestRareBranches in test_edge_colour.py keeps them as fixtures. The
@@ -51,7 +54,9 @@ def random_maximal_partial(mg, k, rng):
     order = list(range(mg.edge_count))
     rng.shuffle(order)
     for eid in order:
-        free = sorted(set.intersection(*(c.missing(w) for w in mg.endpoints(eid))))
+        u, v = mg.endpoints(eid)
+        both = c.missing_mask(u) & c.missing_mask(v)
+        free = [colour for colour in range(1, k + 1) if both >> colour & 1]
         if free:
             c.assign(eid, rng.choice(free))
     return c
@@ -63,7 +68,7 @@ def sequence_hole(mg, c):
         fan = build_maximal_fan(mg, c, hole, min(mg.endpoints(hole)))
         if len(fan.vertices) != 2:
             continue
-        sets = [c.missing(fan.hinge)] + [c.missing(w) for w in fan.vertices]
+        sets = [c.missing_mask(fan.hinge)] + [c.missing_mask(w) for w in fan.vertices]
         if not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]):
             return hole, fan
     return None
@@ -80,18 +85,20 @@ def search(seed, trials):
         mg = Multigraph(n, edges)
         order = list(range(mg.edge_count))
         rng.shuffle(order)
-        _, col = edge_colour(mg, insertion_order=order)
+        listed = [edges[i] for i in order]
+        _, col = edge_colour(Multigraph(n, listed))
         for case in CASES:
             if col.stats[case] and (case not in best or key < best[case][0]):
-                best[case] = (key, {"n": n, "edges": edges, "order": order, "stats": col.stats})
+                best[case] = (key, {"n": n, "edges": listed, "stats": col.stats})
         c = random_maximal_partial(mg, gamma_bar_ll(mg), rng)
         found = sequence_hole(mg, c)
         if found and ("fan_sequence_resolve" not in best or key < best["fan_sequence_resolve"][0]):
             hole, fan = found
-            done = fan_sequence_resolve(mg, c, fan)
+            start = c.assignment
+            fan_sequence_resolve(mg, c, fan)
             best["fan_sequence_resolve"] = (
                 key,
-                {"n": n, "edges": edges, "assignment": c.assignment, "hole": hole, "stats": done.stats},
+                {"n": n, "edges": edges, "assignment": start, "hole": hole, "stats": c.stats},
             )
     return {case: found for case, (_, found) in sorted(best.items())}
 

@@ -180,7 +180,7 @@ def bf_gamma_ll_prime(g):
 
 
 def bf_superlocal_fractional_colour(g):
-    """Reference for superlocal_fractional_colour at the default bound.
+    """Reference for superlocal_fractional_colour.
 
     Each round rebuilds the surviving graph with induced_subgraph, lists
     its maximum stable sets by brute force in sorted order, and maps

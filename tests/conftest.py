@@ -114,9 +114,9 @@ def pendant_clique(k):
     return SimpleGraph(nxt, edges)
 
 
-def corrupted_fractional_colour(g, bound=None):
+def corrupted_fractional_colour(g):
     """The construction's result with its first stable set dropped."""
-    fc, trace = superlocal_fractional_colour(g, bound)
+    fc, trace = superlocal_fractional_colour(g)
     weights = dict(fc.weights)
     del weights[next(iter(weights))]
     return FractionalColouring(weights=weights, total=fc.total), trace

@@ -189,7 +189,7 @@ def test_criterion_8_conjecture_suites(connected7, circular_corpus,
         (co_triangle_corpus, False),
     ):
         summary = search_counterexamples(
-            space, claims=claims, flags=CheckFlags(circular_interval=circular)
+            space, CheckFlags(claims=claims, circular_interval=circular)
         )
         assert summary.findings == ()
         for claim in claims:

@@ -514,6 +514,9 @@ class TestGen:
             ("gen", "simple", "n=3/2", "n must be an integer"),
             ("gen", "simple", "p=2", "outside [0,1]"),
             ("search", "multigraph", "p=-1/2", "outside [0,1]"),
+            ("gen", "simple", "n=3,n=4", "'n' given twice"),
+            ("search", "multigraph", "n=4, n=4", "'n' given twice"),
+            ("gen", "multigraph", "n=1", "n >= 2"),
         ]
         for command, corpus, params, message in cases:
             for count in ("0", "1"):
@@ -536,6 +539,21 @@ class TestExitCodes:
         p.write_text("Dhcc\n", encoding="ascii")
         code, _, err = run(capsys, "bounds", str(p))
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--n", "4"],
+        ["gen", "--n", "3"],
+        ["frac", "c5"],
+    ])
+    def test_out_into_missing_directory(self, capsys, c5_file, tmp_path, argv):
+        argv = [c5_file if arg == "c5" else arg for arg in argv]
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in err
+        assert not target.parent.exists()
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -19,6 +19,7 @@ from superlocal import (
     random_corpus,
     rotate_fan,
 )
+from superlocal.edge_colour import _fresh_stats, _resolve_hole
 import branch_search
 from bruteforce import bf_chi_prime
 from conftest import count_validations, cycle, path, petersen
@@ -26,10 +27,38 @@ from conftest import count_validations, cycle, path, petersen
 ACCEPTANCE_SEED = 20240815
 
 
+def coloured(mg, k, assignment):
+    """A partial colouring of mg with k colours, assigned in edge id order."""
+    c = PartialEdgeColouring(mg, k)
+    for eid in sorted(assignment):
+        c.assign(eid, assignment[eid])
+    return c
+
+
+def missing(c, w):
+    """The colours missing at w, as a set."""
+    return {col for col in range(1, c.k + 1) if c.missing_mask(w) >> col & 1}
+
+
+def relabelled(mg, order):
+    """mg with its edges listed in order: new edge i is edge order[i] of mg."""
+    return Multigraph(mg.n, [mg.edges[i] for i in order])
+
+
+def inserted_in_order(mg, order):
+    """(k, colouring, stats) of edge_colour's insertion loop run in order."""
+    k = gamma_bar_ll(mg)
+    c = PartialEdgeColouring(mg, k)
+    stats = _fresh_stats()
+    for eid in order:
+        _resolve_hole(mg, c, eid, stats)
+    return k, c, stats
+
+
 def triangle_state():
     """Spec'd hand example: hole (0,2) with two triangle edges coloured."""
     mg = Multigraph(3, [(0, 1), (0, 2), (1, 2)])
-    c = PartialEdgeColouring(mg, 3, {0: 1, 2: 2})
+    c = coloured(mg, 3, {0: 1, 2: 2})
     return mg, c
 
 
@@ -84,7 +113,7 @@ def count_rebuilds(monkeypatch):
 def crafted_sequence_state():
     """Size-2 fan with pairwise disjoint missing sets at k=4."""
     mg = Multigraph(5, [(0, 1), (0, 2), (0, 2), (1, 3), (1, 4), (2, 4), (2, 3)])
-    c0 = PartialEdgeColouring(mg, 4, {1: 1, 2: 4, 3: 2, 4: 3, 5: 2, 6: 3})
+    c0 = coloured(mg, 4, {1: 1, 2: 4, 3: 2, 4: 3, 5: 2, 6: 3})
     return mg, c0
 
 
@@ -94,13 +123,12 @@ class TestPartialEdgeColouring:
         c = PartialEdgeColouring(mg, 2)
         c.assign(0, 1)
         assert c.colour_of(0) == 1
-        assert c.present(1) == {1}
-        assert c.missing(1) == {2}
+        assert missing(c, 1) == {2}
         assert c.edge_at(0, 1) == 0
         assert c.edge_at(0, 2) is None
         c.unassign(0)
         assert c.colour_of(0) is None
-        assert c.missing(1) == {1, 2}
+        assert missing(c, 1) == {1, 2}
 
     def test_errors(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
@@ -123,7 +151,7 @@ class TestPartialEdgeColouring:
 
     def test_initial_assignment_and_completeness(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1, 1: 2})
+        c = coloured(mg, 2, {0: 1, 1: 2})
         assert c.is_complete()
         assert c.uncoloured() == ()
         assert c.assignment == {0: 1, 1: 2}
@@ -131,17 +159,9 @@ class TestPartialEdgeColouring:
         assert not c.is_complete()
         assert c.uncoloured() == (1,)
 
-    def test_copy_is_independent(self):
-        mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1})
-        d = c.copy()
-        d.assign(1, 2)
-        assert c.colour_of(1) is None
-        assert d.colour_of(1) == 2
-
     def test_validate_detects_corruption(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1, 1: 2})
+        c = coloured(mg, 2, {0: 1, 1: 2})
         assert c.validate()
         c._col[1] = 1  # break properness behind the index's back
         with pytest.raises(InternalBugError):
@@ -151,11 +171,11 @@ class TestPartialEdgeColouring:
         # edge 1 joins vertices 1 and 2; vertex 2's index gains a colour
         # no edge carries there, and the next change at vertex 2 sees it
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c = coloured(mg, 3, {0: 1})
         c._at[2][3] = 1
         with pytest.raises(InternalBugError, match="vertex 2"):
             c.assign(1, 2)
-        d = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        d = coloured(mg, 3, {0: 1, 1: 2})
         d._at[2][3] = 1
         with pytest.raises(InternalBugError, match="vertex 2"):
             d.unassign(1)
@@ -163,7 +183,7 @@ class TestPartialEdgeColouring:
     def test_index_naming_another_edge_fails_at_removal(self):
         # vertex 2's entry for colour 2 names edge 0, not edge 1
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        c = coloured(mg, 3, {0: 1, 1: 2})
         c._at[2][2] = 0
         with pytest.raises(InternalBugError, match="vertex 2"):
             c.unassign(1)
@@ -171,7 +191,7 @@ class TestPartialEdgeColouring:
     def test_corrupt_index_elsewhere_fails_at_validate(self):
         # vertex 0 is on edge 0 only; changes to edge 1 never rebuild it
         mg = Multigraph(4, [(0, 1), (2, 3)])
-        c = PartialEdgeColouring(mg, 2, {0: 1})
+        c = coloured(mg, 2, {0: 1})
         c._at[0][2] = 0
         c.assign(1, 1)
         c.unassign(1)
@@ -183,23 +203,23 @@ class TestPartialEdgeColouring:
         # vertex 2's mask gains colour 2, which no edge carries there;
         # assigning colour 2 at vertex 2 reads that bit
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c = coloured(mg, 3, {0: 1})
         c._present[2] |= 1 << 2
         with pytest.raises(InternalBugError, match="vertex 2"):
             c.assign(1, 2)
         # vertex 2's mask loses colour 2, which edge 1 carries there
-        d = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        d = coloured(mg, 3, {0: 1, 1: 2})
         d._present[2] &= ~(1 << 2)
         with pytest.raises(InternalBugError, match="vertex 2"):
             d.unassign(1)
 
     def test_corrupt_count_fails_at_the_change(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c = coloured(mg, 3, {0: 1})
         c._count[2] += 1
         with pytest.raises(InternalBugError, match="vertex 2"):
             c.assign(1, 2)
-        d = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
+        d = coloured(mg, 3, {0: 1, 1: 2})
         d._count[2] -= 1
         with pytest.raises(InternalBugError, match="vertex 2"):
             d.unassign(1)
@@ -210,7 +230,7 @@ class TestPartialEdgeColouring:
         # counts: vertex 0 is on edge 0 only, and no change below uses
         # colour 3; validate() compares every vertex's whole mask and count
         mg = Multigraph(4, [(0, 1), (2, 3)])
-        c = PartialEdgeColouring(mg, 3, {0: 1})
+        c = coloured(mg, 3, {0: 1})
         if view == "mask":
             c._present[w] |= 1 << colour
         else:
@@ -221,28 +241,15 @@ class TestPartialEdgeColouring:
         with pytest.raises(InternalBugError, match=f"vertex {w}"):
             c.validate()
 
-    def test_copy_has_its_own_masks_and_counts(self):
-        mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1})
-        d = c.copy()
-        d.unassign(0)
-        d.assign(1, 1)
-        assert c.present(1) == {1} and c.missing(2) == {1, 2}
-        assert c._count == [1, 1, 0]
-        assert d.present(1) == {1} and d.missing(2) == {2}
-        assert d._count == [0, 1, 1]
-        assert c.validate() and d.validate()
-
     def test_sets_follow_the_masks(self):
         mg = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 70, {0: 3, 1: 65, 2: 1})
-        assert c.present(1) == {1, 3, 65}
-        assert c.missing(1) == set(range(1, 71)) - {1, 3, 65}
-        assert c.missing_mask(1) == sum(1 << col for col in c.missing(1))
+        c = coloured(mg, 70, {0: 3, 1: 65, 2: 1})
+        assert missing(c, 1) == set(range(1, 71)) - {1, 3, 65}
+        assert c.missing_mask(1) == sum(1 << col for col in missing(c, 1))
         assert c.least_common_missing(0, 1) == 2
-        full = PartialEdgeColouring(Multigraph(2, [(0, 1)]), 1, {0: 1})
+        full = coloured(Multigraph(2, [(0, 1)]), 1, {0: 1})
         assert full.least_common_missing(0, 1) is None
-        assert full.missing(0) == set()
+        assert full.missing_mask(0) == 0
 
 
 class TestBuildMaximalFan:
@@ -259,13 +266,13 @@ class TestBuildMaximalFan:
         # star at hinge 0: colour 2 is missing at both fan vertices 1 and
         # 2, so vertex 3's witness is the earlier one
         mg = Multigraph(4, [(0, 1), (0, 2), (0, 3)])
-        c = PartialEdgeColouring(mg, 3, {1: 1, 2: 2})
+        c = coloured(mg, 3, {1: 1, 2: 2})
         fan = build_maximal_fan(mg, c, 0, 0)
         assert fan.vertices == (1, 2, 3)
         assert fan.witnesses == (None, (0, 1), (0, 2))
-        r = rotate_fan(c, fan, 3)
-        assert r.assignment == {0: 2, 1: 1}
-        assert r.validate()
+        rotate_fan(c, fan, 3)
+        assert c.assignment == {0: 2, 1: 1}
+        assert c.validate()
 
     def test_hinge_mask_without_index_entry_is_bug(self):
         mg, c = triangle_state()
@@ -275,7 +282,7 @@ class TestBuildMaximalFan:
 
     def test_dipole_size_one(self):
         mg = Multigraph(2, [(0, 1), (0, 1)])
-        c = PartialEdgeColouring(mg, 2, {0: 1})
+        c = coloured(mg, 2, {0: 1})
         fan = build_maximal_fan(mg, c, 1, 0)
         assert fan.vertices == (1,)
         assert fan.edges == (1,)
@@ -297,26 +304,26 @@ class TestRotateFan:
     def test_identity(self):
         mg, c = triangle_state()
         fan = build_maximal_fan(mg, c, 1, 0)
-        r = rotate_fan(c, fan, 1)
-        assert r.assignment == c.assignment
-        r.assign(1, 3)  # the copy is independent
-        assert c.colour_of(1) is None
+        before = c.assignment
+        assert rotate_fan(c, fan, 1) is None
+        assert c.assignment == before
 
     def test_triangle_rotation(self):
         mg, c = triangle_state()
         fan = build_maximal_fan(mg, c, 1, 0)
-        r = rotate_fan(c, fan, 2)
-        assert r.assignment == {1: 1, 2: 2}
-        assert r.colour_of(0) is None
-        assert r.validate()
+        assert rotate_fan(c, fan, 2) is None
+        assert c.assignment == {1: 1, 2: 2}
+        assert c.colour_of(0) is None
+        assert c.validate()
 
     def test_hinge_palette_preserved(self):
-        mg, c = crafted_sequence_state()
-        fan = build_maximal_fan(mg, c, 0, 0)
-        for j in range(1, len(fan.vertices) + 1):
-            r = rotate_fan(c, fan, j)
-            assert r.present(0) == c.present(0)
-            assert r.validate()
+        for j in (1, 2):
+            mg, c = crafted_sequence_state()
+            fan = build_maximal_fan(mg, c, 0, 0)
+            hinge_missing = c.missing_mask(0)
+            rotate_fan(c, fan, j)
+            assert c.missing_mask(0) == hinge_missing
+            assert c.validate()
 
     def test_bad_index(self):
         mg, c = triangle_state()
@@ -329,43 +336,44 @@ class TestRotateFan:
     def test_stale_witness_is_bug(self):
         mg, c = triangle_state()
         fan = build_maximal_fan(mg, c, 1, 0)
-        d = c.copy()
-        d.unassign(0)
-        d.assign(0, 3)  # invalidate the witness colour
+        c.unassign(0)
+        c.assign(0, 3)  # invalidate the witness colour
         with pytest.raises(InternalBugError):
-            rotate_fan(d, fan, 2)
+            rotate_fan(c, fan, 2)
 
 
 class TestKempeSwap:
     def test_path_swap(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1, 1: 2})
-        s = kempe_swap(c, 1, 2, 0)
-        assert s.assignment == {0: 2, 1: 1}
+        c = coloured(mg, 2, {0: 1, 1: 2})
+        assert kempe_swap(c, 1, 2, 0) is None
+        assert c.assignment == {0: 2, 1: 1}
+        assert c.validate()
 
     def test_swap_is_involution(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1, 1: 2})
-        s = kempe_swap(kempe_swap(c, 1, 2, 0), 1, 2, 0)
-        assert s.assignment == c.assignment
+        c = coloured(mg, 2, {0: 1, 1: 2})
+        kempe_swap(c, 1, 2, 0)
+        kempe_swap(c, 1, 2, 0)
+        assert c.assignment == {0: 1, 1: 2}
 
     def test_empty_chain(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 3, {0: 1, 1: 2})
-        s = kempe_swap(c, 2, 3, 0)  # vertex 0 misses both
-        assert s.assignment == c.assignment
+        c = coloured(mg, 3, {0: 1, 1: 2})
+        kempe_swap(c, 2, 3, 0)  # vertex 0 misses both
+        assert c.assignment == {0: 1, 1: 2}
 
     def test_full_cycle_guard(self):
         # edge ids are sorted pairs: 0=(0,1), 1=(0,3), 2=(1,2), 3=(2,3)
         mg = Multigraph.of_simple(cycle(4))
-        c = PartialEdgeColouring(mg, 2, {0: 1, 1: 2, 2: 2, 3: 1})
+        c = coloured(mg, 2, {0: 1, 1: 2, 2: 2, 3: 1})
         for v in range(4):
             with pytest.raises(DomainError):
                 kempe_swap(c, 1, 2, v)
 
     def test_other_guards(self):
         mg = Multigraph(3, [(0, 1), (1, 2)])
-        c = PartialEdgeColouring(mg, 2, {0: 1})
+        c = coloured(mg, 2, {0: 1})
         with pytest.raises(DomainError):
             kempe_swap(c, 1, 1, 0)
         with pytest.raises(DomainError):
@@ -379,19 +387,17 @@ class TestFanSequence:
         mg, c0 = crafted_sequence_state()
         fan = build_maximal_fan(mg, c0, 0, 0)
         assert fan.vertices == (1, 2)
-        assert c0.missing(0) == {2, 3}
-        assert c0.missing(1) == {1, 4}
-        assert c0.missing(2) == set()
-        done = fan_sequence_resolve(mg, c0, fan)
-        assert done.is_complete()
-        assert done.validate()
-        assert done.assignment == {0: 1, 1: 2, 2: 4, 3: 2, 4: 3, 5: 1, 6: 3}
-        # the input state is untouched
-        assert c0.colour_of(0) is None
+        assert missing(c0, 0) == {2, 3}
+        assert missing(c0, 1) == {1, 4}
+        assert missing(c0, 2) == set()
+        assert fan_sequence_resolve(mg, c0, fan) is None
+        assert c0.is_complete()
+        assert c0.validate()
+        assert c0.assignment == {0: 1, 1: 2, 2: 4, 3: 2, 4: 3, 5: 1, 6: 3}
 
     def test_rejects_wrong_fan_size(self):
         mg = Multigraph(2, [(0, 1), (0, 1)])
-        c = PartialEdgeColouring(mg, 2, {0: 1})
+        c = coloured(mg, 2, {0: 1})
         fan = build_maximal_fan(mg, c, 1, 0)
         with pytest.raises(DomainError):
             fan_sequence_resolve(mg, c, fan)
@@ -459,9 +465,9 @@ class TestEdgeColour:
         mg = Multigraph.of_simple(petersen())
         edge_colour(mg)
         assert inside == [True] * mg.n
-        mg = Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)])
+        mg = Multigraph(5, [(1, 2), (2, 3), (1, 4), (3, 4), (0, 2), (0, 1), (0, 3)])
         inside.clear()
-        _, col = edge_colour(mg, insertion_order=[4, 6, 5, 0, 2, 3, 1])
+        _, col = edge_colour(mg)
         assert col.stats["kempe"] == 1
         assert inside == [True] * mg.n
 
@@ -483,25 +489,37 @@ class TestEdgeColour:
         assert col.stats["direct"] == mg.edge_count
         assert len(calls) == 1
 
-    def test_insertion_orders(self):
-        mg = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
-        k0, _ = edge_colour(mg)
+    def test_relabelling(self):
+        # inserting mg's edges in a given order is colouring mg with its
+        # edges listed in that order: the same k and stats, and new edge i
+        # gets the colour of edge order[i]; the fixtures in TestRareBranches
+        # are the old (multigraph, insertion order) finds listed this way
         rng = random.Random(7)
+        cases = [
+            (Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)]),
+             [4, 6, 5, 0, 2, 3, 1]),
+            (Multigraph(5, [(1, 4), (0, 3), (1, 4), (2, 4), (1, 3), (2, 4), (1, 3), (0, 3)]),
+             [7, 5, 1, 3, 2, 4, 6, 0]),
+        ]
+        mg = Multigraph(4, [(0, 1), (0, 1), (1, 2), (2, 3), (1, 3), (0, 2)])
         for _ in range(12):
             order = list(range(mg.edge_count))
             rng.shuffle(order)
-            k, col = edge_colour(mg, insertion_order=order)
+            cases.append((mg, order))
+        fired = set()
+        for mg, order in cases:
+            k0, c0, stats = inserted_in_order(mg, order)
+            k, col = edge_colour(relabelled(mg, order))
             assert k == k0
+            assert col.stats == stats
+            assert col.assignment == {i: c0.colour_of(e) for i, e in enumerate(order)}
             assert col.is_complete() and col.validate()
+            fired.update(case for case, count in stats.items() if count)
+        assert fired == {"direct", "rotation", "kempe", "sequence_steps"}
 
     def test_errors(self):
         with pytest.raises(DomainError):
             edge_colour(Multigraph(3))
-        mg = Multigraph(3, [(0, 1), (1, 2)])
-        with pytest.raises(DomainError):
-            edge_colour(mg, insertion_order=[0, 0])
-        with pytest.raises(DomainError):
-            edge_colour(mg, insertion_order=[0])
 
     def test_corpus_colourings_pinned(self):
         # sha256 over (k, sorted assignment, stats) for the 500-multigraph
@@ -545,15 +563,16 @@ def _stats(direct=0, rotation=0, kempe=0, sequence_steps=0):
 class TestRareBranches:
     """Smallest inputs found by tests/branch_search.py (seed 2, 300,000 trials).
 
-    The search covers multigraphs on at most 6 vertices; the beta-swap
-    branch never fired in it and has no fixture.
+    The search covers multigraphs on at most 6 vertices, each listed in
+    a random edge order; the beta-swap branch never fired in it and has
+    no fixture.
     """
 
     def test_kempe_swap(self, monkeypatch):
         calls = count_validations(monkeypatch)
         changed = check_views_after_changes(monkeypatch)
-        mg = Multigraph(5, [(3, 4), (0, 3), (0, 2), (0, 1), (1, 2), (1, 4), (2, 3)])
-        k, col = edge_colour(mg, insertion_order=[4, 6, 5, 0, 2, 3, 1])
+        mg = Multigraph(5, [(1, 2), (2, 3), (1, 4), (3, 4), (0, 2), (0, 1), (0, 3)])
+        k, col = edge_colour(mg)
         assert col.stats == _stats(direct=7, kempe=1)
         assert len(calls) == 1
         assert len(changed) > mg.edge_count  # the swap unassigned and reassigned
@@ -564,9 +583,9 @@ class TestRareBranches:
         calls = count_validations(monkeypatch)
         changed = check_views_after_changes(monkeypatch)
         mg = Multigraph(
-            5, [(1, 4), (0, 3), (1, 4), (2, 4), (1, 3), (2, 4), (1, 3), (0, 3)]
+            5, [(0, 3), (2, 4), (0, 3), (2, 4), (1, 4), (1, 3), (1, 3), (1, 4)]
         )
-        k, col = edge_colour(mg, insertion_order=[7, 5, 1, 3, 2, 4, 6, 0])
+        k, col = edge_colour(mg)
         assert col.stats == _stats(direct=7, rotation=1, sequence_steps=1)
         assert len(calls) == 1
         assert len(changed) > mg.edge_count
@@ -578,22 +597,21 @@ class TestRareBranches:
             5, [(2, 4), (1, 2), (2, 4), (3, 4), (3, 4), (1, 2), (0, 1), (0, 1)]
         )
         k = gamma_bar_ll(mg)
-        c0 = PartialEdgeColouring(mg, k, {1: 2, 2: 1, 3: 5, 4: 3, 5: 4, 6: 3, 7: 5})
+        c0 = coloured(mg, k, {1: 2, 2: 1, 3: 5, 4: 3, 5: 4, 6: 3, 7: 5})
         hole = 0
         fan = build_maximal_fan(mg, c0, hole, min(mg.endpoints(hole)))
         assert len(fan.vertices) == 2
         calls = count_validations(monkeypatch)
         changed = check_views_after_changes(monkeypatch)
-        done = fan_sequence_resolve(mg, c0, fan)
-        assert done.stats == _stats(rotation=1, sequence_steps=1)
+        fan_sequence_resolve(mg, c0, fan)
+        assert c0.stats == _stats(rotation=1, sequence_steps=1)
         assert len(calls) == 1
         assert changed
-        assert done.is_complete() and done.validate()
-        assert c0.colour_of(hole) is None
+        assert c0.is_complete() and c0.validate()
 
     def test_branch_search_runs(self, monkeypatch, capsys):
-        # a short seeded search that reaches fan_sequence_resolve; the
-        # search reads missing() as sets, and its find must replay
+        # a short seeded search that reaches fan_sequence_resolve, and its
+        # find must replay
         argv = ["branch_search.py", "--seed", "4", "--trials", "4000"]
         monkeypatch.setattr(sys, "argv", argv)
         branch_search.main()
@@ -604,6 +622,7 @@ class TestRareBranches:
         assert set(found) == {"fan_sequence_resolve"}
         hit = found["fan_sequence_resolve"]
         mg = Multigraph(hit["n"], hit["edges"])
-        c0 = PartialEdgeColouring(mg, gamma_bar_ll(mg), hit["assignment"])
+        c0 = coloured(mg, gamma_bar_ll(mg), hit["assignment"])
         fan = build_maximal_fan(mg, c0, hit["hole"], min(mg.endpoints(hit["hole"])))
-        assert fan_sequence_resolve(mg, c0, fan).stats == hit["stats"]
+        fan_sequence_resolve(mg, c0, fan)
+        assert c0.stats == hit["stats"]

@@ -9,8 +9,10 @@ import superlocal
 PACKAGE = Path(superlocal.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# test-only by need: the rare-branch fixture in test_edge_colour.py reaches
-# a fan-sequence state that no whole multigraph found so far produces
+# edge_colour reaches the fan sequence itself (a rare-branch fixture in
+# test_edge_colour.py and the multigraph-corpus benchmark inputs fire a
+# sequence step), but fan_sequence_resolve stays the entry point of
+# branch_search.py's search over partial states for the beta-swap
 TEST_ONLY = {"fan_sequence_resolve"}
 
 
@@ -57,8 +59,8 @@ def test_every_export_has_a_caller_in_the_package():
     assert unused == []
 
 
-# the graph carriers, whose methods the export list does not name
-CARRIERS = ("SimpleGraph", "Multigraph")
+def package_trees():
+    return {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
 
 
 def attributes_read(trees, skip):
@@ -76,18 +78,83 @@ def attributes_read(trees, skip):
 
 
 def test_every_carrier_method_has_a_caller_in_the_package():
-    # read by name, so a method shares its caller with any other
-    # attribute of that name
-    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    # carriers: every public class of the package, whose methods and
+    # properties the export list does not name; read by name, so a method
+    # shares its caller with any other attribute of that name
+    trees = package_trees()
     unread = [
         f"{cls.name}.{member.name}"
-        for cls in trees["graphs.py"].body
-        if isinstance(cls, ast.ClassDef) and cls.name in CARRIERS
+        for tree in trees.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
         for member in cls.body
         if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
         if member.name not in attributes_read(trees.values(), member)
     ]
     assert unread == []
+
+
+# the console entry point takes argv from its tests; the package calls it bare
+UNPASSED = {"main(argv)"}
+
+
+def functions(trees):
+    """(name callers use, parameter names a call fills in order, defaulted names).
+
+    Every def in the package, nested ones too; a class's __init__ goes by
+    the class name, and a method's first parameter is filled by the call.
+    """
+    for tree in trees.values():
+        scopes = [(tree, None)]
+        while scopes:
+            scope, cls = scopes.pop()
+            for node in ast.iter_child_nodes(scope):
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((node, node))
+                    continue
+                if isinstance(node, ast.FunctionDef):
+                    args = node.args
+                    positional = [a.arg for a in args.posonlyargs + args.args]
+                    if cls is not None:
+                        positional = positional[1:]
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    defaulted += [
+                        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                    ]
+                    name = cls.name if cls is not None and node.name == "__init__" else node.name
+                    yield name, positional, defaulted
+                scopes.append((node, None))
+
+
+def calls_by_name(trees):
+    """The package's calls, keyed by the name of the function they call."""
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    # a default that no call in the package overrides is a knob for the
+    # tests alone; calls are matched by name, as methods are above
+    trees = package_trees()
+    calls = calls_by_name(trees)
+    unpassed = []
+    for name, positional, defaulted in functions(trees):
+        passed = set()
+        for call in calls.get(name, ()):
+            n_args = len(call.args)
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                n_args = len(positional)
+            passed.update(positional[:n_args])
+            for kw in call.keywords:
+                passed.update(positional if kw.arg is None else [kw.arg])
+        unpassed += [f"{name}({p})" for p in defaulted if p not in passed]
+    assert sorted(unpassed) == sorted(UNPASSED)
 
 
 def test_readme_library_block_runs():

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superlocal import (
-    DomainError,
     FractionalColouring,
     InternalBugError,
     SimpleGraph,
@@ -111,21 +110,8 @@ def test_single_vertex_and_empty():
     assert trace0.records == ()
 
 
-def test_bound_below_superlocal_rejected():
-    with pytest.raises(DomainError):
-        superlocal_fractional_colour(cycle(5), bound=2)
-
-
-def test_larger_budget_allowed():
-    g = cycle(5)
-    fc, trace = superlocal_fractional_colour(g, bound=4)
-    assert trace.bound == 4
-    assert fc.total == F(5, 2)
-    assert verify_fractional_colouring(g, fc, 4).valid
-
-
 def test_no_vertex_in_a_maximum_set_raises(monkeypatch):
-    empty = StableSetFamily(sets=(frozenset(),), kind="maximum", masks=(0,))
+    empty = StableSetFamily(sets=(frozenset(),), masks=(0,))
     monkeypatch.setattr(
         "superlocal.frac_colour.maximum_stable_sets", lambda g, within: empty
     )

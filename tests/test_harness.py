@@ -174,6 +174,15 @@ class TestCorpora:
             assert 2 <= mg.n <= 8
             assert 1 <= mg.edge_count <= 28
 
+    def test_multigraph_needs_two_vertices(self):
+        # a loopless edge needs two vertices, so n = 1 is refused, not
+        # quietly raised to 2
+        for count in (0, 1):
+            with pytest.raises(DomainError, match="n >= 2"):
+                random_corpus("multigraph", seed=1, count=count, n=1)
+        for mg in random_corpus("multigraph", seed=5, count=10, n=2):
+            assert mg.n == 2 and mg.edge_count >= 1
+
     def test_co_triangle_free_alpha(self):
         for g in random_corpus("co_triangle_free", seed=9, count=25):
             assert stability_number(g) <= 2
@@ -422,9 +431,10 @@ class TestChiPrimeBruteforce:
         for mg in random_corpus("multigraph", seed=31, count=20, n=5, max_edges=9):
             assert chi_prime_bruteforce(mg) == bf_chi_prime(mg)
 
-    def test_step_cap(self):
-        with pytest.raises(SizeLimitError):
-            chi_prime_bruteforce(Multigraph.of_simple(cycle(5)), cap=1)
+    def test_step_cap(self, monkeypatch):
+        monkeypatch.setattr(harness, "CHI_PRIME_STEP_CAP", 1)
+        with pytest.raises(SizeLimitError, match="exceeded 1 steps"):
+            chi_prime_bruteforce(Multigraph.of_simple(cycle(5)))
 
 
 class TestReverify:
@@ -460,7 +470,7 @@ class TestReverify:
 class TestSearch:
     def test_small_classes_zero_findings(self):
         space = [g for n in range(1, 6) for g in enumerate_graph_classes(n)]
-        summary = search_counterexamples(space, claims=SIMPLE_CLAIMS)
+        summary = search_counterexamples(space, CheckFlags(claims=SIMPLE_CLAIMS))
         assert summary.total == 52
         assert summary.findings == ()
         for claim, counts in summary.verdict_counts.items():
@@ -469,7 +479,7 @@ class TestSearch:
 
     def test_multigraph_corpus(self):
         space = random_corpus("multigraph", seed=41, count=30)
-        summary = search_counterexamples(space, claims=MULTI_CLAIMS)
+        summary = search_counterexamples(space, CheckFlags(claims=MULTI_CLAIMS))
         assert summary.total == 30
         assert summary.findings == ()
         assert summary.verdict_counts["edge-colour"]["holds"] == 30
@@ -483,7 +493,7 @@ class TestSearch:
 
     def test_unknown_claim(self):
         with pytest.raises(DomainError):
-            search_counterexamples([cycle(5)], claims=("bogus",))
+            search_counterexamples([cycle(5)], CheckFlags(claims=("bogus",)))
 
 
 class TestSerialization:
@@ -559,7 +569,7 @@ class TestSerialization:
         assert cv_path.read_text(encoding="ascii") == cv
 
     def test_summary_dict(self):
-        summary = search_counterexamples([cycle(5)], claims=("superlocal-chi",))
+        summary = search_counterexamples([cycle(5)], CheckFlags(claims=("superlocal-chi",)))
         d = summary_to_dict(summary)
         assert d == {
             "total": 1,
@@ -575,8 +585,8 @@ class TestSerialization:
 
     def test_claims_keep_other_flags(self):
         # clique-average reads chi_f, and a limit of 3 vertices refuses C5's LP
-        flags = CheckFlags(limit_n=3)
-        summary = search_counterexamples([cycle(5)], claims=("clique-average",), flags=flags)
+        flags = CheckFlags(claims=("clique-average",), limit_n=3)
+        summary = search_counterexamples([cycle(5)], flags)
         assert summary.reports[0].chi_f is None
-        default = search_counterexamples([cycle(5)], claims=("clique-average",))
+        default = search_counterexamples([cycle(5)], CheckFlags(claims=("clique-average",)))
         assert default.reports[0].chi_f == Fraction(5, 2)

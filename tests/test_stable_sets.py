@@ -29,21 +29,22 @@ from conftest import complete, cycle, path, petersen
 def test_maximal_cliques_match_bruteforce(classes6):
     # the maximal cliques of g are the maximal stable sets of its complement
     for g in classes6:
-        assert list(maximal_stable_sets(complement(g))) == bf_maximal_cliques(g)
+        assert list(maximal_stable_sets(complement(g)).sets) == bf_maximal_cliques(g)
 
 
 def test_maximal_stable_sets_match_bruteforce(classes6):
     for g in classes6:
         fam = maximal_stable_sets(g)
-        assert list(fam) == bf_maximal_stable_sets(g)
-        assert fam.kind == "maximal"
+        assert list(fam.sets) == bf_maximal_stable_sets(g)
+        # frozensets in a deterministic order: sorted by members
+        assert all(isinstance(s, frozenset) for s in fam.sets)
+        assert list(fam.sets) == sorted(fam.sets, key=sorted)
 
 
 def test_maximum_stable_sets_match_bruteforce(classes6):
     for g in classes6:
         fam = maximum_stable_sets(g)
-        assert list(fam) == sorted(bf_maximum_stable_sets(g), key=sorted)
-        assert fam.kind == "maximum"
+        assert list(fam.sets) == sorted(bf_maximum_stable_sets(g), key=sorted)
 
 
 def as_masks(sets):
@@ -64,30 +65,24 @@ def test_within_matches_induced_subgraph(classes6):
         for mask in within_masks(g, rng):
             sub, labels = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
 
-            def relabel(fam):
-                return [frozenset(labels[v] for v in s) for s in fam]
+            def relabel(sets):
+                return [frozenset(labels[v] for v in s) for s in sets]
 
-            maximal = maximal_stable_sets(g, within=mask)
             maximum = maximum_stable_sets(g, within=mask)
-            assert list(maximal) == relabel(maximal_stable_sets(sub))
-            assert list(maximum) == relabel(maximum_stable_sets(sub))
+            assert list(maximum.sets) == relabel(maximum_stable_sets(sub).sets)
             # the branch and bound lists the sets already in sorted order
-            assert list(maximum) == relabel(
+            assert list(maximum.sets) == relabel(
                 sorted(bf_maximum_stable_sets(sub), key=sorted)
             )
-            assert list(maximum.masks) == as_masks(maximum)
-            assert list(maximal.masks) == as_masks(maximal)
-            assert (maximal.kind, maximum.kind) == ("maximal", "maximum")
+            assert list(maximum.masks) == as_masks(maximum.sets)
 
 
 def test_within_rejects_masks_outside_the_graph():
     g = cycle(5)
     for mask in (1 << 5, (1 << 6) - 1, -1, -2):
         with pytest.raises(DomainError):
-            maximal_stable_sets(g, within=mask)
-        with pytest.raises(DomainError):
             maximum_stable_sets(g, within=mask)
-    assert list(maximal_stable_sets(SimpleGraph(0), within=0)) == [frozenset()]
+    assert maximum_stable_sets(SimpleGraph(0), within=0).sets == (frozenset(),)
 
 
 def test_membership_probabilities_sum_to_alpha(classes6):
@@ -115,8 +110,8 @@ def test_path3_probabilities():
 
 def test_complete_graph_families():
     g = complete(4)
-    assert [sorted(s) for s in maximal_stable_sets(g)] == [[0], [1], [2], [3]]
-    assert list(maximal_stable_sets(complement(g))) == [frozenset(range(4))]
+    assert [sorted(s) for s in maximal_stable_sets(g).sets] == [[0], [1], [2], [3]]
+    assert maximal_stable_sets(complement(g)).sets == (frozenset(range(4)),)
 
 
 def test_searches_deeper_than_the_recursion_limit():
@@ -131,16 +126,15 @@ def test_searches_deeper_than_the_recursion_limit():
 
 def test_edgeless_graph():
     g = SimpleGraph(3)
-    fam = maximal_stable_sets(g)
-    assert list(fam) == [frozenset({0, 1, 2})]
-    assert [sorted(s) for s in maximal_stable_sets(complement(g))] == [[0], [1], [2]]
+    assert maximal_stable_sets(g).sets == (frozenset({0, 1, 2}),)
+    assert [sorted(s) for s in maximal_stable_sets(complement(g)).sets] == [[0], [1], [2]]
 
 
 def test_empty_graph():
     # the empty set is vacuously the unique maximal stable set / clique
     g = SimpleGraph(0)
-    assert list(maximal_stable_sets(g)) == [frozenset()]
-    assert list(maximal_stable_sets(complement(g))) == [frozenset()]
+    assert maximal_stable_sets(g).sets == (frozenset(),)
+    assert maximal_stable_sets(complement(g)).sets == (frozenset(),)
 
 
 def test_size_limit_enforced():
@@ -149,21 +143,13 @@ def test_size_limit_enforced():
         maximal_stable_sets(g)
     with pytest.raises(SizeLimitError):
         maximal_stable_sets(cycle(5), limit=4)
-    assert len(maximal_stable_sets(g, limit=25)) == 1
-
-
-def test_family_iteration_and_len():
-    fam = maximal_stable_sets(cycle(5))
-    assert len(fam) == 5
-    assert all(isinstance(s, frozenset) for s in fam)
-    # deterministic order: sorted by members
-    assert list(fam) == sorted(fam, key=sorted)
+    assert len(maximal_stable_sets(g, limit=25).sets) == 1
 
 
 def test_maximum_sets_appear_in_maximal_family(classes6):
     for g in classes6:
-        maximal = set(maximal_stable_sets(g))
-        assert set(maximum_stable_sets(g)) <= maximal
+        maximal = set(maximal_stable_sets(g).sets)
+        assert set(maximum_stable_sets(g).sets) <= maximal
 
 
 def test_expected_neighbourhood_weight_vertex():
