@@ -9,6 +9,7 @@ import pytest
 from superlocal import (
     CheckFlags,
     DomainError,
+    Finding,
     InternalBugError,
     Multigraph,
     SimpleGraph,
@@ -31,7 +32,7 @@ from superlocal import (
     to_graph6,
     write_reports,
 )
-from superlocal import harness
+from superlocal import cli, harness
 from superlocal.harness import MULTI_CLAIMS, SIMPLE_CLAIMS, _colourable_backtrack
 from bruteforce import (
     bf_chi_prime,
@@ -494,6 +495,52 @@ class TestSearch:
     def test_unknown_claim(self):
         with pytest.raises(DomainError):
             search_counterexamples([cycle(5)], CheckFlags(claims=("bogus",)))
+
+    def test_open_claim_finding(self, monkeypatch, capsys):
+        # no open claim fails on any corpus, so a lowered scan value on C5
+        # (chi_f = 5/2 > 2) stands in for a counterexample
+        real = harness.subgraph_neighbourhood_bound
+
+        def lowered(g, limit):
+            c5 = g.n == 5 and all(g.degree(v) == 2 for v in range(5)) and g.is_connected()
+            return Fraction(2) if c5 else real(g, limit=limit)
+
+        reverified = []
+        monkeypatch.setattr(harness, "subgraph_neighbourhood_bound", lowered)
+        monkeypatch.setattr(
+            harness, "reverify_finding", lambda g, claim, r: not reverified.append(claim)
+        )
+        summary = search_counterexamples([cycle(5)], CheckFlags(claims=("question-bound",)))
+        assert reverified == ["question-bound"]
+        assert summary.findings == (
+            Finding("Dhc", "question-bound", (("chi_f", "5/2"), ("question_value", "2/1"))),
+        )
+        assert summary.verdict_counts == {
+            "question-bound": {"holds": 0, "violated": 1, "not-applicable": 0}
+        }
+        finding = {
+            "encoding": "Dhc",
+            "claim": "question-bound",
+            "values": {"chi_f": "5/2", "question_value": "2/1"},
+        }
+        assert summary_to_dict(summary)["findings"] == [finding]
+
+        argv = ["search", "--n", "5", "--claims", "question"]
+        assert cli.main(argv) == 0
+        d = json.loads(capsys.readouterr().out)
+        # the enumeration's representative of C5 is not labelled as cycle(5)
+        finding["encoding"] = "DLo"
+        assert d["findings"] == [finding]
+        assert d["verdicts"]["question-bound"] == {
+            "holds": 20, "not-applicable": 0, "violated": 1
+        }
+        assert cli.main(argv + ["--format", "plain"]) == 0
+        assert capsys.readouterr().out.splitlines()[:4] == [
+            "findings.0.claim question-bound",
+            "findings.0.encoding DLo",
+            "findings.0.values.chi_f 5/2",
+            "findings.0.values.question_value 2/1",
+        ]
 
 
 class TestSerialization:
