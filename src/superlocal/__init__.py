@@ -79,8 +79,6 @@ from .harness import (
     multigraph_line,
     random_corpus,
     report_to_dict,
-    reports_csv,
-    reports_jsonl,
     reverify_finding,
     search_counterexamples,
     summary_to_dict,

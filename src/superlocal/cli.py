@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -23,6 +24,10 @@ from .graphs import (
     to_graph6,
 )
 from .harness import (
+    CLAIM_ALIASES,
+    CLAIMS,
+    CORPORA,
+    CORPUS_KINDS,
     CheckFlags,
     MULTI_CLAIMS,
     SIMPLE_CLAIMS,
@@ -51,19 +56,6 @@ from .oracles import (
 )
 from .stable_sets import ENUMERATION_VERTEX_LIMIT, check_enumeration_size
 
-# stable public tokens for the claims, mapped onto the descriptive names
-CLAIM_ALIASES = {
-    "thm4": "frac-bound",
-    "conj3": "superlocal-chi",
-    "conj6": "clique-average",
-    "thm8": "round-up",
-    "thm9": "interval-chi",
-    "thm10": "alpha2-chi",
-    "thm11": "edge-colour",
-    "question": "question-bound",
-}
-
-
 def _read_text(path):
     if path == "-":
         return sys.stdin.read()
@@ -80,6 +72,18 @@ def _write_text(path, text):
             fh.write(text)
     except OSError as exc:
         raise DomainError(f"cannot write {path}: {exc}") from exc
+
+
+def _check_writable(prefix):
+    """Refuse an --out prefix whose files cannot be opened; leave no new file."""
+    for path in (prefix + ".jsonl", prefix + ".csv"):
+        existed = os.path.exists(path)
+        try:
+            open(path, "a", encoding="ascii").close()
+        except OSError as exc:
+            raise DomainError(f"cannot write {prefix}: {exc}") from exc
+        if not existed:
+            os.remove(path)
 
 
 def _load_any(text):
@@ -276,7 +280,7 @@ def _parse_claims(spec, default, space):
         if not token:
             continue
         name = CLAIM_ALIASES.get(token, token)
-        if name not in SIMPLE_CLAIMS + MULTI_CLAIMS:
+        if name not in CLAIMS:
             raise DomainError(f"unknown claim {token!r}")
         if name not in default:
             shown = repr(token) if name == token else f"{token!r} ({name})"
@@ -303,35 +307,43 @@ def _parse_params(spec):
         if key in out:
             raise DomainError(f"parameter {key!r} given twice")
         try:
-            out[key] = Fraction(value.strip()) if "/" in value else int(value)
+            out[key] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"parameter {item!r}: {exc}") from None
     return out
+
+
+def _graphs(args, connected_only):
+    """The classes of --n, or else the seeded corpus of --corpus."""
+    if args.n is not None:
+        return enumerate_graph_classes(args.n, connected_only=connected_only)
+    if args.corpus is None:
+        raise DomainError(f"{args.command} needs either --n or --corpus")
+    params = _parse_params(args.params)
+    return random_corpus(args.corpus, args.seed, args.count, **params)
 
 
 def cmd_search(args):
     if args.chi_prime_edges < 0:
         raise DomainError(f"--chi-prime-edges must be nonnegative, got {args.chi_prime_edges}")
     if args.n is not None:
-        default_claims, where = SIMPLE_CLAIMS, "the simple graphs of --n"
-    elif args.corpus == "multigraph":
-        default_claims, where = MULTI_CLAIMS, "the multigraph corpus"
+        corpus, where = None, "the simple graphs of --n"
     elif args.corpus is not None:
-        default_claims, where = SIMPLE_CLAIMS, f"the {args.corpus} corpus"
+        corpus, where = CORPORA[args.corpus], f"the {args.corpus} corpus"
     else:
         raise DomainError("search needs either --n or --corpus")
+    default_claims = MULTI_CLAIMS if corpus and corpus.multi else SIMPLE_CLAIMS
     flags = CheckFlags(
         claims=_parse_claims(args.claims, default_claims, where),
-        circular_interval=args.n is None and args.corpus == "circular_interval",
+        circular_interval=bool(corpus and corpus.circular_interval),
         limit_n=args.limit_n,
         chi_prime_edge_limit=args.chi_prime_edges,
     )
-    if args.n is not None:
-        space = enumerate_graph_classes(args.n, connected_only=not args.all_classes)
-    else:
-        params = _parse_params(args.params)
-        space = random_corpus(args.corpus, args.seed, args.count, **params)
-    summary = search_counterexamples(space, flags=flags)
+    if args.out:
+        _check_writable(args.out)
+    summary = search_counterexamples(
+        _graphs(args, connected_only=not args.all_classes), flags=flags
+    )
     if args.out:
         try:
             write_reports(summary.reports, args.out + ".jsonl", args.out + ".csv")
@@ -341,18 +353,10 @@ def cmd_search(args):
 
 
 def cmd_gen(args):
-    if args.n is not None:
-        graphs = enumerate_graph_classes(args.n, connected_only=args.connected)
-        lines = [to_graph6(g) for g in graphs]
-    elif args.corpus is not None:
-        params = _parse_params(args.params)
-        graphs = random_corpus(args.corpus, args.seed, args.count, **params)
-        lines = [
-            multigraph_line(g) if isinstance(g, Multigraph) else to_graph6(g)
-            for g in graphs
-        ]
-    else:
-        raise DomainError("gen needs either --n or --corpus")
+    lines = [
+        multigraph_line(g) if isinstance(g, Multigraph) else to_graph6(g)
+        for g in _graphs(args, connected_only=args.connected)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -402,8 +406,7 @@ def _parser():
     p.add_argument("--n", type=int, default=None, help="enumerate all classes on n vertices")
     p.add_argument("--all-classes", action="store_true",
                    help="include disconnected graphs in the enumeration")
-    p.add_argument("--corpus", choices=("simple", "multigraph", "circular_interval",
-                                        "co_triangle_free"), default=None)
+    p.add_argument("--corpus", choices=CORPUS_KINDS, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--params", default=None, help="corpus parameters, key=value pairs")
@@ -417,8 +420,7 @@ def _parser():
     p = sub.add_parser("gen", help="emit an enumeration or seeded corpus")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--corpus", choices=("simple", "multigraph", "circular_interval",
-                                        "co_triangle_free"), default=None)
+    p.add_argument("--corpus", choices=CORPUS_KINDS, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--params", default=None)

@@ -17,6 +17,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import DomainError, InternalBugError, SizeLimitError
@@ -51,57 +52,64 @@ from .edge_colour import edge_colour
 ENUMERATION_N_LIMIT = 8
 CHI_PRIME_STEP_CAP = 200_000_000
 
-SIMPLE_CLAIMS = (
-    "frac-bound",  # chi_f <= gamma'_ll, and the constructive weighting is valid
-    "superlocal-chi",  # chi <= gamma_ll (open)
-    "clique-average",  # chi_f <= max clique average of gamma'_l (open)
-    "round-up",  # chi = ceil(chi_f), promised circular-interval inputs
-    "interval-chi",  # chi <= gamma_ll, promised circular-interval inputs
-    "alpha2-chi",  # alpha <= 2: chi = n - matching(complement) <= gamma_ll
-    "question-bound",  # chi_f <= subgraph neighbourhood average (open)
-)
-MULTI_CLAIMS = (
-    "edge-colour",  # edge_colour succeeds with k = gamma_bar_ll
-    "line-graph-match",  # gamma_bar_ll(G) = gamma_ll(L(G))
-    "chi-prime-bound",  # brute-force chi' <= gamma_bar_ll
-)
-HARD_CLAIMS = frozenset(
-    {
-        "frac-bound",
-        "round-up",
-        "interval-chi",
-        "alpha2-chi",
-        "edge-colour",
-        "line-graph-match",
-        "chi-prime-bound",
-    }
-)
+
+class Claim(NamedTuple):
+    multi: bool  # checked on multigraphs, else on simple graphs
+    proven: bool  # a violation is a bug; an open claim's is a finding
+    alias: str | None  # the short --claims token
+    needs: tuple = ()  # the values check_graph computes for the verdict
+    finding: tuple = ()  # the report_to_dict keys a finding records
+
+
+# One row per claim, in the default order. check_graph computes the union
+# of the requested claims' needs and leaves every other value None; the
+# bounds and the encoding are always computed.
+CLAIMS = {
+    # chi_f <= gamma'_ll, and the constructive weighting is valid
+    "frac-bound": Claim(False, True, "thm4", ("chi_f", "frac")),
+    # chi <= gamma_ll
+    "superlocal-chi": Claim(False, False, "conj3", ("chi",), ("chi", "gamma_ll")),
+    # chi_f <= max clique average of gamma'_l
+    "clique-average": Claim(
+        False, False, "conj6", ("chi_f", "clique_average"), ("chi_f", "clique_average")
+    ),
+    # chi = ceil(chi_f), promised circular-interval inputs
+    "round-up": Claim(False, True, "thm8", ("chi", "chi_f")),
+    # chi <= gamma_ll, promised circular-interval inputs
+    "interval-chi": Claim(False, True, "thm9", ("chi",)),
+    # alpha <= 2: chi = n - matching(complement) <= gamma_ll; the matching
+    # runs only when alpha <= 2
+    "alpha2-chi": Claim(False, True, "thm10", ("alpha", "chi")),
+    # chi_f <= subgraph neighbourhood average
+    "question-bound": Claim(
+        False, False, "question", ("chi_f", "question"), ("chi_f", "question_value")
+    ),
+    # edge_colour succeeds with k = gamma_bar_ll
+    "edge-colour": Claim(True, True, "thm11"),
+    # gamma_bar_ll(G) = gamma_ll(L(G))
+    "line-graph-match": Claim(True, True, None),
+    # brute-force chi' <= gamma_bar_ll
+    "chi-prime-bound": Claim(True, True, None),
+}
+SIMPLE_CLAIMS = tuple(name for name, c in CLAIMS.items() if not c.multi)
+MULTI_CLAIMS = tuple(name for name, c in CLAIMS.items() if c.multi)
+HARD_CLAIMS = frozenset(name for name, c in CLAIMS.items() if c.proven)
+CLAIM_ALIASES = {c.alias: name for name, c in CLAIMS.items() if c.alias}
 
 HOLDS, VIOLATED, NOT_APPLICABLE = "holds", "violated", "not-applicable"
 
 
-# The values each simple claim's verdict reads; check_graph computes the
-# union over the requested claims and leaves every other value None. The
-# bounds and the encoding are always computed.
-CLAIM_NEEDS = {
-    "frac-bound": ("chi_f", "frac"),
-    "superlocal-chi": ("chi",),
-    "clique-average": ("chi_f", "clique_average"),
-    "round-up": ("chi", "chi_f"),
-    "interval-chi": ("chi",),
-    "alpha2-chi": ("alpha", "chi"),  # the matching runs only when alpha <= 2
-    "question-bound": ("chi_f", "question"),
-}
-
-
 @dataclass(frozen=True)
 class CheckFlags:
-    claims: tuple = SIMPLE_CLAIMS + MULTI_CLAIMS
+    claims: tuple = tuple(CLAIMS)
     circular_interval: bool = False  # input promised to be circular interval
     limit_n: int | None = None  # caps each oracle's vertex limit (--limit-n)
     chi_prime_edge_limit: int = 0  # 0 disables the brute-force chi' cross-check
 
     def __post_init__(self):
+        for claim in self.claims:
+            if claim not in CLAIMS:
+                raise DomainError(f"unknown claim {claim!r}")
         if self.limit_n is not None and self.limit_n < 0:
             raise DomainError(f"--limit-n must be nonnegative, got {self.limit_n}")
 
@@ -132,13 +140,15 @@ class MultigraphReport:
     encoding: str
     n: int
     m: int
-    gamma_bar_ll: object
-    line_graph_gamma_ll: object
-    chi_prime: object
-    colours_used: object
     verdicts: dict
     bug: bool
     timings_us: dict
+    # all None on an edgeless multigraph; the last three also when their
+    # claim is not requested or its check is refused
+    gamma_bar_ll: object = None
+    line_graph_gamma_ll: object = None
+    chi_prime: object = None
+    colours_used: object = None
 
 
 @dataclass(frozen=True)
@@ -168,11 +178,11 @@ def _now_us():
 def check_graph(g, flags=None):
     """Evaluate every requested claim on one simple graph.
 
-    Only the values that the requested claims read are computed
-    (CLAIM_NEEDS); the others are None, as size refusals are.
+    Only the values that the requested claims read are computed (their
+    needs in CLAIMS); the others are None, as size refusals are.
     """
     flags = flags or CheckFlags()
-    needs = {name for claim in flags.claims for name in CLAIM_NEEDS.get(claim, ())}
+    needs = {name for claim in flags.claims for name in CLAIMS[claim].needs}
     timings = {}
     t0 = _now_us()
     enc = to_graph6(g)
@@ -252,30 +262,26 @@ def check_graph(g, flags=None):
         flags.circular_interval and chi is not None,
         lambda: chi <= bounds.gamma_ll,
     )
-    if "alpha2-chi" in flags.claims:
-        if alpha is not None and alpha <= 2:
-            try:
-                chi_m, _ = chi_via_complement_matching(
-                    g, limit=flags.vertex_limit(MATCHING_VERTEX_LIMIT)
-                )
-            except SizeLimitError:
-                chi_m = None
-            if chi_m is None:
-                verdicts["alpha2-chi"] = NOT_APPLICABLE
-            else:
-                ok = chi_m <= bounds.gamma_ll and (chi is None or chi_m == chi)
-                verdicts["alpha2-chi"] = HOLDS if ok else VIOLATED
-        else:
-            verdicts["alpha2-chi"] = NOT_APPLICABLE
+    chi_m = None
+    if "alpha2-chi" in flags.claims and alpha is not None and alpha <= 2:
+        try:
+            chi_m, _ = chi_via_complement_matching(
+                g, limit=flags.vertex_limit(MATCHING_VERTEX_LIMIT)
+            )
+        except SizeLimitError:
+            pass
+    judge(
+        "alpha2-chi",
+        chi_m is not None,
+        lambda: chi_m <= bounds.gamma_ll and (chi is None or chi_m == chi),
+    )
     judge(
         "question-bound",
         chi_f is not None and question_value is not None,
         lambda: chi_f <= question_value,
     )
 
-    bug = any(
-        verdicts.get(c) == VIOLATED for c in verdicts if c in HARD_CLAIMS
-    )
+    bug = any(v == VIOLATED for c, v in verdicts.items() if c in HARD_CLAIMS)
     return BoundReport(
         encoding=enc,
         n=g.n,
@@ -303,24 +309,11 @@ def check_multigraph(mg, flags=None):
     flags = flags or CheckFlags()
     timings = {}
     enc = multigraph_line(mg)
-    verdicts = {}
     if mg.edge_count == 0:
-        for claim in MULTI_CLAIMS:
-            if claim in flags.claims:
-                verdicts[claim] = NOT_APPLICABLE
-        return MultigraphReport(
-            encoding=enc,
-            n=mg.n,
-            m=0,
-            gamma_bar_ll=None,
-            line_graph_gamma_ll=None,
-            chi_prime=None,
-            colours_used=None,
-            verdicts=verdicts,
-            bug=False,
-            timings_us=timings,
-        )
+        verdicts = dict.fromkeys([c for c in MULTI_CLAIMS if c in flags.claims], NOT_APPLICABLE)
+        return MultigraphReport(enc, mg.n, 0, verdicts, bug=False, timings_us=timings)
 
+    verdicts = {}
     colours_used = None
     if "edge-colour" in flags.claims:
         # edge_colour computes gamma_bar_ll itself and validates the finished
@@ -356,7 +349,7 @@ def check_multigraph(mg, flags=None):
         else:
             verdicts["chi-prime-bound"] = NOT_APPLICABLE
 
-    bug = any(verdicts.get(c) == VIOLATED for c in verdicts if c in HARD_CLAIMS)
+    bug = any(v == VIOLATED for c, v in verdicts.items() if c in HARD_CLAIMS)
     return MultigraphReport(
         encoding=enc,
         n=mg.n,
@@ -421,16 +414,16 @@ def _bernoulli(rng, p):
     return rng.randrange(p.denominator) < p.numerator
 
 
-def _random_simple(rng, n_max, p):
-    n = rng.randint(1, n_max)
+def _random_simple(rng, n, p):
+    n = rng.randint(1, n)
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if _bernoulli(rng, p)
     ]
     return SimpleGraph(n, edges)
 
 
-def _random_multigraph(rng, n_max, p, mu_max, max_edges):
-    n = rng.randint(2, n_max)
+def _random_multigraph(rng, n, p, mu_max, max_edges):
+    n = rng.randint(2, n)
     edges = []
     for u in range(n):
         for v in range(u + 1, n):
@@ -443,10 +436,10 @@ def _random_multigraph(rng, n_max, p, mu_max, max_edges):
     return Multigraph(n, edges)
 
 
-def _random_circular_interval(rng, n_max):
+def _random_circular_interval(rng, n):
     # vertices sit at positions 0..n-1 on a circle; each arc covers a run
     # of consecutive positions and becomes a clique
-    n = rng.randint(1, n_max)
+    n = rng.randint(1, n)
     edges = set()
     for _ in range(rng.randint(1, n)):
         start = rng.randrange(n)
@@ -458,8 +451,8 @@ def _random_circular_interval(rng, n_max):
     return SimpleGraph(n, sorted(edges))
 
 
-def _random_co_triangle_free(rng, n_max, p):
-    n = rng.randint(1, n_max)
+def _random_co_triangle_free(rng, n, p):
+    n = rng.randint(1, n)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     adj = [0] * n
@@ -472,28 +465,36 @@ def _random_co_triangle_free(rng, n_max, p):
     return complement(SimpleGraph(n, edges))
 
 
-CORPUS_KINDS = ("simple", "multigraph", "circular_interval", "co_triangle_free")
+class Corpus(NamedTuple):
+    make: object  # make(rng, **params) -> one graph
+    defaults: dict  # the parameters --params may set; n is the largest vertex count
+    multi: bool = False  # multigraphs, checked against the multigraph claims
+    circular_interval: bool = False  # every graph is promised circular interval
+
+
+CORPORA = {
+    "simple": Corpus(_random_simple, {"n": 8, "p": Fraction(1, 2)}),
+    "multigraph": Corpus(
+        _random_multigraph,
+        {"n": 8, "p": Fraction(1, 2), "mu_max": 3, "max_edges": 28},
+        multi=True,
+    ),
+    "circular_interval": Corpus(
+        _random_circular_interval, {"n": 10}, circular_interval=True
+    ),
+    "co_triangle_free": Corpus(_random_co_triangle_free, {"n": 14, "p": Fraction(1, 2)}),
+}
+CORPUS_KINDS = tuple(CORPORA)
 
 
 def random_corpus(kind, seed, count, **params):
     """Deterministic list of graphs; same seed, same corpus, byte for byte."""
     if count < 0:
         raise DomainError("count must be nonnegative")
-    rng = random.Random(seed)
-    known = {
-        "simple": {"n": 8, "p": Fraction(1, 2)},
-        "multigraph": {
-            "n": 8,
-            "p": Fraction(1, 2),
-            "mu_max": 3,
-            "max_edges": 28,
-        },
-        "circular_interval": {"n": 10},
-        "co_triangle_free": {"n": 14, "p": Fraction(1, 2)},
-    }
-    if kind not in known:
+    if kind not in CORPORA:
         raise DomainError(f"unknown corpus kind {kind!r}; expected one of {CORPUS_KINDS}")
-    cfg = dict(known[kind])
+    corpus = CORPORA[kind]
+    cfg = dict(corpus.defaults)
     for key, value in params.items():
         if key not in cfg:
             raise DomainError(f"unknown parameter {key!r} for corpus kind {kind!r}")
@@ -507,27 +508,14 @@ def random_corpus(kind, seed, count, **params):
             cfg[key] = int(cfg[key])
             if cfg[key] < 1:
                 raise DomainError(f"corpus needs {key} >= 1")
-    if kind == "multigraph" and cfg["n"] < 2:
+    if corpus.multi and cfg["n"] < 2:
         raise DomainError(f"multigraph corpus needs n >= 2, got {cfg['n']}")
     if "p" in cfg:
         cfg["p"] = Fraction(cfg["p"])
         if not 0 <= cfg["p"] <= 1:
             raise DomainError(f"probability {cfg['p']} outside [0,1]")
-    out = []
-    for _ in range(count):
-        if kind == "simple":
-            out.append(_random_simple(rng, cfg["n"], cfg["p"]))
-        elif kind == "multigraph":
-            out.append(
-                _random_multigraph(
-                    rng, cfg["n"], cfg["p"], cfg["mu_max"], cfg["max_edges"]
-                )
-            )
-        elif kind == "circular_interval":
-            out.append(_random_circular_interval(rng, cfg["n"]))
-        else:
-            out.append(_random_co_triangle_free(rng, cfg["n"], cfg["p"]))
-    return out
+    rng = random.Random(seed)
+    return [corpus.make(rng, **cfg) for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -634,21 +622,8 @@ def reverify_finding(g, claim, report):
 
 
 def _finding_values(claim, report):
-    if claim == "superlocal-chi":
-        pairs = [("chi", str(report.chi)), ("gamma_ll", str(report.bounds.gamma_ll))]
-    elif claim == "clique-average":
-        pairs = [
-            ("chi_f", frac_str(report.chi_f)),
-            ("clique_average", frac_str(report.clique_average)),
-        ]
-    elif claim == "question-bound":
-        pairs = [
-            ("chi_f", frac_str(report.chi_f)),
-            ("question_value", frac_str(report.question_value)),
-        ]
-    else:
-        pairs = []
-    return tuple(sorted(pairs))
+    d = report_to_dict(report)
+    return tuple((key, str(d[key])) for key in sorted(CLAIMS[claim].finding))
 
 
 def search_counterexamples(space, flags=None):
@@ -658,9 +633,6 @@ def search_counterexamples(space, flags=None):
     re-verified by brute force and recorded as a finding.
     """
     base = flags or CheckFlags()
-    for claim in base.claims:
-        if claim not in SIMPLE_CLAIMS + MULTI_CLAIMS:
-            raise DomainError(f"unknown claim {claim!r}")
     counts = {
         claim: {HOLDS: 0, VIOLATED: 0, NOT_APPLICABLE: 0} for claim in base.claims
     }
@@ -685,13 +657,7 @@ def search_counterexamples(space, flags=None):
                     f"finding for {claim} on {report.encoding} failed "
                     "independent re-verification"
                 )
-            findings.append(
-                Finding(
-                    encoding=report.encoding,
-                    claim=claim,
-                    values=_finding_values(claim, report),
-                )
-            )
+            findings.append(Finding(report.encoding, claim, _finding_values(claim, report)))
     return SearchSummary(
         total=len(reports),
         verdict_counts=counts,
@@ -751,40 +717,6 @@ def report_to_dict(report):
     }
 
 
-def reports_jsonl(reports):
-    lines = [
-        json.dumps(report_to_dict(r), sort_keys=True)
-        for r in sorted(reports, key=lambda r: r.encoding)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def reports_csv(reports):
-    ordered = sorted(reports, key=lambda r: r.encoding)
-    claims = sorted({c for r in ordered for c in r.verdicts})
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["encoding", "chi", "chi_f", "gamma_ll", "gamma_ll_prime", "clique_average"]
-        + claims
-    )
-    for r in ordered:
-        if isinstance(r, MultigraphReport):
-            row = [r.encoding, "", "", "", "", ""]
-        else:
-            row = [
-                r.encoding,
-                "" if r.chi is None else r.chi,
-                "" if r.chi_f is None else frac_str(r.chi_f),
-                r.bounds.gamma_ll,
-                frac_str(r.bounds.gamma_ll_prime),
-                "" if r.clique_average is None else frac_str(r.clique_average),
-            ]
-        row += [r.verdicts.get(c, "") for c in claims]
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def summary_to_dict(summary):
     return {
         "total": summary.total,
@@ -800,9 +732,22 @@ def summary_to_dict(summary):
 
 
 def write_reports(reports, jsonl_path=None, csv_path=None):
-    """Write serialized reports; returns the (jsonl, csv) strings."""
-    jl = reports_jsonl(reports)
-    cv = reports_csv(reports)
+    """Write serialized reports, sorted by encoding; returns the (jsonl, csv)
+    strings, both read from one report_to_dict per report. A csv value that
+    is null or absent (a multigraph has no chi) is an empty cell."""
+    dicts = [report_to_dict(r) for r in sorted(reports, key=lambda r: r.encoding)]
+    jl = "".join(json.dumps(d, sort_keys=True) + "\n" for d in dicts)
+    columns = ["encoding", "chi", "chi_f", "gamma_ll", "gamma_ll_prime", "clique_average"]
+    claims = sorted({c for d in dicts for c in d["verdicts"]})
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns + claims)
+    for d in dicts:
+        writer.writerow(
+            ["" if d.get(key) is None else d[key] for key in columns]
+            + [d["verdicts"].get(c, "") for c in claims]
+        )
+    cv = buf.getvalue()
     if jsonl_path is not None:
         with open(jsonl_path, "w", encoding="ascii") as fh:
             fh.write(jl)

@@ -505,6 +505,14 @@ class TestGen:
             g = parse_graph6(line)
             assert g.edge_count == g.n * (g.n - 1) // 2
 
+    def test_decimal_params(self, capsys):
+        # decimals are exact: n=6.0 is n=6 and p=0.5 is p=1/2
+        _, a, _ = run(capsys, "gen", "--corpus", "simple", "--seed", "4", "--count", "9",
+                      "--params", "n=6.0,p=0.5")
+        _, b, _ = run(capsys, "gen", "--corpus", "simple", "--seed", "4", "--count", "9",
+                      "--params", "n=6,p=1/2")
+        assert a == b and len(a.splitlines()) == 9
+
     def test_bad_params(self, capsys):
         cases = [
             ("gen", "simple", "zap=1", "unknown parameter"),
@@ -517,6 +525,10 @@ class TestGen:
             ("gen", "simple", "n=3,n=4", "'n' given twice"),
             ("search", "multigraph", "n=4, n=4", "'n' given twice"),
             ("gen", "multigraph", "n=1", "n >= 2"),
+            ("gen", "simple", "n=6.5", "n must be an integer"),
+            ("search", "multigraph", "mu_max=0.5", "mu_max must be an integer"),
+            ("gen", "co_triangle_free", "p=1.25", "outside [0,1]"),
+            ("gen", "simple", "p=half", "'p=half'"),
         ]
         for command, corpus, params, message in cases:
             for count in ("0", "1"):
@@ -545,7 +557,12 @@ class TestExitCodes:
         ["gen", "--n", "3"],
         ["frac", "c5"],
     ])
-    def test_out_into_missing_directory(self, capsys, c5_file, tmp_path, argv):
+    def test_out_into_missing_directory(self, capsys, monkeypatch, c5_file, tmp_path, argv):
+        # search refuses the path before it searches
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before checking --out")
+
+        monkeypatch.setattr(cli, "search_counterexamples", no_search)
         argv = [c5_file if arg == "c5" else arg for arg in argv]
         target = tmp_path / "missing" / "x"
         code, out, err = run(capsys, *argv, "--out", str(target))
@@ -554,6 +571,13 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
         assert not target.parent.exists()
+
+    def test_out_check_leaves_no_file(self, capsys, tmp_path):
+        # the writability check opens no file that a refused search leaves
+        base = tmp_path / "P"
+        code, out, err = run(capsys, "search", "--n", "9", "--out", str(base))
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import re
 import sys
+from pathlib import Path
 from fractions import Fraction
 
 import pytest
@@ -23,8 +25,6 @@ from superlocal import (
     multigraph_line,
     random_corpus,
     report_to_dict,
-    reports_csv,
-    reports_jsonl,
     reverify_finding,
     search_counterexamples,
     stability_number,
@@ -50,6 +50,8 @@ from conftest import (
     path,
     petersen,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # class counts for n = 1..8: all graphs, then connected only
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
@@ -283,8 +285,30 @@ class TestCheckGraph:
         r = check_graph(cycle(5), CheckFlags(claims=("superlocal-chi",)))
         assert set(r.verdicts) == {"superlocal-chi"}
 
-    def test_claim_needs_covers_every_simple_claim(self):
-        assert set(harness.CLAIM_NEEDS) == set(SIMPLE_CLAIMS)
+    def test_claims_table_matches_readme_and_reverifier(self):
+        # the section's first table: claim, alias, statement
+        section = README.read_text(encoding="utf-8").split("\n## Claims\n")[1]
+        table = next(block for block in section.split("\n\n") if block.startswith("|"))
+        rows = re.findall(r"^\| `([a-z0-9-]+)` +\| (?:`([a-z0-9]+)`)? +\|", table, re.M)
+        assert rows == [(name, c.alias or "") for name, c in harness.CLAIMS.items()]
+        report = check_graph(cycle(5))
+        for name, c in harness.CLAIMS.items():
+            if c.proven:
+                with pytest.raises(DomainError, match="no independent re-verifier"):
+                    reverify_finding(cycle(5), name, report)
+            else:
+                assert reverify_finding(cycle(5), name, report) is False
+            assert bool(c.needs) == (not c.multi)
+
+    @pytest.mark.parametrize("check, graph", [
+        (check_graph, cycle(5)),
+        (check_multigraph, Multigraph(2, [(0, 1)])),
+    ])
+    def test_unknown_claim_is_refused(self, check, graph):
+        # a misspelt name is refused when the flags are built, so neither
+        # entry point returns a report that lacks its verdict
+        with pytest.raises(DomainError, match="unknown claim 'superlocal_chi'"):
+            check(graph, CheckFlags(claims=("superlocal_chi",)))
 
     @pytest.mark.parametrize("claim", SIMPLE_CLAIMS)
     def test_each_claim_computes_only_what_it_reads(self, monkeypatch, claim):
@@ -309,7 +333,7 @@ class TestCheckGraph:
         for key in ("chi_f", "alpha", "frac_total", "frac_valid", "clique_average",
                     "question_value"):
             assert d[key] is None
-        assert reports_csv([r]).splitlines()[1] == "Dhc,3,,3,5/2,,holds"
+        assert write_reports([r])[1].splitlines()[1] == "Dhc,3,,3,5/2,,holds"
 
     def test_all_claims_time_every_value_in_order(self):
         r = check_graph(cycle(5))
@@ -577,22 +601,22 @@ class TestSerialization:
                 for v in x:
                     walk(v)
 
-        for line in reports_jsonl(reports).splitlines():
+        for line in write_reports(reports)[0].splitlines():
             walk(json.loads(line))
 
     def test_jsonl_sorted_and_stable(self):
         reports = [check_graph(g) for g in enumerate_graph_classes(4)]
-        a = reports_jsonl(reports)
-        b = reports_jsonl(list(reversed(reports)))
+        a, _ = write_reports(reports)
+        b, _ = write_reports(list(reversed(reports)))
         assert a == b
         encodings = [json.loads(line)["encoding"] for line in a.splitlines()]
         assert encodings == sorted(encodings)
         assert a.endswith("\n")
-        assert reports_jsonl([]) == ""
+        assert write_reports([])[0] == ""
 
     def test_csv_shape(self):
         reports = [check_graph(cycle(5)), check_multigraph(Multigraph(2, [(0, 1)]))]
-        text = reports_csv(reports)
+        _, text = write_reports(reports)
         lines = text.splitlines()
         assert len(lines) == 3
         header = lines[0].split(",")
@@ -605,7 +629,8 @@ class TestSerialization:
             "clique_average",
         ]
         assert header[6:] == sorted(header[6:])
-        assert reports_csv(reports) == text
+        assert lines[2].startswith("n 2 / 0 1 1,,,,,,")
+        assert write_reports(reports)[1] == text
 
     def test_write_reports(self, tmp_path):
         reports = [check_graph(cycle(4))]
