@@ -274,6 +274,35 @@ class TestCheckGraph:
         assert r.verdicts["superlocal-chi"] == "not-applicable"
         assert r.verdicts["question-bound"] == "not-applicable"
 
+    def test_limit_n_refuses_exactly_above_each_oracle_limit(self, classes6):
+        # each limited value is None exactly when n > min(its limit, N);
+        # a claim reading one of them is then not-applicable, and every
+        # other value is the unlimited report's
+        from superlocal import invariants, oracles, stable_sets
+
+        limits = {
+            "chi": oracles.CHROMATIC_VERTEX_LIMIT,
+            "alpha": stable_sets.ENUMERATION_VERTEX_LIMIT,
+            "chi_f": stable_sets.ENUMERATION_VERTEX_LIMIT,
+            "question_value": invariants.SUBGRAPH_SCAN_LIMIT,
+        }
+        key_of_need = {"question": "question_value"}
+        for g in classes6:
+            full = report_to_dict(check_graph(g))
+            for limit_n in range(8):
+                d = report_to_dict(check_graph(g, CheckFlags(limit_n=limit_n)))
+                refused = {k for k, lim in limits.items() if g.n > min(lim, limit_n)}
+                assert {k for k in limits if d[k] is None} == refused
+                expected = {k: v for k, v in full.items() if k not in refused}
+                expected["verdicts"] = {
+                    claim: "not-applicable"
+                    if {key_of_need.get(need, need) for need in harness.CLAIMS[claim].needs}
+                    & refused
+                    else verdict
+                    for claim, verdict in full["verdicts"].items()
+                }
+                assert {k: v for k, v in d.items() if k not in refused} == expected
+
     def test_negative_limit_n_is_a_domain_error(self):
         with pytest.raises(DomainError, match="must be nonnegative"):
             CheckFlags(limit_n=-1)
