@@ -43,7 +43,6 @@ from .oracles import (
     VertexColouring,
     chi_via_complement_matching,
     chromatic_number,
-    fractional_chromatic_number,
     fractional_chromatic_solution,
     stability_number,
     verify_vertex_colouring,

@@ -13,6 +13,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import errors, oracles, stable_sets
 from .edge_colour import edge_colour
 from .errors import DomainError, GraphFormatError, InternalBugError, SizeLimitError
 from .frac_colour import superlocal_fractional_colour, verify_fractional_colouring
@@ -47,14 +48,7 @@ from .invariants import (
     graph_bounds,
     vertex_bounds,
 )
-from .oracles import (
-    CHROMATIC_VERTEX_LIMIT,
-    check_chromatic_size,
-    chromatic_number,
-    fractional_chromatic_number,
-    stability_number,
-)
-from .stable_sets import ENUMERATION_VERTEX_LIMIT, check_enumeration_size
+from .oracles import chromatic_number, fractional_chromatic_solution, stability_number
 
 def _read_text(path):
     if path == "-":
@@ -99,20 +93,19 @@ def _load_any(text):
     return parse_graph6(first)
 
 
-def _load_simple(text, check_size, limit):
-    """The input as a simple graph.
+def _load_simple(text, what, limit):
+    """The input as a simple graph, refused above limit vertices as what.
 
-    A multigraph input runs check_size(g, limit) before support() builds
-    adjacency masks, which cost about n^2/2 bits on a sparse graph, so a
-    size refusal costs no more memory than parsing.
+    A multigraph input is refused before support() builds adjacency
+    masks, which cost about n^2/2 bits on a sparse graph, so a size
+    refusal costs no more memory than parsing.
     """
     g = _load_any(text)
-    if isinstance(g, Multigraph):
-        if any(mu > 1 for mu in g.multiplicities().values()):
-            raise DomainError("this subcommand needs a simple graph")
-        check_size(g, limit)
-        return g.support()
-    return g
+    multi = isinstance(g, Multigraph)
+    if multi and any(mu > 1 for mu in g.multiplicities().values()):
+        raise DomainError("this subcommand needs a simple graph")
+    errors.check_vertex_limit(what, g.n, limit)
+    return g.support() if multi else g
 
 
 def _load_multi(text):
@@ -178,19 +171,23 @@ def cmd_bounds(args):
 
 
 def cmd_oracle(args):
-    flags = CheckFlags(limit_n=args.limit_n)
-    chi_limit = flags.vertex_limit(CHROMATIC_VERTEX_LIMIT)
-    g = _load_simple(_read_text(args.file), check_chromatic_size, chi_limit)
-    chi, _ = chromatic_number(g, limit=chi_limit)
-    stable_limit = flags.vertex_limit(ENUMERATION_VERTEX_LIMIT)
-    chi_f = fractional_chromatic_number(g, vertex_limit=stable_limit)
-    alpha = stability_number(g, limit=stable_limit)
+    # chi has the lowest vertex limit, so one refusal at the lower of it
+    # and --limit-n (a negative one is refused by CheckFlags) covers all three
+    limit = oracles.CHROMATIC_VERTEX_LIMIT
+    if CheckFlags(limit_n=args.limit_n).limit_n is not None:
+        limit = min(limit, args.limit_n)
+    g = _load_simple(_read_text(args.file), "chromatic number", limit)
+    chi, _ = chromatic_number(g)
+    chi_f = fractional_chromatic_solution(g).value
+    alpha = stability_number(g)
     out = {"chi": chi, "chi_f": frac_str(chi_f), "alpha": alpha}
     return _render(out, args.format)
 
 
 def cmd_frac(args):
-    g = _load_simple(_read_text(args.file), check_enumeration_size, ENUMERATION_VERTEX_LIMIT)
+    g = _load_simple(
+        _read_text(args.file), "stable set enumeration", stable_sets.ENUMERATION_VERTEX_LIMIT
+    )
     fc, trace = superlocal_fractional_colour(g)
     # always verified; --verify only adds the marker to the output
     verdict = verify_fractional_colouring(g, fc, trace.bound)
@@ -308,37 +305,50 @@ def _parse_params(spec):
             raise DomainError(f"parameter {key!r} given twice")
         try:
             out[key] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
+        except ValueError as exc:
             raise DomainError(f"parameter {item!r}: {exc}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"parameter {item!r} has a zero denominator") from None
     return out
 
 
+# the graph-source options that only one source reads, by argparse dest
+ENUMERATION_ONLY = {"all_classes": "--all-classes", "connected": "--connected"}
+CORPUS_ONLY = {"seed": "--seed", "count": "--count", "params": "--params"}
+
+
 def _graphs(args, connected_only):
-    """The classes of --n, or else the seeded corpus of --corpus."""
+    """The classes of --n, or else the seeded corpus of --corpus.
+
+    An option that only the other source reads is an input error.
+    """
+    source, unread = ("--n", CORPUS_ONLY) if args.n is not None else ("--corpus", ENUMERATION_ONLY)
+    for dest, option in unread.items():
+        if getattr(args, dest, None) is not None:
+            raise DomainError(f"{option} does nothing with {source}")
     if args.n is not None:
         return enumerate_graph_classes(args.n, connected_only=connected_only)
-    if args.corpus is None:
-        raise DomainError(f"{args.command} needs either --n or --corpus")
-    params = _parse_params(args.params)
-    return random_corpus(args.corpus, args.seed, args.count, **params)
+    seed = 0 if args.seed is None else args.seed
+    count = 100 if args.count is None else args.count
+    return random_corpus(args.corpus, seed, count, **_parse_params(args.params))
 
 
 def cmd_search(args):
     if args.chi_prime_edges < 0:
         raise DomainError(f"--chi-prime-edges must be nonnegative, got {args.chi_prime_edges}")
-    if args.n is not None:
-        corpus, where = None, "the simple graphs of --n"
-    elif args.corpus is not None:
-        corpus, where = CORPORA[args.corpus], f"the {args.corpus} corpus"
-    else:
-        raise DomainError("search needs either --n or --corpus")
-    default_claims = MULTI_CLAIMS if corpus and corpus.multi else SIMPLE_CLAIMS
+    corpus = CORPORA.get(args.corpus)  # None for the classes of --n
+    where = f"the {args.corpus} corpus" if corpus else "the simple graphs of --n"
+    multi = bool(corpus and corpus.multi)
     flags = CheckFlags(
-        claims=_parse_claims(args.claims, default_claims, where),
+        claims=_parse_claims(args.claims, MULTI_CLAIMS if multi else SIMPLE_CLAIMS, where),
         circular_interval=bool(corpus and corpus.circular_interval),
         limit_n=args.limit_n,
         chi_prime_edge_limit=args.chi_prime_edges,
     )
+    if args.chi_prime_edges and "chi-prime-bound" not in flags.claims:
+        raise DomainError("--chi-prime-edges does nothing without the chi-prime-bound claim")
+    if multi and args.limit_n is not None:
+        raise DomainError(f"--limit-n does nothing with {where}")
     if args.out:
         _check_writable(args.out)
     summary = search_counterexamples(
@@ -355,7 +365,7 @@ def cmd_search(args):
 def cmd_gen(args):
     lines = [
         multigraph_line(g) if isinstance(g, Multigraph) else to_graph6(g)
-        for g in _graphs(args, connected_only=args.connected)
+        for g in _graphs(args, connected_only=bool(args.connected))
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -366,6 +376,17 @@ def _parser():
         description="Superlocal degree-clique bounds, colourings, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_source(p, flag, flag_help):
+        # options that only one source reads default to None, so that
+        # _graphs can refuse one given to the other
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--n", type=int, help="enumerate all classes on n vertices")
+        source.add_argument("--corpus", choices=CORPUS_KINDS, help="draw a seeded corpus")
+        p.add_argument(flag, action="store_true", default=None, help=flag_help)
+        p.add_argument("--seed", type=int, help="corpus seed (default 0)")
+        p.add_argument("--count", type=int, help="corpus size (default 100)")
+        p.add_argument("--params", help="corpus parameters, key=value pairs")
 
     def add_common(p, fmt_default="json", limit_n=False):
         p.add_argument("--format", choices=("json", "plain"), default=fmt_default)
@@ -403,13 +424,7 @@ def _parser():
     p.set_defaults(func=cmd_linegraph)
 
     p = sub.add_parser("search", help="verify claims over an enumeration or corpus")
-    p.add_argument("--n", type=int, default=None, help="enumerate all classes on n vertices")
-    p.add_argument("--all-classes", action="store_true",
-                   help="include disconnected graphs in the enumeration")
-    p.add_argument("--corpus", choices=CORPUS_KINDS, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--params", default=None, help="corpus parameters, key=value pairs")
+    add_source(p, "--all-classes", "include disconnected graphs in the enumeration")
     p.add_argument("--claims", default=None,
                    help="comma list; names or tokens like conj3, thm4")
     p.add_argument("--chi-prime-edges", type=int, default=0, dest="chi_prime_edges",
@@ -418,12 +433,7 @@ def _parser():
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit an enumeration or seeded corpus")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--connected", action="store_true")
-    p.add_argument("--corpus", choices=CORPUS_KINDS, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--params", default=None)
+    add_source(p, "--connected", "only connected graphs in the enumeration")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen, format="plain")
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import _kernels
-from .errors import DomainError, InternalBugError, SizeLimitError
+from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
 from .frac_colour import superlocal_fractional_colour, verify_fractional_colouring
 from .graphs import (
     Multigraph,
@@ -31,7 +31,6 @@ from .graphs import (
     to_graph6,
 )
 from .invariants import (
-    SUBGRAPH_SCAN_LIMIT,
     clique_average_bound,
     gamma_bar_ll,
     gamma_ll,
@@ -39,14 +38,11 @@ from .invariants import (
     subgraph_neighbourhood_bound,
 )
 from .oracles import (
-    CHROMATIC_VERTEX_LIMIT,
-    MATCHING_VERTEX_LIMIT,
     chi_via_complement_matching,
     chromatic_number,
     fractional_chromatic_solution,
     stability_number,
 )
-from .stable_sets import ENUMERATION_VERTEX_LIMIT
 from .edge_colour import edge_colour
 
 ENUMERATION_N_LIMIT = 8
@@ -103,7 +99,7 @@ HOLDS, VIOLATED, NOT_APPLICABLE = "holds", "violated", "not-applicable"
 class CheckFlags:
     claims: tuple = tuple(CLAIMS)
     circular_interval: bool = False  # input promised to be circular interval
-    limit_n: int | None = None  # caps each oracle's vertex limit (--limit-n)
+    limit_n: int | None = None  # no exact oracle runs above this many vertices (--limit-n)
     chi_prime_edge_limit: int = 0  # 0 disables the brute-force chi' cross-check
 
     def __post_init__(self):
@@ -112,10 +108,6 @@ class CheckFlags:
                 raise DomainError(f"unknown claim {claim!r}")
         if self.limit_n is not None and self.limit_n < 0:
             raise DomainError(f"--limit-n must be nonnegative, got {self.limit_n}")
-
-    def vertex_limit(self, limit):
-        """The package limit of one oracle, lowered to limit_n when it is set."""
-        return limit if self.limit_n is None else min(limit, self.limit_n)
 
 
 @dataclass(frozen=True)
@@ -183,6 +175,10 @@ def check_graph(g, flags=None):
     """
     flags = flags or CheckFlags()
     needs = {name for claim in flags.claims for name in CLAIMS[claim].needs}
+    if flags.limit_n is not None and g.n > flags.limit_n:
+        # each oracle refuses above the lower of its own limit and limit_n;
+        # the matching waits for alpha
+        needs -= {"chi", "alpha", "chi_f", "question"}
     timings = {}
     t0 = _now_us()
     enc = to_graph6(g)
@@ -200,16 +196,10 @@ def check_graph(g, flags=None):
         timings[name] = _now_us() - t
         return value
 
-    chi_result = guarded(
-        "chi",
-        lambda: chromatic_number(g, limit=flags.vertex_limit(CHROMATIC_VERTEX_LIMIT)),
-    )
+    chi_result = guarded("chi", lambda: chromatic_number(g))
     chi = None if chi_result is None else chi_result[0]
-    stable_limit = flags.vertex_limit(ENUMERATION_VERTEX_LIMIT)
-    alpha = guarded("alpha", lambda: stability_number(g, limit=stable_limit))
-    chi_f_sol = guarded(
-        "chi_f", lambda: fractional_chromatic_solution(g, vertex_limit=stable_limit)
-    )
+    alpha = guarded("alpha", lambda: stability_number(g))
+    chi_f_sol = guarded("chi_f", lambda: fractional_chromatic_solution(g))
     chi_f = None if chi_f_sol is None else chi_f_sol.value
 
     def run_frac():
@@ -224,12 +214,9 @@ def check_graph(g, flags=None):
     clique_avg = guarded(
         "clique_average", lambda: clique_average_bound(g) if g.n else None
     )
-    question_value = None
-    scan_limit = flags.vertex_limit(SUBGRAPH_SCAN_LIMIT)
-    if 1 <= g.n <= scan_limit:
-        question_value = guarded(
-            "question", lambda: subgraph_neighbourhood_bound(g, limit=scan_limit)
-        )
+    question_value = guarded(
+        "question", lambda: subgraph_neighbourhood_bound(g) if g.n else None
+    )
 
     verdicts = {}
 
@@ -265,9 +252,7 @@ def check_graph(g, flags=None):
     chi_m = None
     if "alpha2-chi" in flags.claims and alpha is not None and alpha <= 2:
         try:
-            chi_m, _ = chi_via_complement_matching(
-                g, limit=flags.vertex_limit(MATCHING_VERTEX_LIMIT)
-            )
+            chi_m, _ = chi_via_complement_matching(g)
         except SizeLimitError:
             pass
     judge(
@@ -393,10 +378,7 @@ def enumerate_graph_classes(n, connected_only=False):
     """One representative per isomorphism class, minimum edge-mask canonical."""
     if n < 1:
         raise DomainError("enumeration needs at least one vertex")
-    if n > ENUMERATION_N_LIMIT:
-        raise SizeLimitError(
-            f"enumeration limited to {ENUMERATION_N_LIMIT} vertices, got {n}"
-        )
+    check_vertex_limit("enumeration", n, ENUMERATION_N_LIMIT)
     out = []
     for mask in _kernels.orbit_representatives(n):
         g = SimpleGraph.from_edge_mask(n, mask)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, check_vertex_limit
 from .graphs import line_graph
 from .stable_sets import _bron_kerbosch
 
@@ -174,13 +174,13 @@ def clique_average_bound(g):
     return Fraction(best_num, 2 * best_den)
 
 
-def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
+def subgraph_neighbourhood_bound(g):
     """Max closed-neighbourhood average over all nonempty induced subgraphs.
 
     The max is over every induced subgraph H = G[mask] and every vertex
     v of H of the average of gamma_l_prime, computed in H, over the
     closed neighbourhood of v in H. Builds a table over all 2^n vertex
-    sets, so refuses above the limit.
+    sets, so refuses above SUBGRAPH_SCAN_LIMIT vertices.
 
     One pass in increasing order fills clq[s], the clique number of
     every vertex set s: with v the lowest vertex of s and rest = s - v,
@@ -208,10 +208,7 @@ def subgraph_neighbourhood_bound(g, limit=SUBGRAPH_SCAN_LIMIT):
     integer pair compared by cross products, and the one Fraction is
     built at the end.
     """
-    if g.n > limit:
-        raise SizeLimitError(
-            f"subgraph scan limited to {limit} vertices, got {g.n}"
-        )
+    check_vertex_limit("subgraph scan", g.n, SUBGRAPH_SCAN_LIMIT)
     if g.n == 0:
         raise DomainError("bound needs a nonempty vertex set")
     n = g.n

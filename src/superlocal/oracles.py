@@ -13,16 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import _kernels
-from .errors import DomainError, InternalBugError, SizeLimitError
+from . import _kernels, stable_sets
+from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
 from .graphs import complement_masks, mask_members, max_clique_size
 from .invariants import clique_number
 from .simplex import solve_simplex
-from .stable_sets import (
-    ENUMERATION_VERTEX_LIMIT,
-    check_enumeration_size,
-    maximal_stable_sets,
-)
+from .stable_sets import check_enumeration_size, maximal_stable_sets
 
 CHROMATIC_VERTEX_LIMIT = 16
 MATCHING_VERTEX_LIMIT = 20
@@ -76,15 +72,9 @@ def _dsatur_greedy(adj, n):
     return colours
 
 
-def check_chromatic_size(g, limit):
-    """Refuse a graph above the branch-and-bound vertex limit."""
-    if g.n > limit:
-        raise SizeLimitError(f"chromatic number limited to {limit} vertices, got {g.n}")
-
-
-def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
+def chromatic_number(g):
     """Exact chi with a witness colouring."""
-    check_chromatic_size(g, limit)
+    check_vertex_limit("chromatic number", g.n, CHROMATIC_VERTEX_LIMIT)
     n = g.n
     if n == 0:
         return 0, VertexColouring((), 0)
@@ -122,9 +112,8 @@ def chromatic_number(g, limit=CHROMATIC_VERTEX_LIMIT):
     return best_k, vc
 
 
-def stability_number(g, limit=ENUMERATION_VERTEX_LIMIT):
-    if g.n > limit:
-        raise SizeLimitError(f"stability number limited to {limit} vertices, got {g.n}")
+def stability_number(g):
+    check_vertex_limit("stability number", g.n, stable_sets.ENUMERATION_VERTEX_LIMIT)
     return max_clique_size(complement_masks(g), (1 << g.n) - 1)
 
 
@@ -186,7 +175,7 @@ def _integral_solution(g, omega, colours):
     )
 
 
-def fractional_chromatic_solution(g, vertex_limit=None):
+def fractional_chromatic_solution(g):
     """Certified optimum of the covering LP over stable sets.
 
     When the DSATUR colouring uses omega colours, its classes (weight 1
@@ -197,7 +186,7 @@ def fractional_chromatic_solution(g, vertex_limit=None):
     solved exactly, and the covering weights come from the optimal
     tableau. Either certificate is re-checked before returning.
     """
-    check_enumeration_size(g, vertex_limit)
+    check_enumeration_size(g)
     n = g.n
     if n == 0:
         return FractionalChromaticSolution(Fraction(0), {}, ())
@@ -205,7 +194,7 @@ def fractional_chromatic_solution(g, vertex_limit=None):
     colours = _dsatur_greedy(g.adj, n)
     if max(colours) + 1 == omega:
         return _integral_solution(g, omega, colours)
-    fam = maximal_stable_sets(g, limit=vertex_limit)
+    fam = maximal_stable_sets(g)
     if len(fam.sets) > LP_SET_LIMIT:
         raise SizeLimitError(
             f"LP over {len(fam.sets)} stable sets exceeds the limit {LP_SET_LIMIT}"
@@ -239,18 +228,13 @@ def fractional_chromatic_solution(g, vertex_limit=None):
     return FractionalChromaticSolution(value=value, weights=weights, dual=tuple(y))
 
 
-def fractional_chromatic_number(g, vertex_limit=None):
-    return fractional_chromatic_solution(g, vertex_limit).value
-
-
-def chi_via_complement_matching(g, limit=MATCHING_VERTEX_LIMIT):
+def chi_via_complement_matching(g):
     """chi = n - nu(complement) for graphs with stability number <= 2.
 
     Colour classes are the matched complement pairs plus singletons.
     """
     n = g.n
-    if n > limit:
-        raise SizeLimitError(f"matching oracle limited to {limit} vertices, got {n}")
+    check_vertex_limit("matching oracle", n, MATCHING_VERTEX_LIMIT)
     if n == 0:
         return 0, VertexColouring((), 0)
     adj = complement_masks(g)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, SizeLimitError
+from .errors import DomainError, check_vertex_limit
 from .graphs import complement_masks, mask_members
 
 ENUMERATION_VERTEX_LIMIT = 24
@@ -90,19 +90,14 @@ def _maximum_sets(comp, start):
         r, size, p = stack.pop()
 
 
-def check_enumeration_size(g, limit=None):
-    """Refuse a graph above the vertex limit (default ENUMERATION_VERTEX_LIMIT)."""
-    if limit is None:
-        limit = ENUMERATION_VERTEX_LIMIT
-    if g.n > limit:
-        raise SizeLimitError(
-            f"stable set enumeration limited to {limit} vertices, got {g.n}"
-        )
+def check_enumeration_size(g):
+    """Refuse a graph above ENUMERATION_VERTEX_LIMIT vertices."""
+    check_vertex_limit("stable set enumeration", g.n, ENUMERATION_VERTEX_LIMIT)
 
 
-def maximal_stable_sets(g, limit=None):
+def maximal_stable_sets(g):
     """Maximal stable sets of g, in g's ids."""
-    check_enumeration_size(g, limit)
+    check_enumeration_size(g)
     masks = _bron_kerbosch(complement_masks(g), (1 << g.n) - 1)
     order = sorted((mask_members(m), m) for m in masks)
     return StableSetFamily(

@@ -19,7 +19,7 @@ from superlocal import (
     clique_average_bound,
     edge_colour,
     enumerate_graph_classes,
-    fractional_chromatic_number,
+    fractional_chromatic_solution,
     gamma_bar_ll,
     gamma_ll,
     gamma_ll_prime,
@@ -33,6 +33,7 @@ from superlocal import (
     verify_fractional_colouring,
     verify_vertex_colouring,
 )
+from superlocal import oracles, stable_sets
 from bruteforce import bf_membership_probabilities, bf_neighbourhood_average
 from conftest import cycle, double_star, pendant_clique, petersen
 
@@ -67,7 +68,7 @@ def test_criterion_1_fractional_bound_with_constructive_weighting(connected7):
     failures = []
     for g in connected7:
         bound = gamma_ll_prime(g)
-        chi_f = fractional_chromatic_number(g)
+        chi_f = fractional_chromatic_solution(g).value
         if chi_f > bound:
             failures.append((g, "chi_f above bound"))
             continue
@@ -83,18 +84,18 @@ def test_criterion_1_fractional_bound_with_constructive_weighting(connected7):
 def test_criterion_2_c5_tightness():
     g = cycle(5)
     b = graph_bounds(g)
-    assert fractional_chromatic_number(g) == F(5, 2)
+    assert fractional_chromatic_solution(g).value == F(5, 2)
     assert b.gamma_ll_prime == F(5, 2)
     assert chromatic_number(g)[0] == 3
     assert b.gamma_ll == 3
     report(2, "C_5: chi_f = gamma'_ll = 5/2 and chi = gamma_ll = 3")
 
 
-def test_criterion_3_separating_examples():
+def test_criterion_3_separating_examples(monkeypatch):
     ds = double_star()
     fc, trace = superlocal_fractional_colour(ds)
     assert fc.total == 3 and trace.bound == 3
-    assert fractional_chromatic_number(ds) == 2
+    assert fractional_chromatic_solution(ds).value == 2
     assert subgraph_neighbourhood_bound(ds) == F(5, 2)
 
     k = 6
@@ -102,10 +103,14 @@ def test_criterion_3_separating_examples():
     assert pc.n == 42
     for v in range(k):
         assert bf_neighbourhood_average(pc, v) == F(11, 2) == F(3 * k, 4) + 1
-    chi_f = fractional_chromatic_number(pc, vertex_limit=pc.n)
+    # the pendant clique has 42 vertices: raise the chi and enumeration
+    # limits for this test's run only
+    monkeypatch.setattr(oracles, "CHROMATIC_VERTEX_LIMIT", pc.n)
+    monkeypatch.setattr(stable_sets, "ENUMERATION_VERTEX_LIMIT", pc.n)
+    chi_f = fractional_chromatic_solution(pc).value
     assert chi_f == 6
     assert F(11, 2) < chi_f
-    assert chromatic_number(pc, limit=pc.n)[0] == 6
+    assert chromatic_number(pc)[0] == 6
     assert clique_average_bound(pc) == 9 == F(3 * k, 2)
     report(3, "double-star: T=3, chi_f=2, subgraph bound 5/2; "
               "pendant-clique k=6: average 11/2 < chi_f = 6, clique bound 9")
@@ -156,7 +161,7 @@ def test_criterion_6_circular_interval_round_up(circular_corpus):
     for g in circular_corpus:
         assert g.n <= 10
         chi = chromatic_number(g)[0]
-        chi_f = fractional_chromatic_number(g)
+        chi_f = fractional_chromatic_solution(g).value
         assert chi == math.ceil(chi_f)
         assert chi <= gamma_ll(g)
     report(6, "200 circular interval graphs: chi = ceil(chi_f) and "

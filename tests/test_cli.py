@@ -473,7 +473,23 @@ class TestSearch:
     def test_needs_space(self, capsys):
         code, _, err = run(capsys, "search")
         assert code == 1
-        assert "either --n or --corpus" in err
+        assert "one of the arguments --n --corpus is required" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "3", "--chi-prime-edges", "5"), "--chi-prime-edges does nothing"),
+            (("--corpus", "multigraph", "--claims", "thm11", "--chi-prime-edges", "5"),
+             "--chi-prime-edges does nothing"),
+            (("--corpus", "multigraph", "--limit-n", "5"),
+             "--limit-n does nothing with the multigraph corpus"),
+        ],
+    )
+    def test_option_no_claim_reads_is_input_error(self, capsys, argv, message):
+        code, out, err = run(capsys, "search", *argv)
+        assert code == 1
+        assert out == ""
+        assert message in err
 
 
 class TestGen:
@@ -529,6 +545,7 @@ class TestGen:
             ("search", "multigraph", "mu_max=0.5", "mu_max must be an integer"),
             ("gen", "co_triangle_free", "p=1.25", "outside [0,1]"),
             ("gen", "simple", "p=half", "'p=half'"),
+            ("gen", "simple", "p=1/0", "'p=1/0' has a zero denominator"),
         ]
         for command, corpus, params, message in cases:
             for count in ("0", "1"):
@@ -538,6 +555,34 @@ class TestGen:
                 )
                 assert code == 1
                 assert message in err
+
+
+@pytest.mark.parametrize("command, flag", [("search", "--all-classes"), ("gen", "--connected")])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ((), "one of the arguments --n --corpus is required"),
+        (("--n", "3", "--corpus", "simple"), "argument --corpus: not allowed with argument --n"),
+        (("--n", "3", "--seed", "0"), "--seed does nothing with --n"),
+        (("--n", "3", "--count", "5"), "--count does nothing with --n"),
+        (("--n", "3", "--params", "n=3"), "--params does nothing with --n"),
+        (("--corpus", "simple", "FLAG"), "FLAG does nothing with --corpus"),
+    ],
+)
+def test_graph_source_option_that_is_not_read(capsys, command, flag, argv, message):
+    # search and gen share the graph-source options; each one that the
+    # chosen source does not read is an input error that names it
+    argv = [flag if a == "FLAG" else a for a in argv]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert out == ""
+    assert message.replace("FLAG", flag) in err
+
+
+def test_corpus_seed_and_count_defaults(capsys):
+    _, default, _ = run(capsys, "gen", "--corpus", "simple")
+    _, explicit, _ = run(capsys, "gen", "--corpus", "simple", "--seed", "0", "--count", "100")
+    assert default == explicit and len(default.splitlines()) == 100
 
 
 class TestExitCodes:

@@ -10,7 +10,7 @@ from superlocal import (
     SimpleGraph,
     SizeLimitError,
     StableSetFamily,
-    fractional_chromatic_number,
+    fractional_chromatic_solution,
     gamma_ll_prime,
     superlocal_fractional_colour,
     verify_fractional_colouring,
@@ -127,7 +127,7 @@ def test_all_small_classes_valid(classes6):
         assert verdict.valid, verdict.violations
         assert fc.total <= bound
         if g.n:
-            assert fractional_chromatic_number(g) <= fc.total
+            assert fractional_chromatic_solution(g).value <= fc.total
 
 
 @given(graphs_st(7, 12))
@@ -135,7 +135,7 @@ def test_random_graphs_valid(g):
     bound = gamma_ll_prime(g)
     fc, _ = superlocal_fractional_colour(g)
     assert verify_fractional_colouring(g, fc, bound).valid
-    assert fractional_chromatic_number(g) <= fc.total <= bound
+    assert fractional_chromatic_solution(g).value <= fc.total <= bound
 
 
 def test_matches_reference_on_connected7(connected7):

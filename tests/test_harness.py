@@ -306,9 +306,6 @@ class TestCheckGraph:
     def test_negative_limit_n_is_a_domain_error(self):
         with pytest.raises(DomainError, match="must be nonnegative"):
             CheckFlags(limit_n=-1)
-        assert CheckFlags(limit_n=0).vertex_limit(16) == 0
-        assert CheckFlags(limit_n=30).vertex_limit(16) == 16
-        assert CheckFlags().vertex_limit(16) == 16
 
     def test_claim_selection(self):
         r = check_graph(cycle(5), CheckFlags(claims=("superlocal-chi",)))
@@ -554,9 +551,9 @@ class TestSearch:
         # (chi_f = 5/2 > 2) stands in for a counterexample
         real = harness.subgraph_neighbourhood_bound
 
-        def lowered(g, limit):
+        def lowered(g):
             c5 = g.n == 5 and all(g.degree(v) == 2 for v in range(5)) and g.is_connected()
-            return Fraction(2) if c5 else real(g, limit=limit)
+            return Fraction(2) if c5 else real(g)
 
         reverified = []
         monkeypatch.setattr(harness, "subgraph_neighbourhood_bound", lowered)

@@ -24,6 +24,7 @@ from superlocal import (
     subgraph_neighbourhood_bound,
     vertex_bounds,
 )
+from superlocal import invariants
 from bruteforce import (
     bf_clique_average_bound,
     bf_clique_number,
@@ -365,11 +366,13 @@ class TestAverageBounds:
                     best = max(best, bf_neighbourhood_average(h, labels.index(v)))
         assert subgraph_neighbourhood_bound(g) == best
 
-    def test_subgraph_bound_limit(self):
+    def test_subgraph_bound_limit(self, monkeypatch):
         with pytest.raises(SizeLimitError):
             subgraph_neighbourhood_bound(SimpleGraph(13))
+        # the limit is read when the function runs
+        monkeypatch.setattr(invariants, "SUBGRAPH_SCAN_LIMIT", 4)
         with pytest.raises(SizeLimitError):
-            subgraph_neighbourhood_bound(cycle(5), limit=4)
+            subgraph_neighbourhood_bound(cycle(5))
         with pytest.raises(DomainError):
             subgraph_neighbourhood_bound(SimpleGraph(0))
 

@@ -15,7 +15,6 @@ from superlocal import (
     chi_via_complement_matching,
     chromatic_number,
     clique_number,
-    fractional_chromatic_number,
     fractional_chromatic_solution,
     parse_graph6,
     stability_number,
@@ -57,12 +56,15 @@ class TestChromaticNumber:
         assert chromatic_number(SimpleGraph(4))[0] == 1
         assert chromatic_number(SimpleGraph(0))[0] == 0
 
-    def test_limit(self):
+    def test_limit(self, monkeypatch):
         with pytest.raises(SizeLimitError):
             chromatic_number(SimpleGraph(17))
+        # the limit is read when the function runs
+        monkeypatch.setattr(oracles, "CHROMATIC_VERTEX_LIMIT", 4)
         with pytest.raises(SizeLimitError):
-            chromatic_number(cycle(5), limit=4)
-        assert chromatic_number(SimpleGraph(17), limit=17)[0] == 1
+            chromatic_number(cycle(5))
+        monkeypatch.setattr(oracles, "CHROMATIC_VERTEX_LIMIT", 17)
+        assert chromatic_number(SimpleGraph(17))[0] == 1
 
 
 class TestVerifyColouring:
@@ -89,19 +91,19 @@ class TestStability:
 
 class TestFractionalChromatic:
     def test_fixtures(self):
-        assert fractional_chromatic_number(cycle(5)) == F(5, 2)
-        assert fractional_chromatic_number(cycle(7)) == F(7, 3)
-        assert fractional_chromatic_number(complete(6)) == 6
-        assert fractional_chromatic_number(petersen()) == F(5, 2)
-        assert fractional_chromatic_number(path(4)) == 2
-        assert fractional_chromatic_number(SimpleGraph(1)) == 1
-        assert fractional_chromatic_number(SimpleGraph(5)) == 1
-        assert fractional_chromatic_number(SimpleGraph(0)) == 0
+        assert fractional_chromatic_solution(cycle(5)).value == F(5, 2)
+        assert fractional_chromatic_solution(cycle(7)).value == F(7, 3)
+        assert fractional_chromatic_solution(complete(6)).value == 6
+        assert fractional_chromatic_solution(petersen()).value == F(5, 2)
+        assert fractional_chromatic_solution(path(4)).value == 2
+        assert fractional_chromatic_solution(SimpleGraph(1)).value == 1
+        assert fractional_chromatic_solution(SimpleGraph(5)).value == 1
+        assert fractional_chromatic_solution(SimpleGraph(0)).value == 0
 
     def test_odd_cycle_formula(self):
         # chi_f(C_{2k+1}) = 2 + 1/k
         for k in (2, 3, 4):
-            assert fractional_chromatic_number(cycle(2 * k + 1)) == 2 + F(1, k)
+            assert fractional_chromatic_solution(cycle(2 * k + 1)).value == 2 + F(1, k)
 
     def test_certificate_is_independently_valid(self, classes6):
         for g in classes6:
@@ -125,7 +127,7 @@ class TestFractionalChromatic:
         for g in classes6:
             if g.n == 0:
                 continue
-            chi_f = fractional_chromatic_number(g)
+            chi_f = fractional_chromatic_solution(g).value
             assert clique_number(g) <= chi_f <= chromatic_number(g)[0]
 
     def test_set_limit(self):
@@ -143,7 +145,7 @@ class TestFractionalChromatic:
         g = SimpleGraph(
             24, [(t + a, t + b) for t in range(0, 24, 3) for a, b in ((0, 1), (0, 2), (1, 2))]
         )
-        assert fractional_chromatic_number(g) == 3
+        assert fractional_chromatic_solution(g).value == 3
 
     def test_both_routes_match_the_reference_lp(self, classes6, monkeypatch):
         # chi_f against the reference simplex over the brute-force maximal

@@ -15,6 +15,7 @@ from superlocal import (
     maximum_stable_sets,
     stability_number,
 )
+from superlocal import stable_sets
 from superlocal.graphs import max_clique_size
 from superlocal.stable_sets import _bron_kerbosch, _maximum_sets
 from bruteforce import (
@@ -137,13 +138,16 @@ def test_empty_graph():
     assert maximal_stable_sets(complement(g)).sets == (frozenset(),)
 
 
-def test_size_limit_enforced():
+def test_size_limit_enforced(monkeypatch):
     g = SimpleGraph(25)
     with pytest.raises(SizeLimitError):
         maximal_stable_sets(g)
+    # the limit is read when the function runs
+    monkeypatch.setattr(stable_sets, "ENUMERATION_VERTEX_LIMIT", 4)
     with pytest.raises(SizeLimitError):
-        maximal_stable_sets(cycle(5), limit=4)
-    assert len(maximal_stable_sets(g, limit=25).sets) == 1
+        maximal_stable_sets(cycle(5))
+    monkeypatch.setattr(stable_sets, "ENUMERATION_VERTEX_LIMIT", 25)
+    assert len(maximal_stable_sets(g).sets) == 1
 
 
 def test_maximum_sets_appear_in_maximal_family(classes6):
