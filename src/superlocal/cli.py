@@ -51,12 +51,15 @@ from .invariants import (
 from .oracles import chromatic_number, fractional_chromatic_solution, stability_number
 
 def _read_text(path):
-    if path == "-":
-        return sys.stdin.read()
+    """The ASCII text of a file, or of stdin for "-"."""
     try:
+        if path == "-":
+            text = sys.stdin.read()
+            text.encode("ascii")  # the file route's check: ASCII or refused
+            return text
         with open(path, "r", encoding="ascii") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from exc
 
 
@@ -81,15 +84,18 @@ def _check_writable(prefix):
 
 
 def _load_any(text):
-    """Multigraph text when the first record is a header, graph6 otherwise."""
+    """Multigraph text when the first record is a header, else one graph6 line."""
     stripped = text.strip()
     if not stripped:
         raise GraphFormatError("empty input")
-    first = stripped.split("\n", 1)[0].strip()
+    first, _, rest = stripped.partition("\n")
+    first = first.strip()
     # the header's first token is "n" alone; a graph6 line may start with
     # the byte n (47 vertices), but never with n and whitespace
     if first.split(None, 1)[0] == "n":
         return parse_multigraph(text)
+    if rest.strip():
+        raise GraphFormatError("graph6 input is one line; more text follows it")
     return parse_graph6(first)
 
 

@@ -330,16 +330,18 @@ def to_graph6(g):
 def parse_graph6(text):
     """Decode one graph6 line; errors name the byte offset."""
     if isinstance(text, bytes):
-        text = text.decode("ascii", errors="replace")
-    s = text.strip()
+        # latin-1 keeps each byte's value and offset
+        text = text.decode("latin-1")
+    # ASCII whitespace only: a non-ASCII space is an invalid byte, not padding
+    s = text.strip(" \t\n\r\v\f")
     if s.startswith(_G6_HEADER):
         s = s[len(_G6_HEADER) :]
     if not s:
         raise GraphFormatError("empty graph6 text")
-    data = s.encode("ascii", errors="replace")
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise GraphFormatError(f"invalid graph6 byte {byte!r} at offset {off}")
+    for off, ch in enumerate(s):
+        if not 63 <= ord(ch) <= 126:
+            raise GraphFormatError(f"invalid graph6 byte {ord(ch)} at offset {off}")
+    data = s.encode("ascii")
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
             raise GraphFormatError("8-byte graph6 size form not supported (offset 0)")

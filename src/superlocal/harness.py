@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -119,12 +118,10 @@ class BoundReport:
     chi_f: object
     alpha: object
     frac_total: object
-    frac_valid: object
     clique_average: object
     question_value: object
     verdicts: dict
     bug: bool
-    timings_us: dict
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,6 @@ class MultigraphReport:
     m: int
     verdicts: dict
     bug: bool
-    timings_us: dict
     # all None on an edgeless multigraph; the last three also when their
     # claim is not requested or its check is refused
     gamma_bar_ll: object = None
@@ -163,10 +159,6 @@ def frac_str(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _now_us():
-    return time.perf_counter_ns() // 1000
-
-
 def check_graph(g, flags=None):
     """Evaluate every requested claim on one simple graph.
 
@@ -179,28 +171,20 @@ def check_graph(g, flags=None):
         # each oracle refuses above the lower of its own limit and limit_n;
         # the matching waits for alpha
         needs -= {"chi", "alpha", "chi_f", "question"}
-    timings = {}
-    t0 = _now_us()
     enc = to_graph6(g)
     bounds = graph_bounds(g)
-    timings["bounds"] = _now_us() - t0
 
     def guarded(name, fn):
         if name not in needs:
             return None
-        t = _now_us()
         try:
-            value = fn()
+            return fn()
         except SizeLimitError:
-            value = None
-        timings[name] = _now_us() - t
-        return value
+            return None
 
-    chi_result = guarded("chi", lambda: chromatic_number(g))
-    chi = None if chi_result is None else chi_result[0]
+    chi = guarded("chi", lambda: chromatic_number(g)[0])
     alpha = guarded("alpha", lambda: stability_number(g))
-    chi_f_sol = guarded("chi_f", lambda: fractional_chromatic_solution(g))
-    chi_f = None if chi_f_sol is None else chi_f_sol.value
+    chi_f = guarded("chi_f", lambda: fractional_chromatic_solution(g).value)
 
     def run_frac():
         fc, _ = superlocal_fractional_colour(g)
@@ -275,12 +259,10 @@ def check_graph(g, flags=None):
         chi_f=chi_f,
         alpha=alpha,
         frac_total=frac_total,
-        frac_valid=None if frac_total is None else True,
         clique_average=clique_avg,
         question_value=question_value,
         verdicts=verdicts,
         bug=bug,
-        timings_us=timings,
     )
 
 
@@ -292,45 +274,36 @@ def multigraph_line(mg):
 def check_multigraph(mg, flags=None):
     """Evaluate the edge-colouring claims on one multigraph."""
     flags = flags or CheckFlags()
-    timings = {}
     enc = multigraph_line(mg)
     if mg.edge_count == 0:
         verdicts = dict.fromkeys([c for c in MULTI_CLAIMS if c in flags.claims], NOT_APPLICABLE)
-        return MultigraphReport(enc, mg.n, 0, verdicts, bug=False, timings_us=timings)
+        return MultigraphReport(enc, mg.n, 0, verdicts, bug=False)
 
     verdicts = {}
     colours_used = None
     if "edge-colour" in flags.claims:
         # edge_colour computes gamma_bar_ll itself and validates the finished
         # colouring against that k; line-graph-match checks k independently
-        t0 = _now_us()
         k, colouring = edge_colour(mg)
         colours_used = len(set(colouring.assignment.values()))
         verdicts["edge-colour"] = HOLDS if colouring.is_complete() else VIOLATED
-        timings["edge_colour"] = _now_us() - t0
     else:
-        t0 = _now_us()
         k = gamma_bar_ll(mg)
-        timings["gamma_bar_ll"] = _now_us() - t0
 
     lg_value = None
     if "line-graph-match" in flags.claims:
-        t0 = _now_us()
         try:
             lg_value = gamma_ll(line_graph(mg))
         except SizeLimitError:
             verdicts["line-graph-match"] = NOT_APPLICABLE
         else:
             verdicts["line-graph-match"] = HOLDS if lg_value == k else VIOLATED
-        timings["line_graph"] = _now_us() - t0
 
     chi_prime = None
     if "chi-prime-bound" in flags.claims:
         if 0 < flags.chi_prime_edge_limit and mg.edge_count <= flags.chi_prime_edge_limit:
-            t0 = _now_us()
             chi_prime = chi_prime_bruteforce(mg)
             verdicts["chi-prime-bound"] = HOLDS if chi_prime <= k else VIOLATED
-            timings["chi_prime"] = _now_us() - t0
         else:
             verdicts["chi-prime-bound"] = NOT_APPLICABLE
 
@@ -345,7 +318,6 @@ def check_multigraph(mg, flags=None):
         colours_used=colours_used,
         verdicts=verdicts,
         bug=bug,
-        timings_us=timings,
     )
 
 
@@ -649,7 +621,7 @@ def search_counterexamples(space, flags=None):
 
 
 # ---------------------------------------------------------------------------
-# report serialization (no floats anywhere; timings are intentionally omitted)
+# report serialization (no floats anywhere)
 
 
 def _opt(value, conv):
@@ -691,7 +663,8 @@ def report_to_dict(report):
         "chi_f": _opt(report.chi_f, frac_str),
         "alpha": report.alpha,
         "frac_total": _opt(report.frac_total, frac_str),
-        "frac_valid": report.frac_valid,
+        # run_frac raises on an invalid weighting, so a total is a valid one
+        "frac_valid": None if report.frac_total is None else True,
         "clique_average": _opt(report.clique_average, frac_str),
         "question_value": _opt(report.question_value, frac_str),
         "verdicts": dict(sorted(report.verdicts.items())),

@@ -2,9 +2,9 @@
 
 Maximal stable sets come from Bron-Kerbosch with pivoting over vertex
 bitmasks, as the cliques of the complement. Maximum stable sets come
-from their own branch and bound on the complement, optionally within a
-vertex mask, pruned at the best size found so far, so no smaller
-maximal set is ever listed. Guarded at 24 vertices.
+from their own branch and bound on the complement within a vertex
+mask, pruned at the best size found so far, so no smaller maximal set
+is ever listed. Guarded at 24 vertices.
 """
 
 from __future__ import annotations
@@ -106,13 +106,10 @@ def maximal_stable_sets(g):
     )
 
 
-def maximum_stable_sets(g, within=None):
-    """Maximum stable sets of g inside the vertex mask within (default: all), in g's ids."""
+def maximum_stable_sets(g, within):
+    """Maximum stable sets of g inside the vertex mask within, in g's ids."""
     check_enumeration_size(g)
-    full = (1 << g.n) - 1
-    if within is None:
-        within = full
-    elif within & ~full:
+    if within & ~((1 << g.n) - 1):
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
     masks = tuple(_maximum_sets(complement_masks(g), within))
     sets = tuple(frozenset(mask_members(m)) for m in masks)

@@ -597,6 +597,38 @@ class TestExitCodes:
         code, _, err = run(capsys, "bounds", str(p))
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        "D\u00e9c\n",  # read as D?c before
+        "\u00e9\n",  # read as the empty graph before
+        "n \u0663\n0 1 1\n",  # an Arabic-Indic 3 that int() accepts
+    ])
+    def test_non_ascii_stdin_is_refused(self, capsys, monkeypatch, text):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "bounds", "-")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: cannot read -: 'ascii' codec can't encode")
+
+    def test_non_ascii_file_is_refused(self, capsys, tmp_path):
+        p = tmp_path / "c5.g6"
+        p.write_bytes(b"D\xc3\xa9c\n")
+        code, out, err = run(capsys, "bounds", str(p))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {p}: 'ascii' codec can't decode")
+
+    def test_graph6_is_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\ngarbage\n"))
+        code, out, err = run(capsys, "oracle", "-")
+        assert code == 1
+        assert out == ""
+        assert err == "error: graph6 input is one line; more text follows it\n"
+        # blank lines around the one line are no second line
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n Dhc \n\n \n"))
+        code, out, _ = run(capsys, "oracle", "-")
+        assert code == 0
+        assert json.loads(out)["chi"] == 3
+
     @pytest.mark.parametrize("argv", [
         ["search", "--n", "4"],
         ["gen", "--n", "3"],

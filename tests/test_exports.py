@@ -94,6 +94,28 @@ def test_every_carrier_method_has_a_caller_in_the_package():
     assert unread == []
 
 
+# the chi_f certificate: returned for callers to re-check optimality, so
+# nothing in the package reads it back
+UNREAD_FIELDS = {"FractionalChromaticSolution.dual"}
+
+
+def test_every_carrier_field_is_read_in_the_package():
+    # an annotated field that no attribute access reads is carried on every
+    # object for nothing; read by name, as methods are above
+    trees = package_trees()
+    read = attributes_read(trees.values(), None)
+    unread = [
+        f"{cls.name}.{field.target.id}"
+        for tree in trees.values()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        if field.target.id not in read
+    ]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
 # the console entry point takes argv from its tests; the package calls it bare
 UNPASSED = {"main(argv)"}
 

@@ -198,6 +198,18 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match="8-byte"):
             parse_graph6("~~??????")
 
+    @pytest.mark.parametrize("text, value, off", [
+        ("D\u00e9c", 233, 1),
+        ("\u00e9", 233, 0),
+        (b"D\xc3\xa9c", 195, 1),
+        (b"\xff", 255, 0),
+        (b"Dhc\xa0", 160, 3),  # a latin-1 space, stripped by str.strip
+    ])
+    def test_non_ascii_is_refused_where_it_stands(self, text, value, off):
+        # never replaced by '?', a valid byte that reads as another graph
+        with pytest.raises(GraphFormatError, match=f"invalid graph6 byte {value} at offset {off}$"):
+            parse_graph6(text)
+
     def test_networkx_accepts_our_encodings(self):
         for g in (petersen(), complete(7), SimpleGraph(2)):
             nx.from_graph6_bytes(to_graph6(g).encode())

@@ -228,7 +228,7 @@ class TestCheckGraph:
         assert r.chi_f == Fraction(5, 2)
         assert r.alpha == 2
         assert r.frac_total == Fraction(5, 2)
-        assert r.frac_valid is True
+        assert report_to_dict(r)["frac_valid"] is True
         assert r.clique_average == Fraction(5, 2)
         assert r.question_value == Fraction(5, 2)
         assert r.bounds.gamma_ll == 3
@@ -361,20 +361,9 @@ class TestCheckGraph:
             assert d[key] is None
         assert write_reports([r])[1].splitlines()[1] == "Dhc,3,,3,5/2,,holds"
 
-    def test_all_claims_time_every_value_in_order(self):
-        r = check_graph(cycle(5))
-        assert list(r.timings_us) == [
-            "bounds", "chi", "alpha", "chi_f", "frac", "clique_average", "question"
-        ]
-
     def test_alpha3_not_applicable(self):
         r = check_graph(path(5))
         assert r.verdicts["alpha2-chi"] == "not-applicable"
-
-    def test_timings_are_integers(self):
-        r = check_graph(cycle(5))
-        assert r.timings_us
-        assert all(isinstance(t, int) for t in r.timings_us.values())
 
     def test_one_verification_per_graph(self, monkeypatch):
         frac_colour = sys.modules["superlocal.frac_colour"]
@@ -391,7 +380,7 @@ class TestCheckGraph:
         r = check_graph(cycle(5))
         assert len(calls) == 1
         assert r.frac_total == Fraction(5, 2)
-        assert r.frac_valid is True
+        assert report_to_dict(r)["frac_valid"] is True
 
     def test_invalid_weighting_is_a_bug_signal(self, monkeypatch):
         monkeypatch.setattr(harness, "superlocal_fractional_colour", corrupted_fractional_colour)

@@ -44,7 +44,7 @@ def test_maximal_stable_sets_match_bruteforce(classes6):
 
 def test_maximum_stable_sets_match_bruteforce(classes6):
     for g in classes6:
-        fam = maximum_stable_sets(g)
+        fam = maximum_stable_sets(g, (1 << g.n) - 1)
         assert list(fam.sets) == sorted(bf_maximum_stable_sets(g), key=sorted)
 
 
@@ -70,7 +70,8 @@ def test_within_matches_induced_subgraph(classes6):
                 return [frozenset(labels[v] for v in s) for s in sets]
 
             maximum = maximum_stable_sets(g, within=mask)
-            assert list(maximum.sets) == relabel(maximum_stable_sets(sub).sets)
+            whole = maximum_stable_sets(sub, (1 << sub.n) - 1)
+            assert list(maximum.sets) == relabel(whole.sets)
             # the branch and bound lists the sets already in sorted order
             assert list(maximum.sets) == relabel(
                 sorted(bf_maximum_stable_sets(sub), key=sorted)
@@ -153,7 +154,7 @@ def test_size_limit_enforced(monkeypatch):
 def test_maximum_sets_appear_in_maximal_family(classes6):
     for g in classes6:
         maximal = set(maximal_stable_sets(g).sets)
-        assert set(maximum_stable_sets(g).sets) <= maximal
+        assert set(maximum_stable_sets(g, (1 << g.n) - 1).sets) <= maximal
 
 
 def test_expected_neighbourhood_weight_vertex():
