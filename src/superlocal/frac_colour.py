@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalBugError
+from .graphs import mask_members
 from .invariants import gamma_ll_prime
 from .stable_sets import check_enumeration_size, maximum_stable_sets
 
@@ -61,15 +62,14 @@ def superlocal_fractional_colour(g):
     num = [1] * g.n
     den = [1] * g.n
     weights = {}  # set mask -> weight, in order of first use
-    sets = {}  # set mask -> the same set as a frozenset
     total = Fraction(0)
     records = []
     alive = tuple(range(g.n))
     while alive and total < bound:
-        fam = maximum_stable_sets(g, within=sum(1 << v for v in alive))
-        count = len(fam.masks)
+        masks = maximum_stable_sets(g, within=sum(1 << v for v in alive))
+        count = len(masks)
         hits = [0] * g.n
-        for m in fam.masks:
+        for m in masks:
             while m:
                 b = m & -m
                 hits[b.bit_length() - 1] += 1
@@ -86,12 +86,8 @@ def superlocal_fractional_colour(g):
         low = Fraction(count * low_num, low_den)
         val = min(low, bound - total)
         share = val / count
-        for m, s in zip(fam.masks, fam.sets):
-            if m in weights:
-                weights[m] += share
-            else:
-                weights[m] = share
-                sets[m] = s
+        for m in masks:
+            weights[m] = weights.get(m, 0) + share
         # v gains hits[v] * val / count; val <= low keeps every deficit
         # at 0 or above, so the overfill guard cannot fire on correct
         # code and stays as a bug signal
@@ -119,7 +115,7 @@ def superlocal_fractional_colour(g):
         )
         alive = tuple(v for v in alive if num[v])
 
-    weights = {sets[m]: w for m, w in weights.items()}
+    weights = {frozenset(mask_members(m)): w for m, w in weights.items()}
     fc = FractionalColouring(weights=weights, total=total)
     return fc, IterationTrace(bound=bound, records=tuple(records))
 

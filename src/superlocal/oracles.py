@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _kernels, stable_sets
 from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
-from .graphs import complement_masks, mask_members, max_clique_size
+from .graphs import _dsatur_pick, complement_masks, mask_members, max_clique_size
 from .invariants import clique_number
 from .simplex import solve_simplex
 from .stable_sets import check_enumeration_size, maximal_stable_sets
@@ -40,38 +40,6 @@ def verify_vertex_colouring(g, vc):
     return all(vc.colours[u] != vc.colours[v] for u, v in g.edges)
 
 
-def _dsatur_pick(adj, colours):
-    """The uncoloured vertex of most colours seen, then highest degree,
-    then lowest index, with the mask of the colours it sees."""
-    pick, pick_key, pick_sat = -1, None, 0
-    for v, cv in enumerate(colours):
-        if cv >= 0:
-            continue
-        sat = 0
-        m = adj[v]
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            if colours[u] >= 0:
-                sat |= 1 << colours[u]
-            m ^= b
-        key = (sat.bit_count(), adj[v].bit_count(), -v)
-        if pick_key is None or key > pick_key:
-            pick, pick_key, pick_sat = v, key, sat
-    return pick, pick_sat
-
-
-def _dsatur_greedy(adj, n):
-    colours = [-1] * n
-    for _ in range(n):
-        pick, pick_sat = _dsatur_pick(adj, colours)
-        c = 0
-        while pick_sat >> c & 1:
-            c += 1
-        colours[pick] = c
-    return colours
-
-
 def chromatic_number(g):
     """Exact chi with a witness colouring."""
     check_vertex_limit("chromatic number", g.n, CHROMATIC_VERTEX_LIMIT)
@@ -80,9 +48,8 @@ def chromatic_number(g):
         return 0, VertexColouring((), 0)
     adj = g.adj
     lb = clique_number(g)
-    greedy = _dsatur_greedy(adj, n)
-    best = greedy[:]
-    best_k = max(greedy) + 1
+    best = g.greedy_colouring()
+    best_k = max(best) + 1
     if best_k > lb:
         colours = [-1] * n
 
@@ -191,7 +158,7 @@ def fractional_chromatic_solution(g):
     if n == 0:
         return FractionalChromaticSolution(Fraction(0), {}, ())
     omega = clique_number(g)
-    colours = _dsatur_greedy(g.adj, n)
+    colours = g.greedy_colouring()
     if max(colours) + 1 == omega:
         return _integral_solution(g, omega, colours)
     fam = maximal_stable_sets(g)

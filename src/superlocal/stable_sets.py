@@ -107,10 +107,9 @@ def maximal_stable_sets(g):
 
 
 def maximum_stable_sets(g, within):
-    """Maximum stable sets of g inside the vertex mask within, in g's ids."""
+    """Maximum stable sets of g inside the vertex mask within, as vertex
+    bitmasks sorted by their member lists."""
     check_enumeration_size(g)
     if within & ~((1 << g.n) - 1):
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
-    masks = tuple(_maximum_sets(complement_masks(g), within))
-    sets = tuple(frozenset(mask_members(m)) for m in masks)
-    return StableSetFamily(sets=sets, masks=masks)
+    return tuple(_maximum_sets(complement_masks(g), within))

@@ -609,6 +609,12 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: cannot read -: 'ascii' codec can't encode")
 
+    def test_non_decimal_multigraph_token_is_refused(self, capsys, monkeypatch):
+        # int() reads 1_0 as 10, which edgecolour coloured as ten edges
+        monkeypatch.setattr("sys.stdin", io.StringIO("n 3\n0 1 1_0\n"))
+        err = "error: record 2: non-integer token in '0 1 1_0'\n"
+        assert run(capsys, "edgecolour", "-") == (1, "", err)
+
     def test_non_ascii_file_is_refused(self, capsys, tmp_path):
         p = tmp_path / "c5.g6"
         p.write_bytes(b"D\xc3\xa9c\n")

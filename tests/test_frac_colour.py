@@ -9,7 +9,6 @@ from superlocal import (
     InternalBugError,
     SimpleGraph,
     SizeLimitError,
-    StableSetFamily,
     fractional_chromatic_solution,
     gamma_ll_prime,
     superlocal_fractional_colour,
@@ -111,9 +110,8 @@ def test_single_vertex_and_empty():
 
 
 def test_no_vertex_in_a_maximum_set_raises(monkeypatch):
-    empty = StableSetFamily(sets=(frozenset(),), masks=(0,))
     monkeypatch.setattr(
-        "superlocal.frac_colour.maximum_stable_sets", lambda g, within: empty
+        "superlocal.frac_colour.maximum_stable_sets", lambda g, within: (0,)
     )
     with pytest.raises(InternalBugError, match="no vertex lies in any maximum stable set"):
         superlocal_fractional_colour(cycle(5))

@@ -270,6 +270,21 @@ class TestMultigraph:
             parse_multigraph("n 3\n0 1 1\n1 0 2")
         with pytest.raises(GraphFormatError, match="empty"):
             parse_multigraph("  \n ")
+        # tokens are ASCII decimal digits, not whatever int() accepts
+        with pytest.raises(GraphFormatError, match="record 2: non-integer token"):
+            parse_multigraph("n 3\n0 1 1_0")
+        with pytest.raises(GraphFormatError, match="record 1: bad vertex count"):
+            parse_multigraph("n 0_3\n0 1 +2")
+        with pytest.raises(GraphFormatError, match="record 2: non-integer token"):
+            parse_multigraph("n 3\n0 1 +2")
+        with pytest.raises(GraphFormatError, match="U\\+0663 at offset 2"):
+            parse_multigraph("n \u0663\n0 1 \u0662\n")
+        # str.split() also splits at VT, FF and 0x1c-0x1f; the format does not
+        with pytest.raises(GraphFormatError, match="U\\+001C at offset 1"):
+            parse_multigraph("n\x1c3\n0\x1f1\x1f2\n")
+        with pytest.raises(GraphFormatError, match="U\\+000B at offset 7"):
+            parse_multigraph("n 3\n0 1\x0b2")
+        assert parse_multigraph("n 3\r\n0\t1 2\r\n").edge_count == 2
 
     @pytest.mark.parametrize(
         "text, record",

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import sys
@@ -260,6 +261,33 @@ class TestCheckGraph:
         r = check_graph(petersen())
         assert len(calls) == 10 + 1
         assert (r.bounds.omega, r.chi, r.alpha) == (2, 3, 4)
+
+    def test_one_dsatur_colouring_per_graph(self, monkeypatch, capsys):
+        # chi's upper bound and the chi_f certificate read the colouring
+        # that the graph keeps; petersen takes the LP route and the branch
+        # and bound, C6 the integral route
+        from superlocal import graphs
+
+        real = graphs._dsatur_greedy
+        calls = []
+
+        def counted(adj, n):
+            calls.append(n)
+            return real(adj, n)
+
+        monkeypatch.setattr(graphs, "_dsatur_greedy", counted)
+        r = check_graph(petersen())
+        assert calls == [10]
+        assert (r.chi, r.chi_f) == (3, Fraction(5, 2))
+        calls.clear()
+        r = check_graph(cycle(6))
+        assert calls == [6]
+        assert (r.chi, r.chi_f) == (2, 2)
+        calls.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(petersen()) + "\n"))
+        assert cli.main(["oracle", "-"]) == 0
+        assert calls == [10]
+        assert json.loads(capsys.readouterr().out)["chi_f"] == "5/2"
 
     def test_cycle5_as_circular_interval(self):
         r = check_graph(cycle(5), CheckFlags(circular_interval=True))

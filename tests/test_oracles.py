@@ -20,7 +20,7 @@ from superlocal import (
     stability_number,
     verify_vertex_colouring,
 )
-from superlocal import _kernels, oracles
+from superlocal import _kernels, graphs, oracles
 from bruteforce import (
     bf_chromatic_number,
     bf_is_stable,
@@ -179,18 +179,20 @@ class TestFractionalChromatic:
         assert len(lp_calls) == routes["lp"]
 
     @pytest.mark.parametrize(
-        "target, fake, message",
+        "module, target, fake, message",
         [
-            ("_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a stable set"),
-            ("_dsatur_greedy", lambda adj, n: [0, 1, -1], "fail to cover a vertex"),
-            ("_clique_of_size", lambda adj, cand, size: [0, 2], "not a clique"),
-            ("_clique_of_size", lambda adj, cand, size: [1], "not a clique"),
+            (graphs, "_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a stable set"),
+            (graphs, "_dsatur_greedy", lambda adj, n: [0, 1, -1], "fail to cover a vertex"),
+            (oracles, "_clique_of_size", lambda adj, cand, size: [0, 2], "not a clique"),
+            (oracles, "_clique_of_size", lambda adj, cand, size: [1], "not a clique"),
         ],
         ids=["improper-colouring", "uncovered", "non-clique", "small-clique"],
     )
-    def test_corrupted_integral_certificate_raises(self, monkeypatch, target, fake, message):
+    def test_corrupted_integral_certificate_raises(
+        self, monkeypatch, module, target, fake, message
+    ):
         # P3 has omega 2, so a two-colouring and an edge certify chi_f = 2
-        monkeypatch.setattr(oracles, target, fake)
+        monkeypatch.setattr(module, target, fake)
         with pytest.raises(InternalBugError, match=message):
             fractional_chromatic_solution(path(3))
 

@@ -16,7 +16,7 @@ from superlocal import (
     stability_number,
 )
 from superlocal import stable_sets
-from superlocal.graphs import max_clique_size
+from superlocal.graphs import mask_members, max_clique_size
 from superlocal.stable_sets import _bron_kerbosch, _maximum_sets
 from bruteforce import (
     bf_maximal_cliques,
@@ -44,8 +44,8 @@ def test_maximal_stable_sets_match_bruteforce(classes6):
 
 def test_maximum_stable_sets_match_bruteforce(classes6):
     for g in classes6:
-        fam = maximum_stable_sets(g, (1 << g.n) - 1)
-        assert list(fam.sets) == sorted(bf_maximum_stable_sets(g), key=sorted)
+        masks = maximum_stable_sets(g, (1 << g.n) - 1)
+        assert list(masks) == as_masks(sorted(bf_maximum_stable_sets(g), key=sorted))
 
 
 def as_masks(sets):
@@ -67,16 +67,13 @@ def test_within_matches_induced_subgraph(classes6):
             sub, labels = induced_subgraph(g, [v for v in range(g.n) if mask >> v & 1])
 
             def relabel(sets):
-                return [frozenset(labels[v] for v in s) for s in sets]
+                return as_masks([labels[v] for v in s] for s in sets)
 
             maximum = maximum_stable_sets(g, within=mask)
             whole = maximum_stable_sets(sub, (1 << sub.n) - 1)
-            assert list(maximum.sets) == relabel(whole.sets)
+            assert list(maximum) == relabel(mask_members(m) for m in whole)
             # the branch and bound lists the sets already in sorted order
-            assert list(maximum.sets) == relabel(
-                sorted(bf_maximum_stable_sets(sub), key=sorted)
-            )
-            assert list(maximum.masks) == as_masks(maximum.sets)
+            assert list(maximum) == relabel(sorted(bf_maximum_stable_sets(sub), key=sorted))
 
 
 def test_within_rejects_masks_outside_the_graph():
@@ -84,7 +81,7 @@ def test_within_rejects_masks_outside_the_graph():
     for mask in (1 << 5, (1 << 6) - 1, -1, -2):
         with pytest.raises(DomainError):
             maximum_stable_sets(g, within=mask)
-    assert maximum_stable_sets(SimpleGraph(0), within=0).sets == (frozenset(),)
+    assert maximum_stable_sets(SimpleGraph(0), within=0) == (0,)
 
 
 def test_membership_probabilities_sum_to_alpha(classes6):
@@ -153,8 +150,8 @@ def test_size_limit_enforced(monkeypatch):
 
 def test_maximum_sets_appear_in_maximal_family(classes6):
     for g in classes6:
-        maximal = set(maximal_stable_sets(g).sets)
-        assert set(maximum_stable_sets(g, (1 << g.n) - 1).sets) <= maximal
+        maximal = set(maximal_stable_sets(g).masks)
+        assert set(maximum_stable_sets(g, (1 << g.n) - 1)) <= maximal
 
 
 def test_expected_neighbourhood_weight_vertex():

@@ -1,11 +1,16 @@
-"""The benchmark tracer's bindings exist in the package.
+"""The benchmark tracer's bindings exist in the package, and its counters read.
 
 perfbench/spans.py wraps named functions in the package's modules, and
-its install() fails with AttributeError if one of them has gone. This
-test reads the list of bindings without installing anything, so a
+its install() fails with AttributeError if one of them has gone. The
+first test reads the list of bindings without installing anything, so a
 refactor that drops one fails here rather than in a traced benchmark.
+The second runs two commands under the installed tracer, so a change
+to a value that a counter reads fails here too.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -27,3 +32,38 @@ def test_every_traced_binding_exists(monkeypatch):
     assert missing == []
     edge_colour = sys.modules["superlocal.edge_colour"]
     assert callable(edge_colour.PartialEdgeColouring.validate)
+
+
+SMOKE = """
+import contextlib, io, json, sys
+from superlocal import cli
+from spans import Tracer
+
+tracer = Tracer()
+tracer.install()
+codes = []
+with contextlib.redirect_stdout(io.StringIO()):
+    codes.append(cli.main(["search", "--n", "5"]))
+    sys.stdin = io.StringIO("n 3\\n0 1 2\\n1 2 2\\n0 2 2\\n")
+    codes.append(cli.main(["edgecolour", "-"]))
+print(json.dumps({"codes": codes, "metrics": tracer.layer_metrics()}))
+"""
+
+
+def test_traced_commands_fill_the_counters():
+    # a subprocess, so the installed wrappers stay out of this one
+    src = Path(superlocal.cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+    done = subprocess.run(
+        [sys.executable, "-c", SMOKE], env=env, capture_output=True, text=True, check=True
+    )
+    result = json.loads(done.stdout)
+    assert result["codes"] == [0, 0]
+    metrics = result["metrics"]
+    for name in (
+        "simplex.solve_simplex.rows",
+        "stable_sets.maximal_stable_sets.sets",
+        "frac_colour.rounds",
+        "edge_colour.case.direct",
+    ):
+        assert metrics.get(name, 0) > 0, name
