@@ -20,6 +20,7 @@ from .frac_colour import superlocal_fractional_colour, verify_fractional_colouri
 from .graphs import (
     Multigraph,
     line_graph,
+    mask_members,
     parse_graph6,
     parse_multigraph,
     to_graph6,
@@ -199,19 +200,20 @@ def cmd_frac(args):
     verdict = verify_fractional_colouring(g, fc, trace.bound)
     if not verdict.valid:
         raise InternalBugError("; ".join(verdict.violations))
-    coverage = {v: Fraction(0) for v in range(g.n)}
-    for members, weight in fc.weights.items():
+    coverage = [0] * g.n
+    sets = []
+    for mask, w in fc.weights.items():
+        members = mask_members(mask)
         for v in members:
-            coverage[v] += weight
+            coverage[v] += w
+        sets.append((members, w))
     out = {
         "bound": frac_str(trace.bound),
         "total": frac_str(fc.total),
-        "wo": [frac_str(coverage[v]) for v in range(g.n)],
+        "wo": [frac_str(Fraction(c, fc.den)) for c in coverage],
         "weights": [
-            {"set": sorted(members), "weight": frac_str(weight)}
-            for members, weight in sorted(
-                fc.weights.items(), key=lambda kv: tuple(sorted(kv[0]))
-            )
+            {"set": list(members), "weight": frac_str(Fraction(w, fc.den))}
+            for members, w in sorted(sets)
         ],
         "iterations": [
             {

@@ -5,6 +5,10 @@ the surviving graph: each round uses the largest value that neither
 overfills a vertex nor exceeds the remaining budget, then drops the
 vertices whose coverage reached 1. With budget at least the superlocal
 bound this terminates with every vertex covered exactly once.
+
+Every amount, each vertex's remaining deficit, the running total and
+each set's weight, is an integer numerator over one running
+denominator, and stable sets stay vertex bitmasks throughout.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .stable_sets import check_enumeration_size, maximum_stable_sets
 
 @dataclass(frozen=True)
 class FractionalColouring:
-    weights: dict  # frozenset(vertices) -> positive Fraction
+    weights: dict  # stable-set bitmask -> positive int numerator over den
+    den: int
     total: Fraction
 
 
@@ -53,20 +58,24 @@ def superlocal_fractional_colour(g):
     overfilled vertex is caught here; callers run
     verify_fractional_colouring, and an invalid weighting is a bug
     signal, not an input error. A graph above the stable-set
-    enumeration limit is refused before the bound is computed.
+    enumeration limit is refused before the bound is computed. The
+    weights come in order of first use, over the least denominator that
+    holds them all.
     """
     check_enumeration_size(g)
     bound = gamma_ll_prime(g)
+    bnum, bden = bound.numerator, bound.denominator
 
-    # vertex v still lacks coverage num[v] / den[v] (reduced), 1 - wo(v)
-    num = [1] * g.n
-    den = [1] * g.n
-    weights = {}  # set mask -> weight, in order of first use
-    total = Fraction(0)
+    # vertex v still lacks coverage need[v] / den, 1 - wo(v); the total
+    # so far is total / den and set m carries weights[m] / den
+    den = 1
+    need = [1] * g.n
+    total = 0
+    weights = {}  # in order of first use
     records = []
-    alive = tuple(range(g.n))
-    while alive and total < bound:
-        masks = maximum_stable_sets(g, within=sum(1 << v for v in alive))
+    alive, within = tuple(range(g.n)), (1 << g.n) - 1
+    while alive and total * bden < bnum * den:
+        masks = maximum_stable_sets(g, within=within)
         count = len(masks)
         hits = [0] * g.n
         for m in masks:
@@ -74,101 +83,120 @@ def superlocal_fractional_colour(g):
                 b = m & -m
                 hits[b.bit_length() - 1] += 1
                 m ^= b
-        # low is count times the least num/(den * hits) over vertices with
-        # a hit, the pairs compared by cross products
-        low_num, low_den = 0, 0
+        # low is count times the least need[v] / (den * hits[v]) over
+        # vertices with a hit, the pairs compared by cross products
+        low_need, low_hits = 0, 0
         for v in alive:
             h = hits[v]
-            if h and (not low_den or num[v] * low_den < low_num * den[v] * h):
-                low_num, low_den = num[v], den[v] * h
-        if not low_den:
+            if h and (not low_hits or need[v] * low_hits < low_need * h):
+                low_need, low_hits = need[v], h
+        if not low_hits:
             raise InternalBugError("no vertex lies in any maximum stable set")
-        low = Fraction(count * low_num, low_den)
-        val = min(low, bound - total)
-        share = val / count
+        low = Fraction(count * low_need, den * low_hits)
+        # each set's share is val / count = top / (den * bottom): low / count,
+        # or the remaining budget over count when that is smaller
+        left = bnum * den - bden * total
+        if count * low_need * bden <= left * low_hits:
+            val = low
+            top, bottom = low_need, low_hits
+        else:
+            val = Fraction(left, bden * den)
+            top, bottom = left, bden * count
+        d = math.gcd(top, bottom)
+        share, scale = top // d, bottom // d
+        if scale > 1:
+            den *= scale
+            total *= scale
+            for v in alive:
+                need[v] *= scale
+            for m in weights:
+                weights[m] *= scale
         for m in masks:
             weights[m] = weights.get(m, 0) + share
-        # v gains hits[v] * val / count; val <= low keeps every deficit
-        # at 0 or above, so the overfill guard cannot fire on correct
-        # code and stays as a bug signal
-        vn, vd = val.numerator, val.denominator * count
+        # v gains hits[v] * share; share <= low / count keeps every
+        # deficit at 0 or above, so the overfill guard cannot fire on
+        # correct code and stays as a bug signal
         for v in alive:
             h = hits[v]
             if h:
-                top = num[v] * vd - h * vn * den[v]
-                bottom = den[v] * vd
-                if top < 0:
-                    raise InternalBugError(
-                        f"vertex {v} overfilled to {1 - Fraction(top, bottom)}"
-                    )
-                d = math.gcd(top, bottom)
-                num[v], den[v] = top // d, bottom // d
-        total += val
+                need[v] -= h * share
+                if need[v] <= 0:
+                    if need[v]:
+                        raise InternalBugError(
+                            f"vertex {v} overfilled to {1 - Fraction(need[v], den)}"
+                        )
+                    within ^= 1 << v
+        total += count * share
         records.append(
             IterationRecord(
                 vertices=alive,
                 num_max_sets=count,
                 low=low,
                 val=val,
-                total_after=total,
+                total_after=Fraction(total, den),
             )
         )
-        alive = tuple(v for v in alive if num[v])
+        alive = tuple(v for v in alive if need[v])
 
-    weights = {frozenset(mask_members(m)): w for m, w in weights.items()}
-    fc = FractionalColouring(weights=weights, total=total)
+    d = math.gcd(den, *weights.values())
+    fc = FractionalColouring(
+        weights={m: w // d for m, w in weights.items()},
+        den=den // d,
+        total=records[-1].total_after if records else Fraction(0),
+    )
     return fc, IterationTrace(bound=bound, records=tuple(records))
 
 
 def verify_fractional_colouring(g, fc, bound):
-    """Exact check: stable keys, positive weights, unit coverage, total within bound.
+    """Exact check: stable masks on g's vertices, positive numerators,
+    unit coverage, the recorded total, and the total within bound.
 
-    Every weight, the recorded total and the bound are scaled to one
-    common denominator, so the sums and comparisons are on integers and
-    a Fraction is built only for a violation message. A set is stable
-    when no member u has a neighbour among the members above it.
+    Coverage and the total are sums of numerators over fc.den, compared
+    on integers; a Fraction is built only for a violation message. A set
+    is stable when no member u has a neighbour among the members above
+    it. The violations of each set are listed in the order of the sets'
+    member lists, then those of each vertex, then those of the total.
     """
-    violations = []
-    n, adj = g.n, g.adj
-    keys = sorted(fc.weights, key=sorted)
-    recorded, limit = Fraction(fc.total), Fraction(bound)
-    weights = [Fraction(fc.weights[key]) for key in keys]
-    den = math.lcm(
-        recorded.denominator, limit.denominator, *(w.denominator for w in weights)
-    )
+    n, adj, den = g.n, g.adj, fc.den
+    if den <= 0:
+        return ColouringVerdict(valid=False, violations=(f"denominator {den} is not positive",))
+    faults = []  # (member list, the set's violations)
     cover = [0] * n
     total = 0
-    for key, w in zip(keys, weights):
-        members = sorted(key)
-        scaled = w.numerator * (den // w.denominator)
-        total += scaled
-        if scaled <= 0:
-            violations.append(f"set {members} has nonpositive weight {fc.weights[key]}")
-        mask = 0
-        for v in members:
-            if 0 <= v < n:
-                mask |= 1 << v
-            else:
-                violations.append(f"set {members} contains unknown vertex {v}")
-        for u in members:
-            if 0 <= u < n:
-                clash = adj[u] & mask & ~((2 << u) - 1)
-                while clash:
-                    b = clash & -clash
-                    v = b.bit_length() - 1
-                    violations.append(f"set {members} is not stable: edge ({u},{v})")
-                    clash ^= b
-        while mask:
-            b = mask & -mask
-            cover[b.bit_length() - 1] += scaled
-            mask ^= b
+    for mask, w in fc.weights.items():
+        total += w
+        if mask < 0:
+            faults.append(([], [f"set mask {mask} is negative"]))
+            continue
+        bad = []
+        if w <= 0:
+            bad.append(f"has nonpositive weight {Fraction(w, den)}")
+        if mask >> n:
+            bad.extend(f"contains unknown vertex {v}" for v in mask_members(mask >> n << n))
+        m = mask & ((1 << n) - 1)
+        while m:
+            b = m & -m
+            u = b.bit_length() - 1
+            cover[u] += w
+            clash = adj[u] & m
+            while clash:
+                c = clash & -clash
+                bad.append(f"is not stable: edge ({u},{c.bit_length() - 1})")
+                clash ^= c
+            m ^= b
+        if bad:
+            members = list(mask_members(mask))
+            faults.append((members, [f"set {members} {s}" for s in bad]))
+    faults.sort(key=lambda f: f[0])
+    violations = [s for _, bad in faults for s in bad]
     for v in range(n):
         if cover[v] != den:
             violations.append(f"vertex {v} covered {Fraction(cover[v], den)}, expected 1")
-    if total != recorded.numerator * (den // recorded.denominator):
+    recorded, limit = Fraction(fc.total), Fraction(bound)
+    if total * recorded.denominator != recorded.numerator * den:
         violations.append(
             f"recorded total {fc.total} differs from actual {Fraction(total, den)}"
         )
-    if total > limit.numerator * (den // limit.denominator):
+    if total * limit.denominator > limit.numerator * den:
         violations.append(f"total {Fraction(total, den)} exceeds bound {limit}")
     return ColouringVerdict(valid=not violations, violations=tuple(violations))

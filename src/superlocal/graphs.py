@@ -88,12 +88,12 @@ def _dsatur_greedy(adj, n):
 class SimpleGraph:
     """Undirected simple graph on vertex ids 0..n-1; adj[v] is v's neighbour mask.
 
-    omegas() and greedy_colouring() are kept after their first call (the
-    graph is immutable, so they cannot go stale); equality and hashing
-    read only n and the edges.
+    omegas(), greedy_colouring() and complement_masks() are kept after
+    their first call (the graph is immutable, so they cannot go stale);
+    equality and hashing read only n and the edges.
     """
 
-    __slots__ = ("n", "edges", "adj", "_omega", "_colours")
+    __slots__ = ("n", "edges", "adj", "_omega", "_colours", "_comp")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -120,6 +120,7 @@ class SimpleGraph:
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_omega", None)
         object.__setattr__(self, "_colours", None)
+        object.__setattr__(self, "_comp", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SimpleGraph is immutable")
@@ -136,6 +137,14 @@ class SimpleGraph:
         if self._colours is None:
             object.__setattr__(self, "_colours", tuple(_dsatur_greedy(self.adj, self.n)))
         return self._colours
+
+    def complement_masks(self):
+        """Adjacency masks of the complement, indexed by vertex."""
+        if self._comp is None:
+            full = (1 << self.n) - 1
+            comp = tuple(full ^ a ^ (1 << v) for v, a in enumerate(self.adj))
+            object.__setattr__(self, "_comp", comp)
+        return self._comp
 
     @property
     def edge_count(self):
@@ -269,12 +278,6 @@ def complement(g):
             if not g.adj[u] >> v & 1:
                 edges.append((u, v))
     return SimpleGraph(g.n, edges)
-
-
-def complement_masks(g):
-    """Adjacency masks of the complement of g."""
-    full = (1 << g.n) - 1
-    return [full ^ a ^ (1 << v) for v, a in enumerate(g.adj)]
 
 
 def induced_subgraph(g, vertices):

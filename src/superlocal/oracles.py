@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import _kernels, stable_sets
 from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
-from .graphs import _dsatur_pick, complement_masks, mask_members, max_clique_size
+from .graphs import _dsatur_pick, mask_members, max_clique_size
 from .invariants import clique_number
 from .simplex import solve_simplex
 from .stable_sets import check_enumeration_size, maximal_stable_sets
@@ -81,7 +81,7 @@ def chromatic_number(g):
 
 def stability_number(g):
     check_vertex_limit("stability number", g.n, stable_sets.ENUMERATION_VERTEX_LIMIT)
-    return max_clique_size(complement_masks(g), (1 << g.n) - 1)
+    return max_clique_size(g.complement_masks(), (1 << g.n) - 1)
 
 
 @dataclass(frozen=True)
@@ -204,7 +204,7 @@ def chi_via_complement_matching(g):
     check_vertex_limit("matching oracle", n, MATCHING_VERTEX_LIMIT)
     if n == 0:
         return 0, VertexColouring((), 0)
-    adj = complement_masks(g)
+    adj = g.complement_masks()
     # alpha >= 3 exactly when three vertices are pairwise non-adjacent,
     # a triangle v < u < w of the complement
     for v in range(n):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, check_vertex_limit
-from .graphs import complement_masks, mask_members
+from .graphs import mask_members
 
 ENUMERATION_VERTEX_LIMIT = 24
 
@@ -98,7 +98,7 @@ def check_enumeration_size(g):
 def maximal_stable_sets(g):
     """Maximal stable sets of g, in g's ids."""
     check_enumeration_size(g)
-    masks = _bron_kerbosch(complement_masks(g), (1 << g.n) - 1)
+    masks = _bron_kerbosch(g.complement_masks(), (1 << g.n) - 1)
     order = sorted((mask_members(m), m) for m in masks)
     return StableSetFamily(
         sets=tuple(frozenset(ms) for ms, _ in order),
@@ -112,4 +112,4 @@ def maximum_stable_sets(g, within):
     check_enumeration_size(g)
     if within & ~((1 << g.n) - 1):
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
-    return tuple(_maximum_sets(complement_masks(g), within))
+    return tuple(_maximum_sets(g.complement_masks(), within))

@@ -3,7 +3,10 @@
 Everything here recomputes values from first principles with plain
 subset enumeration or unpruned backtracking, sharing only the graph
 containers with the package under test (induced_subgraph and the
-fractional colouring's result classes count as containers). There are
+fractional construction's trace classes count as containers). The
+fractional colouring references keep weights as frozensets of vertex
+ids with Fraction values, so tests convert the package's bitmasks and
+integer numerators to that form before comparing. There are
 two exceptions: bf_neighbourhood_average, which reads omega from the
 graph's own omegas() so that the question-scan lemma tests reach 12
 vertices (omegas() itself is checked against bf_omega_v), and
@@ -19,7 +22,6 @@ from fractions import Fraction
 
 from superlocal import (
     ColouringVerdict,
-    FractionalColouring,
     InternalBugError,
     IterationRecord,
     IterationTrace,
@@ -184,8 +186,10 @@ def bf_superlocal_fractional_colour(g):
 
     Each round rebuilds the surviving graph with induced_subgraph, lists
     its maximum stable sets by brute force in sorted order, and maps
-    every set back through the labels table. Returns the package's
-    result containers so that they compare equal field by field.
+    every set back through the labels table. Returns (weights, total,
+    trace): weights maps frozensets to Fractions in order of first use,
+    and trace is the package's IterationTrace, so that it compares
+    equal field by field.
     """
     bound = bf_gamma_ll_prime(g)
     weights = {}
@@ -210,20 +214,18 @@ def bf_superlocal_fractional_colour(g):
         total += val
         records.append(IterationRecord(alive, count, low, val, total))
         alive = tuple(v for v in alive if wo[v] < 1)
-    return (
-        FractionalColouring(weights=weights, total=total),
-        IterationTrace(bound=bound, records=tuple(records)),
-    )
+    return weights, total, IterationTrace(bound=bound, records=tuple(records))
 
 
-def bf_verify_fractional_colouring(g, fc, bound):
+def bf_verify_fractional_colouring(g, weights, recorded, bound):
     """Reference for verify_fractional_colouring: the same checks and
-    messages in the same order, on Fractions, with stability tested
-    pair by pair through has_edge."""
+    messages in the same order, on frozensets with Fraction weights and
+    the recorded total, with stability tested pair by pair through
+    has_edge."""
     violations = []
     cover = {v: Fraction(0) for v in range(g.n)}
-    for key in sorted(fc.weights, key=sorted):
-        w = fc.weights[key]
+    for key in sorted(weights, key=sorted):
+        w = weights[key]
         members = sorted(key)
         if w <= 0:
             violations.append(f"set {members} has nonpositive weight {w}")
@@ -240,9 +242,9 @@ def bf_verify_fractional_colouring(g, fc, bound):
     for v in range(g.n):
         if cover[v] != 1:
             violations.append(f"vertex {v} covered {cover[v]}, expected 1")
-    total = sum(fc.weights.values(), Fraction(0))
-    if total != fc.total:
-        violations.append(f"recorded total {fc.total} differs from actual {total}")
+    total = sum(weights.values(), Fraction(0))
+    if total != recorded:
+        violations.append(f"recorded total {recorded} differs from actual {total}")
     if total > Fraction(bound):
         violations.append(f"total {total} exceeds bound {Fraction(bound)}")
     return ColouringVerdict(valid=not violations, violations=tuple(violations))

@@ -119,7 +119,7 @@ def corrupted_fractional_colour(g):
     fc, trace = superlocal_fractional_colour(g)
     weights = dict(fc.weights)
     del weights[next(iter(weights))]
-    return FractionalColouring(weights=weights, total=fc.total), trace
+    return FractionalColouring(weights=weights, den=fc.den, total=fc.total), trace
 
 
 def count_validations(monkeypatch):

@@ -235,6 +235,48 @@ class TestFrac:
         assert "weights.0.set 0 2\n" in out
         assert "verified true\n" in out
 
+    @pytest.mark.parametrize(
+        "graph6, digests",
+        [
+            (
+                "Dhc",  # C5: one round
+                (
+                    "a4309bdc6275d9f56fb1579cad51a8e30bfdc2fadbdc3f70481f632d13d9f4a0",
+                    "ad739028c0e582cd1a383e49d1bfb448f8743e99ac7412c06ee7093591d43dca",
+                ),
+            ),
+            (
+                "IheA@GUAo",  # the Petersen graph: stops below its bound
+                (
+                    "df1206b324e79d364a3bd178fae8e4c0c9ab14c15b2d323b621b3e1a3c46496b",
+                    "20c81663078f1df92cc0819ebc3166ebeb0ec9c0bf14ba15e5e44d94cca5e574",
+                ),
+            ),
+            (
+                "UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_",  # 22 rounds, 111 sets
+                (
+                    "a1f8bcf401bbec64eb3993e410f192a2eca1fe20856798a169bc2ef9d1350db2",
+                    "a36e2b28080a9a83ce472d3e3a5ff52914e20f3285779d84b25a5d5cf0a41485",
+                ),
+            ),
+        ],
+    )
+    def test_output_pinned(self, capsys, tmp_path, graph6, digests):
+        # sha256 of json and plain stdout, as written when the weights were
+        # frozensets with Fraction values
+        p = tmp_path / "g.g6"
+        p.write_text(graph6 + "\n", encoding="ascii")
+        outs = []
+        for fmt in ("json", "plain"):
+            code, out, _ = run(capsys, "frac", str(p), "--format", fmt)
+            assert code == 0
+            outs.append(out)
+        assert tuple(hashlib.sha256(o.encode("ascii")).hexdigest() for o in outs) == digests
+        if len(graph6) > 20:
+            d = json.loads(outs[0])
+            assert (len(d["iterations"]), len(d["weights"])) == (22, 111)
+            assert d["total"] == "1493369/317520"
+
     def test_verified_without_the_flag(self, capsys, monkeypatch, c5_file):
         # --verify only prints the marker; an invalid weighting is a bug signal either way
         monkeypatch.setattr(cli, "superlocal_fractional_colour", corrupted_fractional_colour)

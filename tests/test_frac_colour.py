@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from superlocal import (
     superlocal_fractional_colour,
     verify_fractional_colouring,
 )
+from superlocal.graphs import mask_members
 from bruteforce import bf_superlocal_fractional_colour, bf_verify_fractional_colouring
 from conftest import complete, cycle, double_star, petersen
 
@@ -37,13 +39,21 @@ def graphs_st(max_n, max_edges):
     )
 
 
+def as_fractions(weights, den):
+    """Mask -> numerator weights as the references' frozenset -> Fraction form."""
+    return {frozenset(mask_members(m)): F(w, den) for m, w in weights.items()}
+
+
 def assert_matches_reference(g):
     fc, trace = superlocal_fractional_colour(g)
-    ref_fc, ref_trace = bf_superlocal_fractional_colour(g)
+    ref_weights, ref_total, ref_trace = bf_superlocal_fractional_colour(g)
     # the same weights in the same dict order, the same total and records
-    assert list(fc.weights.items()) == list(ref_fc.weights.items())
-    assert fc.total == ref_fc.total
+    assert list(as_fractions(fc.weights, fc.den).items()) == list(ref_weights.items())
+    assert fc.total == ref_total
     assert trace == ref_trace
+    # positive numerators over their least common denominator
+    assert all(w > 0 for w in fc.weights.values())
+    assert math.gcd(fc.den, *fc.weights.values()) == 1
 
 
 def test_cycle5_trace():
@@ -51,7 +61,8 @@ def test_cycle5_trace():
     fc, trace = superlocal_fractional_colour(g)
     assert fc.total == F(5, 2)
     assert len(fc.weights) == 5
-    assert all(w == F(1, 2) for w in fc.weights.values())
+    assert fc.den == 2
+    assert all(w == 1 for w in fc.weights.values())
     assert trace.bound == F(5, 2)
     [rec] = trace.records
     assert rec.vertices == (0, 1, 2, 3, 4)
@@ -91,21 +102,17 @@ def test_complete_graph():
     fc, trace = superlocal_fractional_colour(complete(4))
     assert fc.total == 4
     assert len(trace.records) == 1
-    assert fc.weights == {
-        frozenset({0}): 1,
-        frozenset({1}): 1,
-        frozenset({2}): 1,
-        frozenset({3}): 1,
-    }
+    assert fc.weights == {0b0001: 1, 0b0010: 1, 0b0100: 1, 0b1000: 1}
+    assert fc.den == 1
 
 
 def test_single_vertex_and_empty():
     fc, trace = superlocal_fractional_colour(SimpleGraph(1))
     assert fc.total == 1
-    assert fc.weights == {frozenset({0}): 1}
+    assert (fc.weights, fc.den) == ({0b1: 1}, 1)
     fc0, trace0 = superlocal_fractional_colour(SimpleGraph(0))
     assert fc0.total == 0
-    assert fc0.weights == {}
+    assert (fc0.weights, fc0.den) == ({}, 1)
     assert trace0.records == ()
 
 
@@ -165,24 +172,37 @@ def test_refuses_before_computing_the_target(monkeypatch):
 
 
 def corruptions(g, fc, bound):
-    """(weights, total, bound) triples, each with one fault planted."""
-    weights = list(fc.weights.items())
-    first_key, first_w = weights[0]
-    dropped = dict(weights[1:])
-    rescaled = dict(weights)
-    rescaled[first_key] = first_w * F(2, 3)
-    unknown = dict(weights)
-    unknown[frozenset({0, g.n, g.n + 2})] = F(1, 7)
+    """(weights, den, total, bound) cases, each with one fault planted."""
+    weights, den, n = fc.weights, fc.den, g.n
+    first = next(iter(weights))
+    dropped = dict(weights)
+    del dropped[first]
+    # the first weight times 2/3, over 3 * den
+    rescaled = {m: 3 * w for m, w in weights.items()}
+    rescaled[first] = 2 * weights[first]
+    # an extra set on vertices 0, n and n + 2 of weight 1/7
+    unknown = {m: 7 * w for m, w in weights.items()}
+    unknown[1 | 1 << n | 1 << (n + 2)] = den
+    # the first set also holds vertex n; the coverage stays right
+    beyond = {(m | 1 << n if m == first else m): w for m, w in weights.items()}
+    zero = dict(weights)
+    zero[first] = 0
     out = [
-        (dropped, fc.total, bound),
-        (rescaled, fc.total, bound),
-        (unknown, fc.total, bound),
-        (dict(weights), fc.total, fc.total - F(1, 3)),
+        (dropped, den, fc.total, bound),
+        (rescaled, 3 * den, fc.total, bound),
+        (unknown, 7 * den, fc.total, bound),
+        (dict(weights), den, fc.total, fc.total - F(1, 3)),
+        (beyond, den, fc.total, bound),
+        (zero, den, fc.total, bound),
+        # numerators that would be right over den, read over den + 1
+        (dict(weights), den + 1, fc.total, bound),
     ]
     if g.edges:
-        unstable = dict(weights)
-        unstable[frozenset(g.edges[-1])] = F(-1, 5)
-        out.append((unstable, fc.total + F(1, 2), bound))
+        # an edge as an extra set of weight -1/5
+        u, v = g.edges[-1]
+        unstable = {m: 10 * w for m, w in weights.items()}
+        unstable[1 << u | 1 << v] = -2 * den
+        out.append((unstable, 10 * den, fc.total + F(1, 2), bound))
     return out
 
 
@@ -190,67 +210,96 @@ def test_verifier_matches_reference(classes6):
     checked = violations = 0
     for g in classes6:
         fc, trace = superlocal_fractional_colour(g)
-        cases = [(fc.weights, fc.total, trace.bound)] + corruptions(g, fc, trace.bound)
-        for weights, total, bound in cases:
-            colouring = FractionalColouring(weights=weights, total=total)
+        cases = [(fc.weights, fc.den, fc.total, trace.bound)]
+        cases += corruptions(g, fc, trace.bound)
+        for weights, den, total, bound in cases:
+            colouring = FractionalColouring(weights=weights, den=den, total=total)
             got = verify_fractional_colouring(g, colouring, bound)
-            assert got == bf_verify_fractional_colouring(g, colouring, bound)
+            ref = bf_verify_fractional_colouring(g, as_fractions(weights, den), total, bound)
+            assert got == ref
             checked += 1
             violations += len(got.violations)
-    assert checked > 5 * len(classes6)
-    assert violations > 4 * len(classes6)
+    assert checked > 8 * len(classes6)
+    assert violations > 7 * len(classes6)
 
 
 class TestVerifierRejections:
-    def check(self, g, weights, total, bound):
+    def check(self, g, weights, den, total, bound):
         return verify_fractional_colouring(
-            g, FractionalColouring(weights=weights, total=total), bound
+            g, FractionalColouring(weights=weights, den=den, total=total), bound
         )
 
     def test_nonpositive_weight(self):
-        v = self.check(SimpleGraph(1), {frozenset({0}): F(0)}, F(0), 1)
+        v = self.check(SimpleGraph(1), {0b1: 0}, 1, F(0), 1)
         assert not v.valid
         assert any("nonpositive" in s for s in v.violations)
 
+    def test_zero_numerator_beside_full_cover(self):
+        g = SimpleGraph(2)
+        v = self.check(g, {0b11: 1, 0b01: 0}, 1, F(1), 2)
+        assert v.violations == ("set [0] has nonpositive weight 0",)
+
     def test_unstable_set(self):
         g = complete(2)
-        v = self.check(g, {frozenset({0, 1}): F(1)}, F(1), 2)
+        v = self.check(g, {0b11: 1}, 1, F(1), 2)
         assert not v.valid
         assert any("not stable" in s for s in v.violations)
 
     def test_unknown_vertex(self):
-        v = self.check(SimpleGraph(1), {frozenset({0, 5}): F(1)}, F(1), 2)
+        v = self.check(SimpleGraph(1), {0b100001: 1}, 1, F(1), 2)
         assert not v.valid
         assert any("unknown vertex" in s for s in v.violations)
 
+    def test_mask_bit_at_n(self):
+        # the set covers vertex 0 once, as it should, but also names vertex 1
+        v = self.check(SimpleGraph(1), {0b11: 1}, 1, F(1), 2)
+        assert v.violations == ("set [0, 1] contains unknown vertex 1",)
+
+    def test_negative_mask(self):
+        v = self.check(SimpleGraph(1), {0b1: 1, -1: 1}, 1, F(2), 2)
+        assert v.violations[0] == "set mask -1 is negative"
+
     def test_wrong_coverage(self):
         g = SimpleGraph(2)
-        v = self.check(g, {frozenset({0}): F(1)}, F(1), 2)
+        v = self.check(g, {0b01: 1}, 1, F(1), 2)
         assert not v.valid
         assert any("covered" in s for s in v.violations)
         # overcoverage is rejected too: exact unit coverage is required
-        v2 = self.check(
-            g,
-            {frozenset({0, 1}): F(1), frozenset({0}): F(1, 2)},
-            F(3, 2),
-            2,
-        )
+        v2 = self.check(g, {0b11: 2, 0b01: 1}, 2, F(3, 2), 2)
         assert not v2.valid
 
+    def test_other_denominator(self):
+        # C4's two colour classes with numerators right over 2, read over 4
+        g = cycle(4)
+        v = self.check(g, {0b0101: 2, 0b1010: 2}, 4, F(2), 3)
+        assert v.violations == (
+            "vertex 0 covered 1/2, expected 1",
+            "vertex 1 covered 1/2, expected 1",
+            "vertex 2 covered 1/2, expected 1",
+            "vertex 3 covered 1/2, expected 1",
+            "recorded total 2 differs from actual 1",
+        )
+
+    def test_nonpositive_denominator(self):
+        for den in (0, -1):
+            v = self.check(SimpleGraph(1), {0b1: 1}, den, F(1), 1)
+            assert v.violations == (f"denominator {den} is not positive",)
+
     def test_total_mismatch(self):
-        v = self.check(SimpleGraph(1), {frozenset({0}): F(1)}, F(2), 3)
+        v = self.check(SimpleGraph(1), {0b1: 1}, 1, F(2), 3)
         assert not v.valid
         assert any("recorded total" in s for s in v.violations)
 
     def test_total_exceeds_bound(self):
         g = SimpleGraph(1)
-        v = self.check(g, {frozenset({0}): F(1)}, F(1), F(1, 2))
+        v = self.check(g, {0b1: 1}, 1, F(1), F(1, 2))
         assert not v.valid
         assert any("exceeds bound" in s for s in v.violations)
 
     def test_accepts_valid(self):
         g = cycle(4)
-        weights = {frozenset({0, 2}): F(1), frozenset({1, 3}): F(1)}
-        v = self.check(g, weights, F(2), 3)
+        v = self.check(g, {0b0101: 1, 0b1010: 1}, 1, F(2), 3)
         assert v.valid
         assert v.violations == ()
+        # the same weighting over a larger denominator is valid too
+        assert self.check(g, {0b0101: 3, 0b1010: 3}, 3, F(2), 3).valid

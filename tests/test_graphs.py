@@ -121,6 +121,12 @@ class TestComplementAndSubgraph:
     def test_complement_involution(self, g):
         assert complement(complement(g)) == g
 
+    @given(graphs_st)
+    def test_complement_masks_are_the_complement_and_kept(self, g):
+        comp = g.complement_masks()
+        assert comp == complement(g).adj
+        assert g.complement_masks() is comp
+
     def test_complement_edge_counts(self):
         g = cycle(5)
         assert complement(g).edge_count == 10 - 5

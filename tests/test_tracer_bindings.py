@@ -4,7 +4,7 @@ perfbench/spans.py wraps named functions in the package's modules, and
 its install() fails with AttributeError if one of them has gone. The
 first test reads the list of bindings without installing anything, so a
 refactor that drops one fails here rather than in a traced benchmark.
-The second runs two commands under the installed tracer, so a change
+The second runs three commands under the installed tracer, so a change
 to a value that a counter reads fails here too.
 """
 
@@ -43,10 +43,13 @@ tracer = Tracer()
 tracer.install()
 codes = []
 with contextlib.redirect_stdout(io.StringIO()):
+    sys.stdin = io.StringIO("Dhc\\n")
+    codes.append(cli.main(["frac", "-"]))
+    after_frac = tracer.layer_metrics()
     codes.append(cli.main(["search", "--n", "5"]))
     sys.stdin = io.StringIO("n 3\\n0 1 2\\n1 2 2\\n0 2 2\\n")
     codes.append(cli.main(["edgecolour", "-"]))
-print(json.dumps({"codes": codes, "metrics": tracer.layer_metrics()}))
+print(json.dumps({"codes": codes, "frac": after_frac, "metrics": tracer.layer_metrics()}))
 """
 
 
@@ -58,8 +61,14 @@ def test_traced_commands_fill_the_counters():
         [sys.executable, "-c", SMOKE], env=env, capture_output=True, text=True, check=True
     )
     result = json.loads(done.stdout)
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0]
+    # frac on C5 takes one round, and each round lists the maximum stable
+    # sets once through frac_colour's own binding
+    frac = result["frac"]
+    assert frac["frac_colour.rounds"] == 1
+    assert frac["stable_sets.maximum_stable_sets.calls"] == 1
     metrics = result["metrics"]
+    assert metrics["stable_sets.maximum_stable_sets.calls"] == metrics["frac_colour.rounds"]
     for name in (
         "simplex.solve_simplex.rows",
         "stable_sets.maximal_stable_sets.sets",
