@@ -200,20 +200,15 @@ def cmd_frac(args):
     verdict = verify_fractional_colouring(g, fc, trace.bound)
     if not verdict.valid:
         raise InternalBugError("; ".join(verdict.violations))
-    coverage = [0] * g.n
-    sets = []
-    for mask, w in fc.weights.items():
-        members = mask_members(mask)
-        for v in members:
-            coverage[v] += w
-        sets.append((members, w))
+    # the verifier has proved every vertex covered exactly once
+    sets = sorted((mask_members(mask), w) for mask, w in fc.weights.items())
     out = {
         "bound": frac_str(trace.bound),
         "total": frac_str(fc.total),
-        "wo": [frac_str(Fraction(c, fc.den)) for c in coverage],
+        "wo": ["1/1"] * g.n,
         "weights": [
             {"set": list(members), "weight": frac_str(Fraction(w, fc.den))}
-            for members, w in sorted(sets)
+            for members, w in sets
         ],
         "iterations": [
             {
@@ -277,7 +272,7 @@ def cmd_linegraph(args):
 
 def _parse_claims(spec, default, space):
     """The claims named in spec, each one of the space's default claims."""
-    if not spec:
+    if spec is None:
         return default
     out = []
     for token in spec.split(","):

@@ -26,6 +26,7 @@ from .graphs import (
     SimpleGraph,
     complement,
     format_multigraph,
+    induced_subgraph,
     line_graph,
     to_graph6,
 )
@@ -557,8 +558,6 @@ def reverify_finding(g, claim, report):
         return report.chi_f > best
     if claim == "question-bound":
         # independent subgraph scan built on object-level reconstruction
-        from .graphs import induced_subgraph
-
         best = Fraction(0)
         for mask in range(1, 1 << g.n):
             vertices = tuple(v for v in range(g.n) if mask >> v & 1)

@@ -9,7 +9,6 @@ number at most two.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -87,10 +86,11 @@ def stability_number(g):
 @dataclass(frozen=True)
 class FractionalChromaticSolution:
     value: Fraction
-    # frozenset -> positive Fraction, a fractional colouring of total value:
-    # over stable sets, and over maximal ones on the LP route
+    # stable-set mask -> positive numerator over den, a fractional colouring
+    # of total value: over stable sets, and over maximal ones on the LP route
     weights: dict
-    dual: tuple  # per-vertex fractional clique certifying optimality
+    dual: tuple  # per-vertex numerators over den, a fractional clique of total value
+    den: int  # > 0
 
 
 def _clique_of_size(adj, cand, size):
@@ -112,7 +112,7 @@ def _clique_of_size(adj, cand, size):
 
 def _integral_solution(g, omega, colours):
     """chi_f = omega, certified by weight 1 on each of omega stable
-    colour classes and on each vertex of an omega-clique."""
+    colour classes and on each vertex of an omega-clique, all over 1."""
     adj = g.adj
     # every vertex of a largest clique has omega(v) = omega
     top = 0
@@ -123,22 +123,16 @@ def _integral_solution(g, omega, colours):
     cmask = sum(1 << u for u in set(clique))
     if cmask.bit_count() != omega or any(cmask & ~adj[u] != 1 << u for u in clique):
         raise InternalBugError("clique witness is not a clique of omega vertices")
+    if not verify_vertex_colouring(g, VertexColouring(colours, omega)):
+        raise InternalBugError("DSATUR classes are not a proper omega-colouring")
     classes = [0] * omega
     for v, c in enumerate(colours):
-        if 0 <= c < omega:
-            classes[c] |= 1 << v
-    covered = 0
-    for cls in classes:
-        if any(adj[v] & cls for v in mask_members(cls)):
-            raise InternalBugError("colour class is not a stable set")
-        covered |= cls
-    if covered != (1 << g.n) - 1:
-        raise InternalBugError("colour classes fail to cover a vertex")
-    one, zero = Fraction(1), Fraction(0)
+        classes[c] |= 1 << v
     return FractionalChromaticSolution(
         value=Fraction(omega),
-        weights={frozenset(mask_members(cls)): one for cls in classes},
-        dual=tuple(one if cmask >> v & 1 else zero for v in range(g.n)),
+        weights=dict.fromkeys(classes, 1),
+        dual=tuple(cmask >> v & 1 for v in range(g.n)),
+        den=1,
     )
 
 
@@ -156,7 +150,7 @@ def fractional_chromatic_solution(g):
     check_enumeration_size(g)
     n = g.n
     if n == 0:
-        return FractionalChromaticSolution(Fraction(0), {}, ())
+        return FractionalChromaticSolution(Fraction(0), {}, (), 1)
     omega = clique_number(g)
     colours = g.greedy_colouring()
     if max(colours) + 1 == omega:
@@ -166,33 +160,36 @@ def fractional_chromatic_solution(g):
         raise SizeLimitError(
             f"LP over {len(fam.sets)} stable sets exceeds the limit {LP_SET_LIMIT}"
         )
-    rows = [[(mask >> v) & 1 for v in range(n)] for mask in fam.masks]
-    value, y, w = solve_simplex(rows, [1] * len(rows), [1] * n)
+    rows = [[(mask >> v) & 1 for v in range(n)] for mask in fam.sets]
+    value, y, w, den = solve_simplex(rows, [1] * len(rows), [1] * n)
 
     # certificate: y is a feasible fractional clique, w a feasible
     # fractional colouring, and the two objectives agree exactly; all
-    # checked in integers, every value scaled to one common denominator
-    scale = math.lcm(value.denominator, *(q.denominator for q in (*y, *w)))
-    ys = [q.numerator * (scale // q.denominator) for q in y]
-    ws = [q.numerator * (scale // q.denominator) for q in w]
-    if any(yi < 0 for yi in ys):
+    # checked on the simplex's integer numerators over its one den
+    if den <= 0:
+        raise InternalBugError("nonpositive simplex denominator")
+    if any(yi < 0 for yi in y):
         raise InternalBugError("negative dual vertex weight")
-    for s in fam.sets:
-        if sum(map(ys.__getitem__, s)) > scale:
+    members = [mask_members(mask) for mask in fam.sets]
+    for ms in members:
+        if sum(map(y.__getitem__, ms)) > den:
             raise InternalBugError("fractional clique overloads a stable set")
-    if any(wi < 0 for wi in ws):
+    if any(wi < 0 for wi in w):
         raise InternalBugError("negative stable set weight")
     cover = [0] * n
-    for wi, s in zip(ws, fam.sets):
-        for v in s:
+    for wi, ms in zip(w, members):
+        for v in ms:
             cover[v] += wi
-    if any(cv < scale for cv in cover):
+    if any(cv < den for cv in cover):
         raise InternalBugError("stable set weights fail to cover a vertex")
-    target = value.numerator * (scale // value.denominator)
-    if sum(ys) != target or sum(ws) != target:
+    if sum(y) != value or sum(w) != value:
         raise InternalBugError("primal and dual objective values disagree")
-    weights = {s: wi for wi, s in zip(w, fam.sets) if wi > 0}
-    return FractionalChromaticSolution(value=value, weights=weights, dual=tuple(y))
+    return FractionalChromaticSolution(
+        value=Fraction(value, den),
+        weights={mask: wi for wi, mask in zip(w, fam.sets) if wi > 0},
+        dual=tuple(y),
+        den=den,
+    )
 
 
 def chi_via_complement_matching(g):

@@ -19,19 +19,18 @@ rule picks the pivots: enter on the lowest variable id with a negative
 reduced cost, leave on the lowest ratio with ties to the lowest basis
 id; so ``det`` stays positive, signs are read off the integers and
 ratios are compared by cross products. It guarantees termination
-without perturbation. The optimum, the primal and the dual are turned
-into Fractions once, at the end.
+without perturbation. The optimum, the primal and the dual are returned
+as those integers, numerators over the final ``det``.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import InternalBugError
 
 
 def solve_simplex(a, b, c):
-    """Returns (value, x, y): optimum, primal solution, dual solution.
+    """Returns (value, x, y, det): the optimum, the primal solution and
+    the dual solution as integer numerators over det > 0.
 
     a: m rows of length nv, b: length m (all >= 0), c: length nv, all
     integers. y is read off the objective entries of the slack
@@ -99,12 +98,12 @@ def solve_simplex(a, b, c):
         det = piv
         nonbasic[enter], basis[leave] = basis[leave], nonbasic[enter]
 
-    x = [Fraction(0)] * nv
+    x = [0] * nv
     for i, bi in enumerate(basis):
         if bi < nv:
-            x[bi] = Fraction(rows[i][-1], det)
-    y = [Fraction(0)] * m
+            x[bi] = rows[i][-1]
+    y = [0] * m
     for j, vj in enumerate(nonbasic):
         if vj >= nv:
-            y[vj - nv] = Fraction(obj[j], det)
-    return Fraction(obj[-1], det), x, y
+            y[vj - nv] = obj[j]
+    return obj[-1], x, y, det

@@ -19,8 +19,7 @@ ENUMERATION_VERTEX_LIMIT = 24
 
 @dataclass(frozen=True)
 class StableSetFamily:
-    sets: tuple  # frozensets of vertex ids, sorted for determinism
-    masks: tuple  # the same sets as vertex bitmasks, in the same order
+    sets: tuple  # vertex bitmasks, sorted by their member lists
 
 
 def _bron_kerbosch(adj, start):
@@ -96,14 +95,10 @@ def check_enumeration_size(g):
 
 
 def maximal_stable_sets(g):
-    """Maximal stable sets of g, in g's ids."""
+    """Maximal stable sets of g, as vertex bitmasks in g's ids."""
     check_enumeration_size(g)
     masks = _bron_kerbosch(g.complement_masks(), (1 << g.n) - 1)
-    order = sorted((mask_members(m), m) for m in masks)
-    return StableSetFamily(
-        sets=tuple(frozenset(ms) for ms, _ in order),
-        masks=tuple(m for _, m in order),
-    )
+    return StableSetFamily(sets=tuple(sorted(masks, key=mask_members)))
 
 
 def maximum_stable_sets(g, within):

@@ -423,7 +423,8 @@ def bf_isomorphism_classes(graphs):
 
 
 def bf_solve_simplex(a, b, c):
-    """Reference for solve_simplex: (value, x, y) from the same Bland pivots.
+    """Reference for solve_simplex: (value, x, y) from the same Bland pivots,
+    as the Fractions that solve_simplex gives as numerators over its det.
 
     Keeps the full m x (nv + m + 1) tableau, slack identity included,
     as Fractions normalised after every pivot. y is read off the slack

@@ -469,6 +469,14 @@ class TestSearch:
         assert code == 1
         assert "unknown claim" in err
 
+    @pytest.mark.parametrize("spec", ["", ","], ids=["empty", "comma"])
+    def test_empty_claim_list_is_input_error(self, capsys, spec):
+        # an empty list names no claim; only a missing --claims means the defaults
+        code, out, err = run(capsys, "search", "--n", "4", "--claims", spec)
+        assert code == 1
+        assert out == ""
+        assert "no claims requested" in err
+
     def test_negative_chi_prime_edges_is_input_error(self, capsys):
         code, _, err = run(
             capsys, "search", "--corpus", "multigraph", "--count", "1",

@@ -94,8 +94,9 @@ def test_every_carrier_method_has_a_caller_in_the_package():
     assert unread == []
 
 
-# the chi_f certificate: returned for callers to re-check optimality, so
-# nothing in the package reads it back
+# the chi_f certificate, per-vertex numerators over the solution's den:
+# returned for callers to re-check optimality, so nothing in the package
+# reads it back
 UNREAD_FIELDS = {"FractionalChromaticSolution.dual"}
 
 

@@ -40,6 +40,15 @@ from conftest import (
 F = Fraction
 
 
+def bits(*vertices):
+    return sum(1 << v for v in vertices)
+
+
+def members(g, mask):
+    assert 0 <= mask < 1 << g.n
+    return [v for v in range(g.n) if mask >> v & 1]
+
+
 class TestChromaticNumber:
     def test_matches_bruteforce(self, classes6):
         for g in classes6:
@@ -110,18 +119,23 @@ class TestFractionalChromatic:
             if g.n == 0:
                 continue
             sol = fractional_chromatic_solution(g)
+            # integer numerators over one positive denominator
+            den = sol.den
+            assert isinstance(den, int) and den > 0
+            assert all(isinstance(q, int) for q in (*sol.weights.values(), *sol.dual))
             # weights form a fractional colouring of exactly the optimum size
-            cover = [F(0)] * g.n
+            cover = [0] * g.n
             for s, w in sol.weights.items():
                 assert w > 0
-                assert bf_is_stable(g, sorted(s))
-                for v in s:
+                assert bf_is_stable(g, members(g, s))
+                for v in members(g, s):
                     cover[v] += w
-            assert all(c >= 1 for c in cover)
-            assert sum(sol.weights.values()) == sol.value
+            assert all(c >= den for c in cover)
+            assert F(sum(sol.weights.values()), den) == sol.value
             # dual weights form a fractional clique of the same size
+            assert len(sol.dual) == g.n
             assert all(y >= 0 for y in sol.dual)
-            assert sum(sol.dual) == sol.value
+            assert F(sum(sol.dual), den) == sol.value
 
     def test_sandwich(self, classes6):
         for g in classes6:
@@ -166,23 +180,25 @@ class TestFractionalChromatic:
             routes["lp" if len(lp_calls) > before else "integral"] += 1
             (rows, _, _), (value, _, _) = reference_stable_set_lp(g)
             assert sol.value == value
-            cover = [F(0)] * g.n
+            den = sol.den
+            assert den > 0
+            cover = [0] * g.n
             for s, w in sol.weights.items():
-                assert w > 0 and bf_is_stable(g, sorted(s))
-                for v in s:
+                assert w > 0 and bf_is_stable(g, members(g, s))
+                for v in members(g, s):
                     cover[v] += w
-            assert min(cover) >= 1 and sum(sol.weights.values()) == value
-            assert min(sol.dual) >= 0 and sum(sol.dual) == value
+            assert min(cover) >= den and F(sum(sol.weights.values()), den) == value
+            assert min(sol.dual) >= 0 and F(sum(sol.dual), den) == value
             for row in rows:
-                assert sum(y for y, bit in zip(sol.dual, row) if bit) <= 1
+                assert sum(y for y, bit in zip(sol.dual, row) if bit) <= den
         assert routes["lp"] > 0 and routes["integral"] > 0
         assert len(lp_calls) == routes["lp"]
 
     @pytest.mark.parametrize(
         "module, target, fake, message",
         [
-            (graphs, "_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a stable set"),
-            (graphs, "_dsatur_greedy", lambda adj, n: [0, 1, -1], "fail to cover a vertex"),
+            (graphs, "_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a proper omega-colouring"),
+            (graphs, "_dsatur_greedy", lambda adj, n: [0, 1, -1], "not a proper omega-colouring"),
             (oracles, "_clique_of_size", lambda adj, cand, size: [0, 2], "not a clique"),
             (oracles, "_clique_of_size", lambda adj, cand, size: [1], "not a clique"),
         ],
@@ -197,30 +213,37 @@ class TestFractionalChromatic:
             fractional_chromatic_solution(path(3))
 
 
-H = F(1, 2)
-
-
 class TestCertificateRejections:
     """Each corrupted simplex result on C5 trips its own certificate check.
 
     C5's maximal stable sets are {0,2}, {0,3}, {1,3}, {1,4}, {2,4}, and
-    its only optimum is 1/2 on every vertex and on every set.
+    its only optimum is 1/2 on every vertex and on every set: numerators
+    1 over the denominator 2, and the value 5 over 2.
     """
 
     @pytest.mark.parametrize(
-        "value, y, w, message",
+        "value, y, w, det, message",
         [
-            (F(5, 2), [-H, 1, 1, H, H], [H] * 5, "negative dual vertex weight"),
-            (F(5, 2), [1, H, H, H, 0], [H] * 5, "overloads a stable set"),
-            (F(5, 2), [H] * 5, [-H, 1, H, H, 1], "negative stable set weight"),
-            (F(5, 2), [H] * 5, [H, H, H, 1, 0], "fail to cover a vertex"),
-            (F(3), [H] * 5, [H] * 5, "objective values disagree"),
+            (5, [-1, 2, 2, 1, 1], [1] * 5, 2, "negative dual vertex weight"),
+            (5, [2, 1, 1, 1, 0], [1] * 5, 2, "overloads a stable set"),
+            (5, [1] * 5, [-1, 2, 1, 1, 2], 2, "negative stable set weight"),
+            (5, [1] * 5, [1, 1, 1, 2, 0], 2, "fail to cover a vertex"),
+            (6, [1] * 5, [1] * 5, 2, "objective values disagree"),
+            # all zero over 0 passes every other check
+            (0, [0] * 5, [0] * 5, 0, "nonpositive simplex denominator"),
         ],
-        ids=["negative-dual", "overload", "negative-weight", "uncovered", "objective"],
+        ids=[
+            "negative-dual",
+            "overload",
+            "negative-weight",
+            "uncovered",
+            "objective",
+            "nonpositive-denominator",
+        ],
     )
-    def test_corrupted_solution_raises(self, monkeypatch, value, y, w, message):
+    def test_corrupted_solution_raises(self, monkeypatch, value, y, w, det, message):
         monkeypatch.setattr(
-            "superlocal.oracles.solve_simplex", lambda a, b, c: (value, y, w)
+            "superlocal.oracles.solve_simplex", lambda a, b, c: (value, y, w, det)
         )
         with pytest.raises(InternalBugError, match=message):
             fractional_chromatic_solution(cycle(5))
@@ -228,22 +251,23 @@ class TestCertificateRejections:
     def test_mixed_denominators_accepted(self, monkeypatch):
         # C5 (0..4) beside the edge 56 has omega 2 and chi 3, so it reaches
         # the LP; its sets pair each of C5's five with 5 or with 6. The
-        # clique is 1/2 on C5, and this colouring splits C5's halves
-        # between 5 and 6 in halves, thirds and sixths
+        # clique is 3/6 on C5, and this colouring splits C5's halves
+        # between 5 and 6 in halves, thirds and sixths, all over 6
         g = SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
-        y = [H] * 5 + [F(0)] * 2
-        w = [H, 0, H, 0, F(1, 6), F(1, 3), 0, H, 0, H]
-        monkeypatch.setattr(oracles, "solve_simplex", lambda a, b, c: (F(5, 2), y, w))
+        y = [3] * 5 + [0] * 2
+        w = [3, 0, 3, 0, 1, 2, 0, 3, 0, 3]
+        monkeypatch.setattr(oracles, "solve_simplex", lambda a, b, c: (15, y, w, 6))
         sol = fractional_chromatic_solution(g)
         assert sol.value == F(5, 2)
+        assert sol.den == 6
         assert sol.dual == tuple(y)
         assert sol.weights == {
-            frozenset({0, 2, 5}): H,
-            frozenset({0, 3, 5}): H,
-            frozenset({1, 3, 5}): F(1, 6),
-            frozenset({1, 3, 6}): F(1, 3),
-            frozenset({1, 4, 6}): H,
-            frozenset({2, 4, 6}): H,
+            bits(0, 2, 5): 3,
+            bits(0, 3, 5): 3,
+            bits(1, 3, 5): 1,
+            bits(1, 3, 6): 2,
+            bits(1, 4, 6): 3,
+            bits(2, 4, 6): 3,
         }
 
 

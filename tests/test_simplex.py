@@ -18,28 +18,38 @@ from conftest import GRAPH22_GRAPH6, SPARSE_CHECK_GRAPH6, reference_stable_set_l
 F = Fraction
 
 
+def solved(a, b, c):
+    """solve_simplex's integer numerators divided by its denominator, which
+    must be positive, as the reference's (value, x, y) Fractions."""
+    value, x, y, det = solve_simplex(a, b, c)
+    assert all(isinstance(q, int) for q in (value, *x, *y, det))
+    assert det > 0
+    return F(value, det), [F(xi, det) for xi in x], [F(yi, det) for yi in y]
+
+
 def test_basic_box():
-    value, x, y = solve_simplex([[1, 0], [0, 1]], [1, 2], [1, 1])
+    value, x, y = solved([[1, 0], [0, 1]], [1, 2], [1, 1])
     assert value == 3
     assert x == [1, 2]
     assert y == [1, 1]
 
 
 def test_two_constraints():
-    value, x, y = solve_simplex([[1, 1], [1, 3]], [4, 6], [3, 2])
+    value, x, y = solved([[1, 1], [1, 3]], [4, 6], [3, 2])
     assert value == 12
     assert x == [4, 0]
     assert sum(yi * bi for yi, bi in zip(y, [4, 6])) == 12
 
 
 def test_degenerate_zero():
-    value, x, _ = solve_simplex([[1]], [0], [1])
+    value, x, _ = solved([[1]], [0], [1])
     assert value == 0
     assert x == [0]
 
 
 def test_exact_fractions():
-    value, x, _ = solve_simplex([[3]], [1], [1])
+    assert solve_simplex([[3]], [1], [1]) == (1, [1], [1], 3)
+    value, x, _ = solved([[3]], [1], [1])
     assert value == F(1, 3)
     assert x == [F(1, 3)]
 
@@ -57,7 +67,7 @@ def test_unbounded_detected():
 
 
 def test_zero_objective():
-    value, x, y = solve_simplex([[1]], [5], [0])
+    value, x, y = solved([[1]], [5], [0])
     assert value == 0
     assert y == [0]
 
@@ -77,7 +87,7 @@ def test_duality_random(case):
     b = [data.draw(st.integers(0, 5)) for _ in range(m)]
     c = [data.draw(num) for _ in range(nv)]
     try:
-        value, x, y = solve_simplex(a, b, c)
+        value, x, y = solved(a, b, c)
     except InternalBugError:
         return  # unbounded instance
     # primal feasibility and objective
@@ -111,7 +121,7 @@ def _outcome(solver, a, b, c):
 
 def test_negative_rhs_matches_reference():
     a, b, c = [[1, 2], [3, -1]], [2, -1], [1, 1]
-    assert _outcome(solve_simplex, a, b, c) == _outcome(bf_solve_simplex, a, b, c)
+    assert _outcome(solved, a, b, c) == _outcome(bf_solve_simplex, a, b, c)
 
 
 @settings(max_examples=400)
@@ -121,11 +131,11 @@ def test_matches_reference_random(m, nv, data):
     a = [[data.draw(coeff) for _ in range(nv)] for _ in range(m)]
     b = [data.draw(st.integers(0, 4)) for _ in range(m)]
     c = [data.draw(coeff) for _ in range(nv)]
-    assert _outcome(solve_simplex, a, b, c) == _outcome(bf_solve_simplex, a, b, c)
+    assert _outcome(solved, a, b, c) == _outcome(bf_solve_simplex, a, b, c)
 
 
 def _stable_set_lp(g):
-    rows = [[1 if v in s else 0 for v in range(g.n)] for s in maximal_stable_sets(g).sets]
+    rows = [[s >> v & 1 for v in range(g.n)] for s in maximal_stable_sets(g).sets]
     return rows, [1] * len(rows), [1] * g.n
 
 
@@ -133,7 +143,7 @@ def test_matches_reference_on_stable_set_lps():
     for n in range(1, 7):
         for g in enumerate_graph_classes(n):
             a, b, c = _stable_set_lp(g)
-            assert solve_simplex(a, b, c) == bf_solve_simplex(a, b, c)
+            assert solved(a, b, c) == bf_solve_simplex(a, b, c)
 
 
 @pytest.mark.parametrize("code", SPARSE_CHECK_GRAPH6)
@@ -142,7 +152,7 @@ def test_matches_reference_on_benchmark_lps(code):
     lp, reference = reference_stable_set_lp(g)
     assert _stable_set_lp(g) == lp
     assert 45 <= len(lp[0]) <= 90
-    assert solve_simplex(*lp) == reference
+    assert solved(*lp) == reference
 
 
 def test_stable_set_lp_at_scale():
@@ -152,5 +162,5 @@ def test_stable_set_lp_at_scale():
     lp, reference = reference_stable_set_lp(g)
     assert _stable_set_lp(g) == lp
     assert len(lp[0]) == 163
-    assert solve_simplex(*lp) == reference
+    assert solved(*lp) == reference
     assert reference[0] == fractional_chromatic_solution(g).value == 4

@@ -30,16 +30,16 @@ from conftest import complete, cycle, path, petersen
 def test_maximal_cliques_match_bruteforce(classes6):
     # the maximal cliques of g are the maximal stable sets of its complement
     for g in classes6:
-        assert list(maximal_stable_sets(complement(g)).sets) == bf_maximal_cliques(g)
+        assert list(maximal_stable_sets(complement(g)).sets) == as_masks(bf_maximal_cliques(g))
 
 
 def test_maximal_stable_sets_match_bruteforce(classes6):
     for g in classes6:
         fam = maximal_stable_sets(g)
-        assert list(fam.sets) == bf_maximal_stable_sets(g)
-        # frozensets in a deterministic order: sorted by members
-        assert all(isinstance(s, frozenset) for s in fam.sets)
-        assert list(fam.sets) == sorted(fam.sets, key=sorted)
+        assert list(fam.sets) == as_masks(bf_maximal_stable_sets(g))
+        # vertex bitmasks in a deterministic order: sorted by members
+        assert all(isinstance(s, int) for s in fam.sets)
+        assert list(fam.sets) == sorted(fam.sets, key=mask_members)
 
 
 def test_maximum_stable_sets_match_bruteforce(classes6):
@@ -109,8 +109,8 @@ def test_path3_probabilities():
 
 def test_complete_graph_families():
     g = complete(4)
-    assert [sorted(s) for s in maximal_stable_sets(g).sets] == [[0], [1], [2], [3]]
-    assert maximal_stable_sets(complement(g)).sets == (frozenset(range(4)),)
+    assert maximal_stable_sets(g).sets == (0b0001, 0b0010, 0b0100, 0b1000)
+    assert maximal_stable_sets(complement(g)).sets == (0b1111,)
 
 
 def test_searches_deeper_than_the_recursion_limit():
@@ -125,15 +125,15 @@ def test_searches_deeper_than_the_recursion_limit():
 
 def test_edgeless_graph():
     g = SimpleGraph(3)
-    assert maximal_stable_sets(g).sets == (frozenset({0, 1, 2}),)
-    assert [sorted(s) for s in maximal_stable_sets(complement(g)).sets] == [[0], [1], [2]]
+    assert maximal_stable_sets(g).sets == (0b111,)
+    assert maximal_stable_sets(complement(g)).sets == (0b001, 0b010, 0b100)
 
 
 def test_empty_graph():
     # the empty set is vacuously the unique maximal stable set / clique
     g = SimpleGraph(0)
-    assert maximal_stable_sets(g).sets == (frozenset(),)
-    assert maximal_stable_sets(complement(g)).sets == (frozenset(),)
+    assert maximal_stable_sets(g).sets == (0,)
+    assert maximal_stable_sets(complement(g)).sets == (0,)
 
 
 def test_size_limit_enforced(monkeypatch):
@@ -150,7 +150,7 @@ def test_size_limit_enforced(monkeypatch):
 
 def test_maximum_sets_appear_in_maximal_family(classes6):
     for g in classes6:
-        maximal = set(maximal_stable_sets(g).masks)
+        maximal = set(maximal_stable_sets(g).sets)
         assert set(maximum_stable_sets(g, (1 << g.n) - 1)) <= maximal
 
 
