@@ -60,7 +60,6 @@ from .edge_colour import (
     PartialEdgeColouring,
     build_maximal_fan,
     edge_colour,
-    fan_sequence_resolve,
     kempe_swap,
     rotate_fan,
 )

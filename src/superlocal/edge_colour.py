@@ -160,10 +160,8 @@ class PartialEdgeColouring:
 
 @dataclass(frozen=True)
 class Fan:
-    edge: int  # uncoloured edge
-    hinge: int
-    vertices: tuple  # distinct neighbours; vertices[0] is the edge's far endpoint
-    edges: tuple  # edges[i] joins hinge to vertices[i]; edges[0] == edge
+    vertices: tuple  # distinct hinge neighbours; vertices[0] is the uncoloured edge's far endpoint
+    edges: tuple  # edges[i] joins the hinge to vertices[i]; edges[0] is the uncoloured edge
     witnesses: tuple  # witnesses[i] = (j < i, colour of edges[i] missing at vertices[j])
 
 
@@ -221,8 +219,6 @@ def build_maximal_fan(mg, c, e, hinge):
         else:
             break
     return Fan(
-        edge=e,
-        hinge=hinge,
         vertices=tuple(vertices),
         edges=tuple(edges),
         witnesses=tuple(witnesses),
@@ -316,7 +312,7 @@ def _fresh_stats():
     }
 
 
-def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
+def _resolve_hole(mg, cur, hole, stats):
     """Colour the hole edge in cur, possibly moving it first.
 
     Dispatch per state: direct colouring, fan rotation on a
@@ -341,13 +337,7 @@ def _resolve_hole(mg, cur, hole, stats, forced_hinge=None):
             stats["direct"] += 1
             return
 
-        if seq is not None:
-            hinge = seq["hinge"]
-        elif forced_hinge is not None:
-            hinge = forced_hinge
-            forced_hinge = None
-        else:
-            hinge = min(u, v)
+        hinge = seq["hinge"] if seq is not None else min(u, v)
         fan = build_maximal_fan(mg, cur, hole, hinge)
         ell = len(fan.vertices)
         if ell < 2:
@@ -466,30 +456,6 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
         stats["beta_swaps"] += 1
         return True
     return False
-
-
-def fan_sequence_resolve(mg, c0, f0):
-    """Run the insertion loop in c0 from a size-2 all-disjoint maximal fan.
-
-    Afterwards c0.stats counts the resolution cases that fired.
-    """
-    if len(f0.vertices) != 2:
-        raise DomainError(f"fan sequence needs a fan of size 2, got {len(f0.vertices)}")
-    sets = [
-        c0.missing_mask(f0.hinge),
-        c0.missing_mask(f0.vertices[0]),
-        c0.missing_mask(f0.vertices[1]),
-    ]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if sets[i] & sets[j]:
-                raise DomainError(
-                    "fan sequence needs pairwise disjoint missing sets"
-                )
-    stats = _fresh_stats()
-    _resolve_hole(mg, c0, f0.edge, stats, forced_hinge=f0.hinge)
-    c0.validate()
-    c0.stats = stats
 
 
 def edge_colour(mg):

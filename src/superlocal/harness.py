@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _kernels
+from . import _kernels, graphs
 from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
 from .frac_colour import superlocal_fractional_colour, verify_fractional_colouring
 from .graphs import (
@@ -383,8 +383,9 @@ def _random_multigraph(rng, n, p, mu_max, max_edges):
     for u in range(n):
         for v in range(u + 1, n):
             if _bernoulli(rng, p):
-                edges.extend([(u, v)] * rng.randint(1, mu_max))
-    edges = edges[:max_edges]
+                # drawn even when no room is left, so the draws do not depend on max_edges
+                mu = rng.randint(1, mu_max)
+                edges.extend([(u, v)] * min(mu, max_edges - len(edges)))
     if not edges:
         u = rng.randrange(n - 1)
         edges = [(u, rng.randint(u + 1, n - 1))]
@@ -465,6 +466,12 @@ def random_corpus(kind, seed, count, **params):
                 raise DomainError(f"corpus needs {key} >= 1")
     if corpus.multi and cfg["n"] < 2:
         raise DomainError(f"multigraph corpus needs n >= 2, got {cfg['n']}")
+    if corpus.multi and cfg["max_edges"] > graphs.GRAPH6_VERTEX_LIMIT:
+        # the edge limit of multigraph text, which gen writes
+        raise SizeLimitError(
+            f"multigraph corpus max_edges {cfg['max_edges']} above the limit "
+            f"{graphs.GRAPH6_VERTEX_LIMIT}"
+        )
     if "p" in cfg:
         cfg["p"] = Fraction(cfg["p"])
         if not 0 <= cfg["p"] <= 1:

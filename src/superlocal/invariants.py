@@ -198,11 +198,6 @@ def subgraph_neighbourhood_bound(g):
     centre has h = |T| + 2 + clq[T]; each u in T has
     h = |N(u) & mask| + 2 + clq[N(u) & mask].
 
-    Prune: h_H(u) <= h_G(u), so every average at v is at most
-    cap(v) = max of h_G over N[v], and v is skipped once that cannot
-    beat the best average so far. The best value does not depend on
-    the order of the vertices.
-
     Cost: sum over v of 2^d(v) subgraphs, at most d(v) + 1 table reads
     each, plus the 2^n clq table. The best average is kept as an
     integer pair compared by cross products, and the one Fraction is
@@ -221,12 +216,8 @@ def subgraph_neighbourhood_bound(g):
         a = clq[rest]
         b = 1 + clq[rest & adj[low.bit_length() - 1]]
         clq[s] = a if a >= b else b
-    h_g = [adj[v].bit_count() + 2 + clq[adj[v]] for v in range(n)]
     best_num, best_den = 0, 1
     for v in range(n):
-        cap = max(h_g[u] for u in (v,) + g.neighbours(v))
-        if cap * best_den <= best_num:
-            continue
         nbrs = adj[v]
         t = nbrs
         while True:

@@ -9,10 +9,12 @@ Random multigraphs on 3..6 vertices with 3..9 edges feed two searches:
   Kempe-swap and fan-sequence branches, the input with the fewest edges
   (then vertices) that fires it;
 * a random maximal partial colouring at k = gamma_bar_ll: the smallest
-  state with a hole whose maximal fan has size 2 and pairwise disjoint
-  missing sets, which is the input of fan_sequence_resolve. This
-  partial-state search is how fan_sequence_resolve is reached directly,
-  and where a state for the beta-swap would be looked for.
+  state with a hole whose maximal fan at its lower endpoint has size 2
+  and pairwise disjoint missing sets, so that the insertion loop starts
+  in a fan sequence. resolve_hole, the fan-sequence driver kept here
+  with the tests, runs edge_colour's insertion loop on that one hole.
+  This partial-state search is how the fan sequence is reached
+  directly, and where a state for the beta-swap would be looked for.
 
 Each result prints as a Python literal with the stats it produced;
 TestRareBranches in test_edge_colour.py keeps them as fixtures. The
@@ -29,9 +31,9 @@ from superlocal import (
     PartialEdgeColouring,
     build_maximal_fan,
     edge_colour,
-    fan_sequence_resolve,
     gamma_bar_ll,
 )
+from superlocal.edge_colour import _fresh_stats, _resolve_hole
 
 CASES = ("rotation", "kempe", "sequence_steps", "beta_swaps")
 
@@ -65,13 +67,22 @@ def random_maximal_partial(mg, k, rng):
 def sequence_hole(mg, c):
     """First hole whose maximal fan at its lower endpoint starts a fan sequence."""
     for hole in c.uncoloured():
-        fan = build_maximal_fan(mg, c, hole, min(mg.endpoints(hole)))
+        hinge = min(mg.endpoints(hole))
+        fan = build_maximal_fan(mg, c, hole, hinge)
         if len(fan.vertices) != 2:
             continue
-        sets = [c.missing_mask(fan.hinge)] + [c.missing_mask(w) for w in fan.vertices]
+        sets = [c.missing_mask(w) for w in (hinge,) + fan.vertices]
         if not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2]):
-            return hole, fan
+            return hole
     return None
+
+
+def resolve_hole(mg, c, hole):
+    """Colour the hole in c by edge_colour's insertion loop; c.stats counts the cases."""
+    stats = _fresh_stats()
+    _resolve_hole(mg, c, hole, stats)
+    c.validate()
+    c.stats = stats
 
 
 def search(seed, trials):
@@ -91,12 +102,11 @@ def search(seed, trials):
             if col.stats[case] and (case not in best or key < best[case][0]):
                 best[case] = (key, {"n": n, "edges": listed, "stats": col.stats})
         c = random_maximal_partial(mg, gamma_bar_ll(mg), rng)
-        found = sequence_hole(mg, c)
-        if found and ("fan_sequence_resolve" not in best or key < best["fan_sequence_resolve"][0]):
-            hole, fan = found
+        hole = sequence_hole(mg, c)
+        if hole is not None and ("resolve_hole" not in best or key < best["resolve_hole"][0]):
             start = c.assignment
-            fan_sequence_resolve(mg, c, fan)
-            best["fan_sequence_resolve"] = (
+            resolve_hole(mg, c, hole)
+            best["resolve_hole"] = (
                 key,
                 {"n": n, "edges": edges, "assignment": start, "hole": hole, "stats": c.stats},
             )

@@ -596,6 +596,7 @@ class TestGen:
             ("gen", "co_triangle_free", "p=1.25", "outside [0,1]"),
             ("gen", "simple", "p=half", "'p=half'"),
             ("gen", "simple", "p=1/0", "'p=1/0' has a zero denominator"),
+            ("search", "simple", "n", "parameter 'n' is not key=value"),
         ]
         for command, corpus, params, message in cases:
             for count in ("0", "1"):
@@ -605,6 +606,23 @@ class TestGen:
                 )
                 assert code == 1
                 assert message in err
+
+    def test_huge_mu_max_is_cut_at_max_edges(self, capsys):
+        # each pair's multiplicity is drawn in full, then cut to the room
+        # left under max_edges (default 28), never built as a list first
+        params = "mu_max=1" + "0" * 30
+        out = run(capsys, "gen", "--corpus", "multigraph", "--count", "1", "--params", params)
+        assert out == (0, "n 8 / 0 3 28\n", "")
+
+    @pytest.mark.parametrize("command", ["gen", "search"])
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_max_edges_above_the_multigraph_text_limit(self, capsys, command, count):
+        code, out, err = run(
+            capsys, command, "--corpus", "multigraph", "--count", count,
+            "--params", "max_edges=258048"
+        )
+        assert (code, out) == (2, "")
+        assert err == "size refusal: multigraph corpus max_edges 258048 above the limit 258047\n"
 
 
 @pytest.mark.parametrize("command, flag", [("search", "--all-classes"), ("gen", "--connected")])
@@ -658,6 +676,10 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: cannot read -: 'ascii' codec can't encode")
+
+    def test_blank_stdin_is_empty_input(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(" \n"))
+        assert run(capsys, "bounds", "-") == (1, "", "error: empty input\n")
 
     def test_non_decimal_multigraph_token_is_refused(self, capsys, monkeypatch):
         # int() reads 1_0 as 10, which edgecolour coloured as ten edges

@@ -12,7 +12,6 @@ from superlocal import (
     PartialEdgeColouring,
     build_maximal_fan,
     edge_colour,
-    fan_sequence_resolve,
     gamma_bar_ll,
     gamma_bar_ll_via_line_graph,
     kempe_swap,
@@ -256,8 +255,6 @@ class TestBuildMaximalFan:
     def test_triangle_example(self):
         mg, c = triangle_state()
         fan = build_maximal_fan(mg, c, 1, 0)
-        assert fan.edge == 1
-        assert fan.hinge == 0
         assert fan.vertices == (2, 1)
         assert fan.edges == (1, 0)
         assert fan.witnesses == (None, (0, 1))
@@ -390,23 +387,11 @@ class TestFanSequence:
         assert missing(c0, 0) == {2, 3}
         assert missing(c0, 1) == {1, 4}
         assert missing(c0, 2) == set()
-        assert fan_sequence_resolve(mg, c0, fan) is None
+        branch_search.resolve_hole(mg, c0, 0)
+        assert c0.stats == _stats(rotation=1, sequence_steps=1)
         assert c0.is_complete()
         assert c0.validate()
         assert c0.assignment == {0: 1, 1: 2, 2: 4, 3: 2, 4: 3, 5: 1, 6: 3}
-
-    def test_rejects_wrong_fan_size(self):
-        mg = Multigraph(2, [(0, 1), (0, 1)])
-        c = coloured(mg, 2, {0: 1})
-        fan = build_maximal_fan(mg, c, 1, 0)
-        with pytest.raises(DomainError):
-            fan_sequence_resolve(mg, c, fan)
-
-    def test_rejects_shared_missing_colours(self):
-        mg, c = triangle_state()
-        fan = build_maximal_fan(mg, c, 1, 0)
-        with pytest.raises(DomainError):
-            fan_sequence_resolve(mg, c, fan)
 
 
 class TestEdgeColour:
@@ -603,15 +588,15 @@ class TestRareBranches:
         assert len(fan.vertices) == 2
         calls = count_validations(monkeypatch)
         changed = check_views_after_changes(monkeypatch)
-        fan_sequence_resolve(mg, c0, fan)
+        branch_search.resolve_hole(mg, c0, hole)
         assert c0.stats == _stats(rotation=1, sequence_steps=1)
         assert len(calls) == 1
         assert changed
         assert c0.is_complete() and c0.validate()
 
     def test_branch_search_runs(self, monkeypatch, capsys):
-        # a short seeded search that reaches fan_sequence_resolve, and its
-        # find must replay
+        # a short seeded search that reaches the fan sequence from a partial
+        # state, and its find must replay
         argv = ["branch_search.py", "--seed", "4", "--trials", "4000"]
         monkeypatch.setattr(sys, "argv", argv)
         branch_search.main()
@@ -619,10 +604,11 @@ class TestRareBranches:
         for line in capsys.readouterr().out.splitlines():
             case, literal = line.split(": ", 1)
             found[case] = ast.literal_eval(literal)
-        assert set(found) == {"fan_sequence_resolve"}
-        hit = found["fan_sequence_resolve"]
+        assert set(found) == {"resolve_hole"}
+        hit = found["resolve_hole"]
         mg = Multigraph(hit["n"], hit["edges"])
         c0 = coloured(mg, gamma_bar_ll(mg), hit["assignment"])
         fan = build_maximal_fan(mg, c0, hit["hole"], min(mg.endpoints(hit["hole"])))
-        fan_sequence_resolve(mg, c0, fan)
+        assert len(fan.vertices) == 2
+        branch_search.resolve_hole(mg, c0, hit["hole"])
         assert c0.stats == hit["stats"]

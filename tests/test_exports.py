@@ -9,13 +9,6 @@ import superlocal
 PACKAGE = Path(superlocal.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# edge_colour reaches the fan sequence itself (a rare-branch fixture in
-# test_edge_colour.py and the multigraph-corpus benchmark inputs fire a
-# sequence step), but fan_sequence_resolve stays the entry point of
-# branch_search.py's search over partial states for the beta-swap
-TEST_ONLY = {"fan_sequence_resolve"}
-
-
 def exported_names():
     tree = ast.parse((PACKAGE / "__init__.py").read_text())
     return [
@@ -52,10 +45,8 @@ def referenced_names():
 
 
 def test_every_export_has_a_caller_in_the_package():
-    names = exported_names()
-    assert TEST_ONLY <= set(names)
     used = referenced_names()
-    unused = [n for n in names if n not in used and n not in TEST_ONLY]
+    unused = [n for n in exported_names() if n not in used]
     assert unused == []
 
 

@@ -203,6 +203,8 @@ class TestGraph6:
             parse_graph6("~??D")
         with pytest.raises(GraphFormatError, match="8-byte"):
             parse_graph6("~~??????")
+        with pytest.raises(GraphFormatError, match="^truncated graph6 size field at offset 1$"):
+            parse_graph6("~??")
 
     @pytest.mark.parametrize("text, value, off", [
         ("D\u00e9c", 233, 1),
@@ -281,6 +283,8 @@ class TestMultigraph:
             parse_multigraph("n 3\n0 1 1_0")
         with pytest.raises(GraphFormatError, match="record 1: bad vertex count"):
             parse_multigraph("n 0_3\n0 1 +2")
+        with pytest.raises(GraphFormatError, match="^record 1: negative vertex count -3$"):
+            parse_multigraph("n -3")
         with pytest.raises(GraphFormatError, match="record 2: non-integer token"):
             parse_multigraph("n 3\n0 1 +2")
         with pytest.raises(GraphFormatError, match="U\\+0663 at offset 2"):

@@ -54,6 +54,11 @@ from conftest import (
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
+def is_c5(g):
+    """Whether g is a 5-cycle, under any labelling."""
+    return g.n == 5 and all(g.degree(v) == 2 for v in range(5)) and g.is_connected()
+
+
 # class counts for n = 1..8: all graphs, then connected only
 ALL_COUNTS = [1, 2, 4, 11, 34, 156, 1044, 12346]
 CONNECTED_COUNTS = [1, 1, 2, 6, 21, 112, 853, 11117]
@@ -301,6 +306,18 @@ class TestCheckGraph:
         assert r.question_value is None
         assert r.verdicts["superlocal-chi"] == "not-applicable"
         assert r.verdicts["question-bound"] == "not-applicable"
+
+    def test_oracle_refusals_leave_null_and_not_applicable(self):
+        # K_21 is above the limits of chi (16), the scan (12) and the
+        # complement matching (20), but not of alpha or chi_f (24): each
+        # refusal inside check_graph is a null value, not an error
+        r = check_graph(complete(21))
+        assert (r.chi, r.question_value) == (None, None)
+        assert (r.alpha, r.chi_f) == (1, 21)
+        for claim in ("superlocal-chi", "question-bound", "alpha2-chi"):
+            assert r.verdicts[claim] == "not-applicable"
+        assert r.verdicts["frac-bound"] == "holds"
+        assert not r.bug
 
     def test_limit_n_refuses_exactly_above_each_oracle_limit(self, classes6):
         # each limited value is None exactly when n > min(its limit, N);
@@ -569,8 +586,7 @@ class TestSearch:
         real = harness.subgraph_neighbourhood_bound
 
         def lowered(g):
-            c5 = g.n == 5 and all(g.degree(v) == 2 for v in range(5)) and g.is_connected()
-            return Fraction(2) if c5 else real(g)
+            return Fraction(2) if is_c5(g) else real(g)
 
         reverified = []
         monkeypatch.setattr(harness, "subgraph_neighbourhood_bound", lowered)
@@ -608,6 +624,32 @@ class TestSearch:
             "findings.0.values.chi_f 5/2",
             "findings.0.values.question_value 2/1",
         ]
+
+
+    def test_violated_proven_claim_is_a_bug_signal(self, monkeypatch, capsys):
+        # chi_f = 3 on C5 would break chi_f <= gamma'_ll = 5/2, which is proven
+        real = harness.fractional_chromatic_solution
+
+        def raised(g):
+            sol = real(g)
+            return dataclasses.replace(sol, value=Fraction(3)) if is_c5(g) else sol
+
+        monkeypatch.setattr(harness, "fractional_chromatic_solution", raised)
+        with pytest.raises(InternalBugError, match="^proven claim frac-bound violated on Dhc$"):
+            search_counterexamples([cycle(5)], CheckFlags(claims=("frac-bound",)))
+        assert cli.main(["search", "--n", "5", "--claims", "frac-bound"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "bug signal: proven claim frac-bound violated on DLo\n"
+
+    def test_finding_that_fails_reverification_is_a_bug_signal(self, monkeypatch):
+        # chi = 4 on C5 breaks chi <= gamma_ll = 3, but the brute-force
+        # re-verifier 3-colours C5, so the finding is a bug, not a result
+        real = harness.chromatic_number
+        monkeypatch.setattr(harness, "chromatic_number", lambda g: (4, real(g)[1]))
+        text = "^finding for superlocal-chi on Dhc failed independent re-verification$"
+        with pytest.raises(InternalBugError, match=text):
+            search_counterexamples([cycle(5)], CheckFlags(claims=("superlocal-chi",)))
 
 
 class TestSerialization:
