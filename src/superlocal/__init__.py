@@ -71,7 +71,6 @@ from .harness import (
     SearchSummary,
     check_graph,
     check_multigraph,
-    chi_prime_bruteforce,
     enumerate_graph_classes,
     frac_str,
     multigraph_line,

@@ -1,7 +1,7 @@
 """Hot integer kernels over bitmasks and plain lists, in pure Python.
 
-Three kernels: the maximum-matching subset DP, vertex-orderly generation
-of isomorphism classes, and brute-force edge-colouring feasibility.
+Two kernels: the maximum-matching subset DP and vertex-orderly
+generation of isomorphism classes.
 Exact rational code elsewhere never goes through here. Callers reach
 them as ``_kernels.<name>`` so that a tracer can wrap these bindings.
 """
@@ -107,42 +107,3 @@ def orbit_representatives(n):
                     grown.append(((parent << m) | s, adj))
         level = grown
     return [mask for mask, _ in level]
-
-
-def edge_colouring_feasible(eu, ev, k, n, cap):
-    """1 if the edges colour with k colours, 0 if not, -1 past cap steps."""
-    # backtracking over edges in listing order; an edge may only use a
-    # colour at most one above the maximum used so far (symmetry cut)
-    m = len(eu)
-    if m == 0:
-        return 1
-    vcol = [0] * n
-    tried = [0] * m
-    maxu = [0] * (m + 1)
-    pos = 0
-    steps = 0
-    while True:
-        steps += 1
-        if steps > cap:
-            return -1
-        limit = min(maxu[pos] + 1, k)
-        c = tried[pos] + 1
-        while c <= limit and (vcol[eu[pos]] | vcol[ev[pos]]) >> c & 1:
-            c += 1
-        if c <= limit:
-            tried[pos] = c
-            vcol[eu[pos]] |= 1 << c
-            vcol[ev[pos]] |= 1 << c
-            maxu[pos + 1] = max(c, maxu[pos])
-            pos += 1
-            if pos == m:
-                return 1
-            tried[pos] = 0
-        else:
-            tried[pos] = 0
-            pos -= 1
-            if pos < 0:
-                return 0
-            c = tried[pos]
-            vcol[eu[pos]] &= ~(1 << c)
-            vcol[ev[pos]] &= ~(1 << c)

@@ -337,8 +337,6 @@ def _graphs(args, connected_only):
 
 
 def cmd_search(args):
-    if args.chi_prime_edges < 0:
-        raise DomainError(f"--chi-prime-edges must be nonnegative, got {args.chi_prime_edges}")
     corpus = CORPORA.get(args.corpus)  # None for the classes of --n
     where = f"the {args.corpus} corpus" if corpus else "the simple graphs of --n"
     multi = bool(corpus and corpus.multi)
@@ -346,10 +344,7 @@ def cmd_search(args):
         claims=_parse_claims(args.claims, MULTI_CLAIMS if multi else SIMPLE_CLAIMS, where),
         circular_interval=bool(corpus and corpus.circular_interval),
         limit_n=args.limit_n,
-        chi_prime_edge_limit=args.chi_prime_edges,
     )
-    if args.chi_prime_edges and "chi-prime-bound" not in flags.claims:
-        raise DomainError("--chi-prime-edges does nothing without the chi-prime-bound claim")
     if multi and args.limit_n is not None:
         raise DomainError(f"--limit-n does nothing with {where}")
     if args.out:
@@ -430,8 +425,6 @@ def _parser():
     add_source(p, "--all-classes", "include disconnected graphs in the enumeration")
     p.add_argument("--claims", default=None,
                    help="comma list; names or tokens like conj3, thm4")
-    p.add_argument("--chi-prime-edges", type=int, default=0, dest="chi_prime_edges",
-                   help="brute-force chi' cross-check up to this many edges")
     add_common(p, limit_n=True)
     p.set_defaults(func=cmd_search)
 

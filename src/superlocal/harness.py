@@ -46,7 +46,7 @@ from .oracles import (
 from .edge_colour import edge_colour
 
 ENUMERATION_N_LIMIT = 8
-CHI_PRIME_STEP_CAP = 200_000_000
+CORPUS_VERTEX_LIMIT = 500
 
 
 class Claim(NamedTuple):
@@ -84,8 +84,6 @@ CLAIMS = {
     "edge-colour": Claim(True, True, "thm11"),
     # gamma_bar_ll(G) = gamma_ll(L(G))
     "line-graph-match": Claim(True, True, None),
-    # brute-force chi' <= gamma_bar_ll
-    "chi-prime-bound": Claim(True, True, None),
 }
 SIMPLE_CLAIMS = tuple(name for name, c in CLAIMS.items() if not c.multi)
 MULTI_CLAIMS = tuple(name for name, c in CLAIMS.items() if c.multi)
@@ -100,7 +98,6 @@ class CheckFlags:
     claims: tuple = tuple(CLAIMS)
     circular_interval: bool = False  # input promised to be circular interval
     limit_n: int | None = None  # no exact oracle runs above this many vertices (--limit-n)
-    chi_prime_edge_limit: int = 0  # 0 disables the brute-force chi' cross-check
 
     def __post_init__(self):
         for claim in self.claims:
@@ -132,11 +129,10 @@ class MultigraphReport:
     m: int
     verdicts: dict
     bug: bool
-    # all None on an edgeless multigraph; the last three also when their
+    # all None on an edgeless multigraph; the last two also when their
     # claim is not requested or its check is refused
     gamma_bar_ll: object = None
     line_graph_gamma_ll: object = None
-    chi_prime: object = None
     colours_used: object = None
 
 
@@ -300,14 +296,6 @@ def check_multigraph(mg, flags=None):
         else:
             verdicts["line-graph-match"] = HOLDS if lg_value == k else VIOLATED
 
-    chi_prime = None
-    if "chi-prime-bound" in flags.claims:
-        if 0 < flags.chi_prime_edge_limit and mg.edge_count <= flags.chi_prime_edge_limit:
-            chi_prime = chi_prime_bruteforce(mg)
-            verdicts["chi-prime-bound"] = HOLDS if chi_prime <= k else VIOLATED
-        else:
-            verdicts["chi-prime-bound"] = NOT_APPLICABLE
-
     bug = any(v == VIOLATED for c, v in verdicts.items() if c in HARD_CLAIMS)
     return MultigraphReport(
         encoding=enc,
@@ -315,32 +303,10 @@ def check_multigraph(mg, flags=None):
         m=mg.edge_count,
         gamma_bar_ll=k,
         line_graph_gamma_ll=lg_value,
-        chi_prime=chi_prime,
         colours_used=colours_used,
         verdicts=verdicts,
         bug=bug,
     )
-
-
-def chi_prime_bruteforce(mg):
-    """Exact chromatic index by backtracking feasibility per colour count.
-
-    Each count's search stops after CHI_PRIME_STEP_CAP steps.
-    """
-    m = mg.edge_count
-    if m == 0:
-        return 0
-    eu, ev = zip(*mg.edges)
-    delta = max(mg.degree(v) for v in range(mg.n))
-    for k in range(delta, delta + m + 1):
-        res = _kernels.edge_colouring_feasible(eu, ev, k, mg.n, CHI_PRIME_STEP_CAP)
-        if res == -1:
-            raise SizeLimitError(
-                f"edge-colouring search exceeded {CHI_PRIME_STEP_CAP} steps at k={k}"
-            )
-        if res == 1:
-            return k
-    raise InternalBugError("no colour count up to degree + edge count was feasible")
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +430,9 @@ def random_corpus(kind, seed, count, **params):
             cfg[key] = int(cfg[key])
             if cfg[key] < 1:
                 raise DomainError(f"corpus needs {key} >= 1")
+    # every generator loops over the n^2/2 vertex pairs, the circular
+    # interval one over a clique per arc
+    check_vertex_limit("seeded corpus", cfg["n"], CORPUS_VERTEX_LIMIT)
     if corpus.multi and cfg["n"] < 2:
         raise DomainError(f"multigraph corpus needs n >= 2, got {cfg['n']}")
     if corpus.multi and cfg["max_edges"] > graphs.GRAPH6_VERTEX_LIMIT:
@@ -656,7 +625,6 @@ def report_to_dict(report):
             "m": report.m,
             "gamma_bar_ll": report.gamma_bar_ll,
             "line_graph_gamma_ll": report.line_graph_gamma_ll,
-            "chi_prime": report.chi_prime,
             "colours_used": report.colours_used,
             "verdicts": dict(sorted(report.verdicts.items())),
             "bug": report.bug,

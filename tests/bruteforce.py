@@ -7,11 +7,14 @@ fractional construction's trace classes count as containers). The
 fractional colouring references keep weights as frozensets of vertex
 ids with Fraction values, so tests convert the package's bitmasks and
 integer numerators to that form before comparing. There are
-two exceptions: bf_neighbourhood_average, which reads omega from the
+three exceptions: bf_neighbourhood_average, which reads omega from the
 graph's own omegas() so that the question-scan lemma tests reach 12
-vertices (omegas() itself is checked against bf_omega_v), and
+vertices (omegas() itself is checked against bf_omega_v);
 bf_solve_simplex, a full Fraction tableau that must make the same
-Bland pivots as the package's integer simplex.
+Bland pivots as the package's integer simplex; and bf_chi_prime_cut,
+a backtracking pruned by colour symmetry so that chi' is checked on
+every corpus multigraph with up to 12 edges and on the Petersen graph
+(it is checked against bf_chi_prime).
 """
 
 from __future__ import annotations
@@ -328,6 +331,38 @@ def bf_chi_prime(mg):
 
     k = 1
     while not feasible(k):
+        k += 1
+    return k
+
+
+def bf_chi_prime_cut(mg):
+    """Chromatic index by backtracking that breaks colour symmetry.
+
+    Edges are coloured in listing order, and an edge may only take a
+    colour at most one above the largest used so far: any colouring
+    renames to one of that form.
+    """
+    m = mg.edge_count
+    ends = [mg.endpoints(e) for e in range(m)]
+    taken = [0] * mg.n  # per vertex, the bitmask of colours at it
+
+    def rec(e, used, k):
+        if e == m:
+            return True
+        u, v = ends[e]
+        for c in range(min(used + 1, k)):
+            if not (taken[u] | taken[v]) >> c & 1:
+                taken[u] |= 1 << c
+                taken[v] |= 1 << c
+                found = rec(e + 1, max(used, c + 1), k)
+                taken[u] ^= 1 << c
+                taken[v] ^= 1 << c
+                if found:
+                    return True
+        return False
+
+    k = max((mg.degree(v) for v in range(mg.n)), default=0)
+    while not rec(0, 0, k):
         k += 1
     return k
 

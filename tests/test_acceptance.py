@@ -13,7 +13,6 @@ from superlocal import (
     Multigraph,
     check_graph,
     CheckFlags,
-    chi_prime_bruteforce,
     chi_via_complement_matching,
     chromatic_number,
     clique_average_bound,
@@ -34,7 +33,7 @@ from superlocal import (
     verify_vertex_colouring,
 )
 from superlocal import oracles, stable_sets
-from bruteforce import bf_membership_probabilities, bf_neighbourhood_average
+from bruteforce import bf_chi_prime_cut, bf_membership_probabilities, bf_neighbourhood_average
 from conftest import cycle, double_star, pendant_clique, petersen
 
 SEED = 20240815
@@ -124,7 +123,7 @@ def test_criterion_4_edge_colouring_at_the_bound(multigraph_corpus):
         assert k == gamma_bar_ll(mg)
         assert col.is_complete() and col.validate()
         if mg.edge_count <= 12:
-            assert chi_prime_bruteforce(mg) <= k
+            assert bf_chi_prime_cut(mg) <= k
             checked_brute += 1
     assert checked_brute > 0
 
@@ -134,11 +133,11 @@ def test_criterion_4_edge_colouring_at_the_bound(multigraph_corpus):
     for mu in (1, 2, 3):
         fat = Multigraph(3, [(0, 1), (0, 2), (1, 2)] * mu)
         k, col = edge_colour(fat)
-        assert k == 3 * mu == chi_prime_bruteforce(fat)
+        assert k == 3 * mu == bf_chi_prime_cut(fat)
         assert col.is_complete() and col.validate()
     pet = Multigraph.of_simple(petersen())
     k, col = edge_colour(pet)
-    assert k == 4 == chi_prime_bruteforce(pet)
+    assert k == 4 == bf_chi_prime_cut(pet)
     assert col.is_complete() and col.validate()
     report(4, f"500 random multigraphs coloured at k = edge bound "
               f"({checked_brute} cross-checked against brute chi'); "

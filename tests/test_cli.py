@@ -435,14 +435,19 @@ class TestSearch:
             "10",
             "--out",
             base,
-            "--chi-prime-edges",
-            "8",
         )
         assert code == 0
         d = json.loads(out)
         assert d["total"] == 10
         jl = (tmp_path / "run.jsonl").read_text(encoding="ascii")
         assert len(jl.splitlines()) == 10
+        for line in jl.splitlines():
+            rec = json.loads(line)
+            assert sorted(rec) == [
+                "bug", "colours_used", "encoding", "gamma_bar_ll",
+                "line_graph_gamma_ll", "m", "n", "verdicts",
+            ]
+            assert sorted(rec["verdicts"]) == ["edge-colour", "line-graph-match"]
         cv = (tmp_path / "run.csv").read_text(encoding="ascii")
         assert cv.splitlines()[0].startswith("encoding,")
 
@@ -477,13 +482,21 @@ class TestSearch:
         assert out == ""
         assert "no claims requested" in err
 
-    def test_negative_chi_prime_edges_is_input_error(self, capsys):
-        code, _, err = run(
-            capsys, "search", "--corpus", "multigraph", "--count", "1",
-            "--chi-prime-edges", "-5",
+    def test_chi_prime_edges_is_not_an_option(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--corpus", "multigraph", "--chi-prime-edges", "5",
         )
         assert code == 1
-        assert "--chi-prime-edges" in err
+        assert out == ""
+        assert err.endswith("error: unrecognized arguments: --chi-prime-edges 5\n")
+
+    def test_chi_prime_bound_is_not_a_claim(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--corpus", "multigraph", "--claims", "chi-prime-bound",
+        )
+        assert code == 1
+        assert out == ""
+        assert "unknown claim 'chi-prime-bound'" in err
 
     @pytest.mark.parametrize(
         "space, claim, name",
@@ -528,9 +541,6 @@ class TestSearch:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (("--n", "3", "--chi-prime-edges", "5"), "--chi-prime-edges does nothing"),
-            (("--corpus", "multigraph", "--claims", "thm11", "--chi-prime-edges", "5"),
-             "--chi-prime-edges does nothing"),
             (("--corpus", "multigraph", "--limit-n", "5"),
              "--limit-n does nothing with the multigraph corpus"),
         ],
@@ -623,6 +633,17 @@ class TestGen:
         )
         assert (code, out) == (2, "")
         assert err == "size refusal: multigraph corpus max_edges 258048 above the limit 258047\n"
+
+    @pytest.mark.parametrize("command", ["gen", "search"])
+    @pytest.mark.parametrize("corpus", ["simple", "co_triangle_free"])
+    @pytest.mark.parametrize("count", ["0", "1"])
+    def test_vertex_count_above_the_corpus_limit(self, capsys, command, corpus, count):
+        # refused before any graph is drawn, so --count 0 is refused too
+        code, out, err = run(
+            capsys, command, "--corpus", corpus, "--count", count, "--params", "n=100000,p=0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "size refusal: seeded corpus limited to 500 vertices, got 100000\n"
 
 
 @pytest.mark.parametrize("command, flag", [("search", "--all-classes"), ("gen", "--connected")])

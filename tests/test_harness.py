@@ -19,7 +19,6 @@ from superlocal import (
     SizeLimitError,
     check_graph,
     check_multigraph,
-    chi_prime_bruteforce,
     enumerate_graph_classes,
     frac_str,
     gamma_bar_ll,
@@ -37,6 +36,7 @@ from superlocal import cli, harness
 from superlocal.harness import MULTI_CLAIMS, SIMPLE_CLAIMS, _colourable_backtrack
 from bruteforce import (
     bf_chi_prime,
+    bf_chi_prime_cut,
     bf_edge_mask,
     bf_isomorphic,
     bf_isomorphism_classes,
@@ -443,18 +443,7 @@ class TestCheckMultigraph:
         assert r.gamma_bar_ll == 2
         assert r.line_graph_gamma_ll == 2
         assert r.colours_used == 2
-        assert r.chi_prime is None  # brute cross-check disabled by default
-        assert r.verdicts == {
-            "edge-colour": "holds",
-            "line-graph-match": "holds",
-            "chi-prime-bound": "not-applicable",
-        }
-
-    def test_chi_prime_enabled(self):
-        mg = Multigraph(3, [(0, 1), (1, 2)])
-        r = check_multigraph(mg, CheckFlags(chi_prime_edge_limit=10))
-        assert r.chi_prime == 2
-        assert r.verdicts["chi-prime-bound"] == "holds"
+        assert r.verdicts == {"edge-colour": "holds", "line-graph-match": "holds"}
 
     def test_edgeless(self):
         r = check_multigraph(Multigraph(4))
@@ -465,10 +454,10 @@ class TestCheckMultigraph:
 
     def test_fat_triangle(self):
         mg = Multigraph(3, [(0, 1), (0, 2), (1, 2)] * 2)
-        r = check_multigraph(mg, CheckFlags(chi_prime_edge_limit=10))
+        r = check_multigraph(mg)
         assert r.gamma_bar_ll == 6
         assert r.colours_used == 6
-        assert r.chi_prime == 6
+        assert bf_chi_prime_cut(mg) == 6
 
     def test_one_gamma_bar_ll_per_multigraph(self, monkeypatch):
         calls = []
@@ -504,22 +493,19 @@ class TestCheckMultigraph:
 
 
 class TestChiPrimeBruteforce:
+    """The symmetry-cut chi' backtracking that the tests check chi' with."""
+
     def test_fixtures(self):
-        assert chi_prime_bruteforce(Multigraph(3)) == 0
-        assert chi_prime_bruteforce(Multigraph.of_simple(cycle(5))) == 3
-        assert chi_prime_bruteforce(Multigraph.of_simple(complete(4))) == 3
-        assert chi_prime_bruteforce(Multigraph(4, [(0, 1), (0, 2), (0, 3)])) == 3
-        assert chi_prime_bruteforce(Multigraph(2, [(0, 1)] * 3)) == 3
-        assert chi_prime_bruteforce(Multigraph.of_simple(path(4))) == 2
+        assert bf_chi_prime_cut(Multigraph(3)) == 0
+        assert bf_chi_prime_cut(Multigraph.of_simple(cycle(5))) == 3
+        assert bf_chi_prime_cut(Multigraph.of_simple(complete(4))) == 3
+        assert bf_chi_prime_cut(Multigraph(4, [(0, 1), (0, 2), (0, 3)])) == 3
+        assert bf_chi_prime_cut(Multigraph(2, [(0, 1)] * 3)) == 3
+        assert bf_chi_prime_cut(Multigraph.of_simple(path(4))) == 2
 
     def test_matches_plain_backtracking(self):
         for mg in random_corpus("multigraph", seed=31, count=20, n=5, max_edges=9):
-            assert chi_prime_bruteforce(mg) == bf_chi_prime(mg)
-
-    def test_step_cap(self, monkeypatch):
-        monkeypatch.setattr(harness, "CHI_PRIME_STEP_CAP", 1)
-        with pytest.raises(SizeLimitError, match="exceeded 1 steps"):
-            chi_prime_bruteforce(Multigraph.of_simple(cycle(5)))
+            assert bf_chi_prime_cut(mg) == bf_chi_prime(mg)
 
 
 class TestReverify:

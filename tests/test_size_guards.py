@@ -16,6 +16,7 @@ from superlocal import (
     chi_via_complement_matching,
     chromatic_number,
     enumerate_graph_classes,
+    random_corpus,
     stability_number,
     subgraph_neighbourhood_bound,
 )
@@ -30,7 +31,7 @@ CEILINGS = [
     (oracles, "LP_SET_LIMIT", 4096),
     (graphs, "LINE_GRAPH_PAIR_LIMIT", 2**18),
     (graphs, "GRAPH6_VERTEX_LIMIT", 258_047),
-    (harness, "CHI_PRIME_STEP_CAP", 200_000_000),
+    (harness, "CORPUS_VERTEX_LIMIT", 500),
 ]
 
 
@@ -52,6 +53,9 @@ VERTEX_GUARDS = [
     ("subgraph scan", invariants, "SUBGRAPH_SCAN_LIMIT",
      lambda n: subgraph_neighbourhood_bound(SimpleGraph(n))),
     ("enumeration", harness, "ENUMERATION_N_LIMIT", enumerate_graph_classes),
+    # count 0: the parameters are refused before any graph is drawn
+    ("seeded corpus", harness, "CORPUS_VERTEX_LIMIT",
+     lambda n: random_corpus("circular_interval", 0, 0, n=n)),
 ]
 
 
