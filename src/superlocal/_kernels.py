@@ -77,6 +77,38 @@ def _has_smaller_relabelling(label, free, prefix, adj, groups):
     return False
 
 
+def _candidate_neighbourhoods(padj):
+    """The neighbourhoods s < 2^m, ascending, of a new vertex 0 over a
+    parent with m vertices and adjacency masks padj that survive the two
+    rejections of orbit_representatives."""
+    m = len(padj)
+    full = (1 << m) - 1
+    # (bits of y and z, bit of z) per twin pair y < z
+    twins = [
+        (1 << y | 1 << z, 1 << z)
+        for z in range(m)
+        for y in range(z)
+        if (padj[y] ^ padj[z]) & ~(1 << y | 1 << z) == 0
+    ]
+    # alpha[t]: the largest stable set of the parent inside the mask t
+    alpha = [0] * (full + 1)
+    for t in range(1, full + 1):
+        b = t & -t
+        rest = t ^ b
+        alpha[t] = max(alpha[rest], 1 + alpha[rest & ~padj[b.bit_length() - 1]])
+    top = alpha[full]
+    out = []
+    for s in range(full + 1):
+        if top < m and alpha[full ^ s] == top:
+            continue
+        for pair, high in twins:
+            if s & pair == high:
+                break
+        else:
+            out.append(s)
+    return out
+
+
 def orbit_representatives(n):
     """Sorted least edge masks of the isomorphism classes of n-vertex graphs.
 
@@ -90,6 +122,21 @@ def orbit_representatives(n):
     one of G. So every representative is (P << (n-1)) | S
     for an (n-1)-vertex representative P and some S < 2^(n-1), and such
     a candidate is kept when no relabelling gives a smaller mask.
+
+    Two kinds of S are dropped before that search, since each has a
+    relabelling with a smaller mask (P's vertex v is the candidate's
+    v + 1, and mask group L, vertex L's adjacency to the labels above
+    it, ranks higher the larger L is):
+    - twins y < z of P (N(y) - z == N(z) - y) with z in S and y not.
+      Swapping y and z is an automorphism of P, so it keeps the bits
+      of P and moves S's bit z down to y.
+    - when alpha(P) < n - 1, an S that misses a maximum stable set of
+      P. A least mask labels a maximum stable set at the top, so its
+      top alpha groups are zero and the next one is not. The candidate
+      takes its top groups from P: alpha(P) zero ones, then a nonzero
+      one, which exists since alpha(P) < n - 1. But that stable set and
+      vertex 0 give alpha(G) = alpha(P) + 1, so G's least mask has a
+      zero group there.
     """
     level = [(0, [0])]  # (mask, adjacency masks) of each class
     for m in range(1, n):
@@ -100,7 +147,7 @@ def orbit_representatives(n):
             # neighbourhood s; candidate group L is parent group L - 1, and s
             shifted = [a << 1 for a in padj]
             groups = [0] + [a >> (v + 1) for v, a in enumerate(padj)]
-            for s in range(1 << m):
+            for s in _candidate_neighbourhoods(padj):
                 adj = [s << 1] + [a | (s >> v & 1) for v, a in enumerate(shifted)]
                 groups[0] = s
                 if not _has_smaller_relabelling(m, full, [], adj, groups):

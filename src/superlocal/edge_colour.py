@@ -9,7 +9,7 @@ bug signals instead of being handled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InternalBugError
 from .invariants import gamma_bar_ll
@@ -158,8 +158,7 @@ class PartialEdgeColouring:
         return True
 
 
-@dataclass(frozen=True)
-class Fan:
+class Fan(NamedTuple):
     vertices: tuple  # distinct hinge neighbours; vertices[0] is the uncoloured edge's far endpoint
     edges: tuple  # edges[i] joins the hinge to vertices[i]; edges[0] is the uncoloured edge
     witnesses: tuple  # witnesses[i] = (j < i, colour of edges[i] missing at vertices[j])

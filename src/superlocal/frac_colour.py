@@ -14,8 +14,8 @@ denominator, and stable sets stay vertex bitmasks throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InternalBugError
 from .graphs import mask_members
@@ -23,15 +23,13 @@ from .invariants import gamma_ll_prime
 from .stable_sets import check_enumeration_size, maximum_stable_sets
 
 
-@dataclass(frozen=True)
-class FractionalColouring:
+class FractionalColouring(NamedTuple):
     weights: dict  # stable-set bitmask -> positive int numerator over den
     den: int
     total: Fraction
 
 
-@dataclass(frozen=True)
-class IterationRecord:
+class IterationRecord(NamedTuple):
     vertices: tuple  # surviving vertex ids at the start of the round
     num_max_sets: int
     low: Fraction
@@ -39,14 +37,12 @@ class IterationRecord:
     total_after: Fraction
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     bound: Fraction
     records: tuple
 
 
-@dataclass(frozen=True)
-class ColouringVerdict:
+class ColouringVerdict(NamedTuple):
     valid: bool
     violations: tuple
 

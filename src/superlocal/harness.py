@@ -14,7 +14,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -93,22 +92,34 @@ CLAIM_ALIASES = {c.alias: name for name, c in CLAIMS.items() if c.alias}
 HOLDS, VIOLATED, NOT_APPLICABLE = "holds", "violated", "not-applicable"
 
 
-@dataclass(frozen=True)
-class CheckFlags:
+class _CheckFlags(NamedTuple):
     claims: tuple = tuple(CLAIMS)
     circular_interval: bool = False  # input promised to be circular interval
     limit_n: int | None = None  # no exact oracle runs above this many vertices (--limit-n)
 
-    def __post_init__(self):
+
+class CheckFlags(_CheckFlags):
+    """The claims to check and their options, refused at construction
+    when a claim is unknown or limit_n is negative."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for claim in self.claims:
             if claim not in CLAIMS:
                 raise DomainError(f"unknown claim {claim!r}")
         if self.limit_n is not None and self.limit_n < 0:
             raise DomainError(f"--limit-n must be nonnegative, got {self.limit_n}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip __new__'s checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     encoding: str
     n: int
     bounds: object
@@ -122,8 +133,7 @@ class BoundReport:
     bug: bool
 
 
-@dataclass(frozen=True)
-class MultigraphReport:
+class MultigraphReport(NamedTuple):
     encoding: str
     n: int
     m: int
@@ -136,15 +146,13 @@ class MultigraphReport:
     colours_used: object = None
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     encoding: str
     claim: str
     values: tuple  # ((name, serialized value), ...) sorted by name
 
 
-@dataclass(frozen=True)
-class SearchSummary:
+class SearchSummary(NamedTuple):
     total: int
     verdict_counts: dict  # claim -> {holds, violated, not-applicable}
     findings: tuple
@@ -559,16 +567,21 @@ def search_counterexamples(space, flags=None):
     """Stream check_graph / check_multigraph over a graph collection.
 
     A violated hard claim aborts immediately; a violated open claim is
-    re-verified by brute force and recorded as a finding.
+    re-verified by brute force and recorded as a finding. The counts
+    list the requested claims that apply to the kinds of graph in the
+    space (simple or multigraph), or all of them if the space is empty.
     """
     base = flags or CheckFlags()
     counts = {
         claim: {HOLDS: 0, VIOLATED: 0, NOT_APPLICABLE: 0} for claim in base.claims
     }
+    kinds = set()  # Claim.multi of each graph checked
     findings = []
     reports = []
     for g in space:
-        if isinstance(g, Multigraph):
+        multi = isinstance(g, Multigraph)
+        kinds.add(multi)
+        if multi:
             report = check_multigraph(g, base)
         else:
             report = check_graph(g, base)
@@ -587,6 +600,8 @@ def search_counterexamples(space, flags=None):
                     "independent re-verification"
                 )
             findings.append(Finding(report.encoding, claim, _finding_values(claim, report)))
+    if kinds:
+        counts = {claim: c for claim, c in counts.items() if CLAIMS[claim].multi in kinds}
     return SearchSummary(
         total=len(reports),
         verdict_counts=counts,

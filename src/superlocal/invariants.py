@@ -9,8 +9,8 @@ rationals or integers; no floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, check_vertex_limit
 from .graphs import line_graph
@@ -38,8 +38,7 @@ def gamma_ll(g):
     return math.ceil(gamma_ll_prime(g))
 
 
-@dataclass(frozen=True)
-class VertexBounds:
+class VertexBounds(NamedTuple):
     degree: tuple
     omega: tuple
     gamma_l_prime: tuple
@@ -52,8 +51,7 @@ def vertex_bounds(g):
     return VertexBounds(degree=deg, omega=om, gamma_l_prime=glp)
 
 
-@dataclass(frozen=True)
-class GraphBounds:
+class GraphBounds(NamedTuple):
     delta: int
     omega: int
     gamma_prime: Fraction

@@ -9,8 +9,8 @@ number at most two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _kernels, stable_sets
 from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
@@ -24,8 +24,7 @@ MATCHING_VERTEX_LIMIT = 20
 LP_SET_LIMIT = 4096
 
 
-@dataclass(frozen=True)
-class VertexColouring:
+class VertexColouring(NamedTuple):
     colours: tuple  # colour index per vertex, 0-based
     k: int
 
@@ -83,8 +82,7 @@ def stability_number(g):
     return max_clique_size(g.complement_masks(), (1 << g.n) - 1)
 
 
-@dataclass(frozen=True)
-class FractionalChromaticSolution:
+class FractionalChromaticSolution(NamedTuple):
     value: Fraction
     # stable-set mask -> positive numerator over den, a fractional colouring
     # of total value: over stable sets, and over maximal ones on the LP route

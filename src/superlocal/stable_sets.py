@@ -9,7 +9,7 @@ is ever listed. Guarded at 24 vertices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, check_vertex_limit
 from .graphs import mask_members
@@ -17,8 +17,7 @@ from .graphs import mask_members
 ENUMERATION_VERTEX_LIMIT = 24
 
 
-@dataclass(frozen=True)
-class StableSetFamily:
+class StableSetFamily(NamedTuple):
     sets: tuple  # vertex bitmasks, sorted by their member lists
 
 

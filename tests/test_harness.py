@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import io
 import json
@@ -32,7 +31,7 @@ from superlocal import (
     to_graph6,
     write_reports,
 )
-from superlocal import cli, harness
+from superlocal import _kernels, cli, harness
 from superlocal.harness import MULTI_CLAIMS, SIMPLE_CLAIMS, _colourable_backtrack
 from bruteforce import (
     bf_chi_prime,
@@ -149,6 +148,28 @@ class TestEnumeration:
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
                 assert not bf_isomorphic(reps[i], reps[j])
+
+    def test_rejected_candidates_are_not_orbit_minima(self):
+        # every neighbourhood s that the two rejections drop for a parent P
+        # gives a candidate (P << m) | s with a smaller image
+        dropped = 0
+        for n in range(2, 7):
+            m = n - 1
+            maps = bf_perm_edge_maps(n)
+            for parent in enumerate_graph_classes(m):
+                kept = set(_kernels._candidate_neighbourhoods(list(parent.adj)))
+                for s in set(range(1 << m)) - kept:
+                    candidate = (bf_edge_mask(parent) << m) | s
+                    assert bf_orbit_minimum(candidate, maps) < candidate
+                    dropped += 1
+        assert dropped > 0
+
+    def test_each_rejection_fires_alone(self):
+        # two isolated vertices: alpha = m turns the stable-set rule off, and
+        # the twins drop s = {1}, which swaps down to {0}
+        assert _kernels._candidate_neighbourhoods([0, 0]) == [0, 1, 3]
+        # an edge: s = {0} has no twin fault but misses the stable set {1}
+        assert _kernels._candidate_neighbourhoods([0b10, 0b01]) == [3]
 
     def test_representatives_are_orbit_minima(self):
         for n in (3, 4, 5, 6):
@@ -351,6 +372,10 @@ class TestCheckGraph:
     def test_negative_limit_n_is_a_domain_error(self):
         with pytest.raises(DomainError, match="must be nonnegative"):
             CheckFlags(limit_n=-1)
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            CheckFlags()._replace(limit_n=-1)
+        with pytest.raises(DomainError, match="unknown claim 'bogus'"):
+            CheckFlags()._replace(claims=("bogus",))
 
     def test_claim_selection(self):
         r = check_graph(cycle(5), CheckFlags(claims=("superlocal-chi",)))
@@ -518,9 +543,7 @@ class TestReverify:
 
     def test_rejects_tampered_bound(self):
         r = check_graph(cycle(5))
-        fake = dataclasses.replace(
-            r, bounds=dataclasses.replace(r.bounds, gamma_ll=2)
-        )
+        fake = r._replace(bounds=r.bounds._replace(gamma_ll=2))
         assert reverify_finding(cycle(5), "superlocal-chi", fake) is False
 
     def test_unknown_claim(self):
@@ -559,8 +582,22 @@ class TestSearch:
         space = [cycle(5), Multigraph(3, [(0, 1), (1, 2)])]
         summary = search_counterexamples(space)
         assert summary.total == 2
+        assert tuple(summary.verdict_counts) == SIMPLE_CLAIMS + MULTI_CLAIMS
         assert summary.verdict_counts["superlocal-chi"]["holds"] == 1
         assert summary.verdict_counts["edge-colour"]["holds"] == 1
+
+    def test_summary_lists_the_claims_of_the_space(self):
+        # the default flags request every claim; on simple graphs only the
+        # simple ones get a verdict, so only they are counted
+        summary = search_counterexamples([cycle(5)])
+        assert tuple(summary.verdict_counts) == SIMPLE_CLAIMS
+        assert sorted(summary_to_dict(summary)["verdicts"]) == sorted(SIMPLE_CLAIMS)
+        assert all(sum(c.values()) == 1 for c in summary.verdict_counts.values())
+        multi = search_counterexamples([Multigraph(3, [(0, 1), (1, 2)])])
+        assert tuple(multi.verdict_counts) == MULTI_CLAIMS
+        # an empty space has no kind of graph, so every requested claim stays
+        empty = search_counterexamples([], CheckFlags(claims=MULTI_CLAIMS))
+        assert tuple(empty.verdict_counts) == MULTI_CLAIMS
 
     def test_unknown_claim(self):
         with pytest.raises(DomainError):
@@ -618,7 +655,7 @@ class TestSearch:
 
         def raised(g):
             sol = real(g)
-            return dataclasses.replace(sol, value=Fraction(3)) if is_c5(g) else sol
+            return sol._replace(value=Fraction(3)) if is_c5(g) else sol
 
         monkeypatch.setattr(harness, "fractional_chromatic_solution", raised)
         with pytest.raises(InternalBugError, match="^proven claim frac-bound violated on Dhc$"):
