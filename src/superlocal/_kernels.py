@@ -8,6 +8,8 @@ them as ``_kernels.<name>`` so that a tracer can wrap these bindings.
 
 from __future__ import annotations
 
+from .graphs import clique_table
+
 # the kernel implementation in use, recorded in benchmark fingerprints
 ACTIVE = "pure"
 
@@ -91,11 +93,7 @@ def _candidate_neighbourhoods(padj):
         if (padj[y] ^ padj[z]) & ~(1 << y | 1 << z) == 0
     ]
     # alpha[t]: the largest stable set of the parent inside the mask t
-    alpha = [0] * (full + 1)
-    for t in range(1, full + 1):
-        b = t & -t
-        rest = t ^ b
-        alpha[t] = max(alpha[rest], 1 + alpha[rest & ~padj[b.bit_length() - 1]])
+    alpha = clique_table([full ^ a ^ 1 << v for v, a in enumerate(padj)])
     top = alpha[full]
     out = []
     for s in range(full + 1):

@@ -52,7 +52,10 @@ class PartialEdgeColouring:
         self._at = [dict() for _ in range(mg.n)]
         self._present = [0] * mg.n
         self._count = [0] * mg.n
-        self.stats = {}
+        # how often each case of _resolve_hole fired on this colouring
+        self.stats = dict.fromkeys(
+            ("direct", "rotation", "kempe", "sequence_steps", "beta_swaps"), 0
+        )
 
     @property
     def assignment(self):
@@ -301,24 +304,16 @@ def kempe_swap(c, a, b, start):
         _assign_or_bug(c, eid, colour, "alternating swap collided")
 
 
-def _fresh_stats():
-    return {
-        "direct": 0,
-        "rotation": 0,
-        "kempe": 0,
-        "sequence_steps": 0,
-        "beta_swaps": 0,
-    }
-
-
-def _resolve_hole(mg, cur, hole, stats):
+def _resolve_hole(mg, cur, hole):
     """Colour the hole edge in cur, possibly moving it first.
 
     Dispatch per state: direct colouring, fan rotation on a
     hinge/fan-vertex coincidence, alternating swap on a fan/fan
     coincidence, otherwise one fan-sequence transition. The step guard
-    turns any latent non-termination into a bug signal.
+    turns any latent non-termination into a bug signal. Each case that
+    fires is counted in cur.stats.
     """
+    stats = cur.stats
     budget = 4 * max(cur.k, 1) * mg.edge_count + 16
     steps = 0
     seq = None  # fan-sequence memory: alphas, previous hole, hinge for rebuild
@@ -412,7 +407,7 @@ def _resolve_hole(mg, cur, hole, stats):
             )
 
         if seq["prev"] is not None and _try_beta_swap(
-            mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, stats
+            mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq
         ):
             return
 
@@ -425,7 +420,7 @@ def _resolve_hole(mg, cur, hole, stats):
         stats["sequence_steps"] += 1
 
 
-def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, stats):
+def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq):
     """Resolve by rolling back one transition and swapping a parallel edge.
 
     Needs a colour beta missing at the step-before vertex and at the
@@ -452,7 +447,7 @@ def _try_beta_swap(mg, cur, hole, hinge, v_prev, v_next, alpha, eid_alpha, seq, 
         _assign_or_bug(cur, eid_beta, alpha, "parallel swap collided")
         _assign_or_bug(cur, eid_alpha, beta, "parallel swap collided")
         _assign_or_bug(cur, prev_hole, beta, "freed colour collided")
-        stats["beta_swaps"] += 1
+        cur.stats["beta_swaps"] += 1
         return True
     return False
 
@@ -468,11 +463,9 @@ def edge_colour(mg):
         raise DomainError("nothing to colour: the multigraph has no edges")
     k = gamma_bar_ll(mg)
     cur = PartialEdgeColouring(mg, k)
-    stats = _fresh_stats()
     for eid in range(m):
-        _resolve_hole(mg, cur, eid, stats)
+        _resolve_hole(mg, cur, eid)
     if not cur.is_complete():
         raise InternalBugError(f"edges left uncoloured: {cur.uncoloured()}")
     cur.validate()
-    cur.stats = stats
     return k, cur

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, check_vertex_limit
-from .graphs import line_graph
+from .graphs import clique_table, line_graph
 from .stable_sets import _bron_kerbosch
 
 SUBGRAPH_SCAN_LIMIT = 12
@@ -177,13 +177,9 @@ def subgraph_neighbourhood_bound(g):
 
     The max is over every induced subgraph H = G[mask] and every vertex
     v of H of the average of gamma_l_prime, computed in H, over the
-    closed neighbourhood of v in H. Builds a table over all 2^n vertex
-    sets, so refuses above SUBGRAPH_SCAN_LIMIT vertices.
-
-    One pass in increasing order fills clq[s], the clique number of
-    every vertex set s: with v the lowest vertex of s and rest = s - v,
-    a largest clique of s either avoids v or is v plus a clique inside
-    N(v), so clq[s] = max(clq[rest], 1 + clq[rest & N(v)]).
+    closed neighbourhood of v in H. Reads clq = clique_table(g.adj),
+    the clique number of each of the 2^n vertex sets, so refuses above
+    SUBGRAPH_SCAN_LIMIT vertices.
 
     Lemma: only the subgraphs that delete part of one neighbourhood
     need a visit. In H, twice gamma_l_prime(u) is the integer
@@ -207,13 +203,7 @@ def subgraph_neighbourhood_bound(g):
     n = g.n
     full = (1 << n) - 1
     adj = g.adj
-    clq = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        low = s & -s
-        rest = s ^ low
-        a = clq[rest]
-        b = 1 + clq[rest & adj[low.bit_length() - 1]]
-        clq[s] = a if a >= b else b
+    clq = clique_table(adj)
     best_num, best_den = 0, 1
     for v in range(n):
         nbrs = adj[v]

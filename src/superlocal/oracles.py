@@ -17,7 +17,7 @@ from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_
 from .graphs import _dsatur_pick, mask_members, max_clique_size
 from .invariants import clique_number
 from .simplex import solve_simplex
-from .stable_sets import check_enumeration_size, maximal_stable_sets
+from .stable_sets import _maximum_sets, check_enumeration_size, maximal_stable_sets
 
 CHROMATIC_VERTEX_LIMIT = 16
 MATCHING_VERTEX_LIMIT = 20
@@ -91,35 +91,16 @@ class FractionalChromaticSolution(NamedTuple):
     den: int  # > 0
 
 
-def _clique_of_size(adj, cand, size):
-    """Members of a clique of the given size inside the mask cand, which
-    must hold one: the lowest candidate u stays while a clique of the
-    size still left fits in u and its neighbours within cand."""
-    members = []
-    while size and cand:
-        b = cand & -cand
-        u = b.bit_length() - 1
-        if 1 + max_clique_size(adj, cand & adj[u]) >= size:
-            members.append(u)
-            cand &= adj[u]
-            size -= 1
-        else:
-            cand ^= b
-    return members
-
-
 def _integral_solution(g, omega, colours):
     """chi_f = omega, certified by weight 1 on each of omega stable
     colour classes and on each vertex of an omega-clique, all over 1."""
     adj = g.adj
-    # every vertex of a largest clique has omega(v) = omega
-    top = 0
-    for v, om in enumerate(g.omegas()):
-        if om == omega:
-            top |= 1 << v
-    clique = _clique_of_size(adj, top, omega)
-    cmask = sum(1 << u for u in set(clique))
-    if cmask.bit_count() != omega or any(cmask & ~adj[u] != 1 << u for u in clique):
+    # v with omega(v) = omega and a largest clique inside N(v) make an
+    # omega-clique
+    v = g.omegas().index(omega)
+    cmask = 1 << v | _maximum_sets(adj, adj[v])[0]
+    members = mask_members(cmask)
+    if len(members) != omega or any(cmask & ~adj[u] != 1 << u for u in members):
         raise InternalBugError("clique witness is not a clique of omega vertices")
     if not verify_vertex_colouring(g, VertexColouring(colours, omega)):
         raise InternalBugError("DSATUR classes are not a proper omega-colouring")

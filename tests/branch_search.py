@@ -33,7 +33,7 @@ from superlocal import (
     edge_colour,
     gamma_bar_ll,
 )
-from superlocal.edge_colour import _fresh_stats, _resolve_hole
+from superlocal.edge_colour import _resolve_hole
 
 CASES = ("rotation", "kempe", "sequence_steps", "beta_swaps")
 
@@ -79,10 +79,8 @@ def sequence_hole(mg, c):
 
 def resolve_hole(mg, c, hole):
     """Colour the hole in c by edge_colour's insertion loop; c.stats counts the cases."""
-    stats = _fresh_stats()
-    _resolve_hole(mg, c, hole, stats)
+    _resolve_hole(mg, c, hole)
     c.validate()
-    c.stats = stats
 
 
 def search(seed, trials):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -9,6 +10,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import superlocal
 from superlocal import Multigraph, cli, format_multigraph, parse_graph6, parse_multigraph, to_graph6
@@ -790,6 +793,61 @@ class TestExitCodes:
         code, out, _ = run(capsys, "oracle", str(p))
         assert code == 0
         assert json.loads(out) == {"alpha": 4, "chi": 3, "chi_f": "5/2"}
+
+
+# short valid inputs: graph6 for K1, K3, C5 and the Petersen graph, and
+# multigraph text with newline and "/" separators and multiplicities up to 3
+FUZZ_SEEDS = (
+    "@",
+    "Bw",
+    "Dhc",
+    "IheA@GUAo",
+    "n 3\n0 1 2\n1 2 2\n0 2 2\n",
+    "n 2/0 1 3",
+    "n 4\n0 1 1\n1 2 1\n2 3 1\n0 3 2\n",
+)
+FUZZ_CHARS = st.characters(min_codepoint=32, max_codepoint=126) | st.just("\n")
+FUZZ_EDIT = st.tuples(st.sampled_from("idr"), st.integers(0, 40), FUZZ_CHARS)
+
+
+@st.composite
+def mutated_input(draw):
+    """A seed with up to four single-character inserts, deletes or replaces."""
+    text = draw(st.sampled_from(FUZZ_SEEDS))
+    for kind, at, ch in draw(st.lists(FUZZ_EDIT, max_size=4)):
+        at %= len(text) + 1
+        if kind == "i":
+            text = text[:at] + ch + text[at:]
+        elif at < len(text):
+            text = text[:at] + (ch if kind == "r" else "") + text[at + 1:]
+    return text
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(
+    mutated_input(),
+    st.sampled_from(["bounds", "oracle", "frac", "edgecolour", "linegraph"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_mutated_input_ends_in_an_answer_or_a_refusal(text, command, verify, plain):
+    """Every command on mutated short input exits 0, 1 or 2, never with a
+    traceback. Dense graphs and high multiplicities are left out until
+    the exponential searches have work budgets (ROADMAP.md, items 1 and
+    7), so no seed here is dense or has a multiplicity above 3."""
+    argv = [command, "-"]
+    if verify and command in ("frac", "edgecolour", "linegraph"):
+        argv.append("--verify")
+    if plain:
+        argv += ["--format", "plain"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        old_stdin, sys.stdin = sys.stdin, io.StringIO(text)
+        try:
+            code = main(argv)
+        finally:
+            sys.stdin = old_stdin
+    assert code in (0, 1, 2), (text, argv, err.getvalue())
 
 
 PROBE = """

@@ -18,7 +18,7 @@ from superlocal import (
     random_corpus,
     rotate_fan,
 )
-from superlocal.edge_colour import _fresh_stats, _resolve_hole
+from superlocal.edge_colour import _resolve_hole
 import branch_search
 from bruteforce import bf_chi_prime
 from conftest import count_validations, cycle, path, petersen
@@ -48,10 +48,9 @@ def inserted_in_order(mg, order):
     """(k, colouring, stats) of edge_colour's insertion loop run in order."""
     k = gamma_bar_ll(mg)
     c = PartialEdgeColouring(mg, k)
-    stats = _fresh_stats()
     for eid in order:
-        _resolve_hole(mg, c, eid, stats)
-    return k, c, stats
+        _resolve_hole(mg, c, eid)
+    return k, c, c.stats
 
 
 def triangle_state():

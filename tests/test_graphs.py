@@ -22,7 +22,7 @@ from superlocal import (
 )
 from superlocal import graphs
 from superlocal.graphs import GRAPH6_VERTEX_LIMIT
-from bruteforce import bf_edge_mask
+from bruteforce import bf_clique_number, bf_edge_mask, bf_stability_number
 from conftest import complete, cycle, path, petersen
 
 graphs_st = st.integers(0, 10).flatmap(
@@ -154,6 +154,20 @@ class TestComplementAndSubgraph:
         h, labels = induced_subgraph(g, verts)
         for i, j in itertools.combinations(range(h.n), 2):
             assert h.has_edge(i, j) == g.has_edge(labels[i], labels[j])
+
+
+class TestCliqueTable:
+    def test_every_subset_of_every_small_class(self, classes6):
+        # on the adjacency masks the table holds omega(G[s]), on the
+        # complement masks alpha(G[s])
+        for g in classes6:
+            clq = graphs.clique_table(g.adj)
+            stab = graphs.clique_table(g.complement_masks())
+            assert len(clq) == len(stab) == 1 << g.n
+            for s in range(1 << g.n):
+                h, _ = induced_subgraph(g, graphs.mask_members(s))
+                assert clq[s] == bf_clique_number(h)
+                assert stab[s] == bf_stability_number(h)
 
 
 class TestGraph6:

@@ -23,6 +23,7 @@ from superlocal import (
 from superlocal import _kernels, graphs, oracles
 from bruteforce import (
     bf_chromatic_number,
+    bf_is_clique,
     bf_is_stable,
     bf_matching_number,
     bf_stability_number,
@@ -161,6 +162,30 @@ class TestFractionalChromatic:
         )
         assert fractional_chromatic_solution(g).value == 3
 
+    @pytest.mark.parametrize(
+        "g, omega",
+        [
+            (SimpleGraph(5), 1),
+            # K_{1,2,3}: vertex x lies in part (x > 0) + (x > 2), and a
+            # largest clique takes one vertex from each part
+            (
+                SimpleGraph(6, [
+                    (u, v)
+                    for u, v in itertools.combinations(range(6), 2)
+                    if (u > 0) + (u > 2) != (v > 0) + (v > 2)
+                ]),
+                3,
+            ),
+        ],
+        ids=["edgeless", "complete-multipartite"],
+    )
+    def test_integral_witness_is_an_omega_clique(self, g, omega):
+        sol = fractional_chromatic_solution(g)
+        assert sol.value == omega and sol.den == 1 and len(sol.weights) == omega
+        clique = [v for v, y in enumerate(sol.dual) if y]
+        assert set(sol.dual) <= {0, 1} and len(clique) == omega
+        assert bf_is_clique(g, clique)
+
     def test_both_routes_match_the_reference_lp(self, classes6, monkeypatch):
         # chi_f against the reference simplex over the brute-force maximal
         # stable sets, with each certificate re-checked against those sets
@@ -199,8 +224,8 @@ class TestFractionalChromatic:
         [
             (graphs, "_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a proper omega-colouring"),
             (graphs, "_dsatur_greedy", lambda adj, n: [0, 1, -1], "not a proper omega-colouring"),
-            (oracles, "_clique_of_size", lambda adj, cand, size: [0, 2], "not a clique"),
-            (oracles, "_clique_of_size", lambda adj, cand, size: [1], "not a clique"),
+            (oracles, "_maximum_sets", lambda comp, start: [0b100], "not a clique"),
+            (oracles, "_maximum_sets", lambda comp, start: [0], "not a clique"),
         ],
         ids=["improper-colouring", "uncovered", "non-clique", "small-clique"],
     )
