@@ -46,6 +46,7 @@ from .invariants import (
     gamma_bar_ll,
     gamma_bar_ll_via_line_graph,
     gamma_ll,
+    gamma_ll_prime,
     graph_bounds,
     vertex_bounds,
 )
@@ -196,14 +197,15 @@ def cmd_frac(args):
         _read_text(args.file), "stable set enumeration", stable_sets.ENUMERATION_VERTEX_LIMIT
     )
     fc, trace = superlocal_fractional_colour(g)
+    bound = gamma_ll_prime(g)
     # always verified; --verify only adds the marker to the output
-    verdict = verify_fractional_colouring(g, fc, trace.bound)
+    verdict = verify_fractional_colouring(g, fc, bound)
     if not verdict.valid:
         raise InternalBugError("; ".join(verdict.violations))
     # the verifier has proved every vertex covered exactly once
     sets = sorted((mask_members(mask), w) for mask, w in fc.weights.items())
     out = {
-        "bound": frac_str(trace.bound),
+        "bound": frac_str(bound),
         "total": frac_str(fc.total),
         "wo": ["1/1"] * g.n,
         "weights": [

@@ -1,10 +1,12 @@
 """Superlocal fractional colouring construction.
 
 Iteratively spreads weight uniformly over all maximum stable sets of
-the surviving graph: each round uses the largest value that neither
-overfills a vertex nor exceeds the remaining budget, then drops the
-vertices whose coverage reached 1. With budget at least the superlocal
-bound this terminates with every vertex covered exactly once.
+the surviving graph: each round uses the largest value that does not
+overfill a vertex, then drops the vertices whose coverage reached 1.
+Each round covers its lowest-ratio vertex exactly, so at most n rounds
+run and every vertex ends covered exactly once. The construction reads
+no bound: the theorem that its total is at most gamma'_ll is checked
+by verify_fractional_colouring alone.
 
 Every amount, each vertex's remaining deficit, the running total and
 each set's weight, is an integer numerator over one running
@@ -19,7 +21,6 @@ from typing import NamedTuple
 
 from .errors import InternalBugError
 from .graphs import mask_members
-from .invariants import gamma_ll_prime
 from .stable_sets import check_enumeration_size, maximum_stable_sets
 
 
@@ -38,7 +39,6 @@ class IterationRecord(NamedTuple):
 
 
 class IterationTrace(NamedTuple):
-    bound: Fraction
     records: tuple
 
 
@@ -50,17 +50,15 @@ class ColouringVerdict(NamedTuple):
 def superlocal_fractional_colour(g):
     """Returns (FractionalColouring, IterationTrace) without verifying them.
 
-    The budget, trace.bound, is the graph's superlocal value. Only an
-    overfilled vertex is caught here; callers run
-    verify_fractional_colouring, and an invalid weighting is a bug
-    signal, not an input error. A graph above the stable-set
-    enumeration limit is refused before the bound is computed. The
-    weights come in order of first use, over the least denominator that
-    holds them all.
+    The rounds run until every vertex is covered, at most n of them;
+    there is no budget. Only an overfilled vertex is caught here;
+    callers run verify_fractional_colouring, which checks the total
+    against gamma'_ll, and an invalid weighting is a bug signal, not an
+    input error. A graph above the stable-set enumeration limit is
+    refused before any set is listed. The weights come in order of
+    first use, over the least denominator that holds them all.
     """
     check_enumeration_size(g)
-    bound = gamma_ll_prime(g)
-    bnum, bden = bound.numerator, bound.denominator
 
     # vertex v still lacks coverage need[v] / den, 1 - wo(v); the total
     # so far is total / den and set m carries weights[m] / den
@@ -70,7 +68,7 @@ def superlocal_fractional_colour(g):
     weights = {}  # in order of first use
     records = []
     alive, within = tuple(range(g.n)), (1 << g.n) - 1
-    while alive and total * bden < bnum * den:
+    while alive:
         masks = maximum_stable_sets(g, within=within)
         count = len(masks)
         hits = [0] * g.n
@@ -89,17 +87,9 @@ def superlocal_fractional_colour(g):
         if not low_hits:
             raise InternalBugError("no vertex lies in any maximum stable set")
         low = Fraction(count * low_need, den * low_hits)
-        # each set's share is val / count = top / (den * bottom): low / count,
-        # or the remaining budget over count when that is smaller
-        left = bnum * den - bden * total
-        if count * low_need * bden <= left * low_hits:
-            val = low
-            top, bottom = low_need, low_hits
-        else:
-            val = Fraction(left, bden * den)
-            top, bottom = left, bden * count
-        d = math.gcd(top, bottom)
-        share, scale = top // d, bottom // d
+        # each set's share is low / count = low_need / (den * low_hits)
+        d = math.gcd(low_need, low_hits)
+        share, scale = low_need // d, low_hits // d
         if scale > 1:
             den *= scale
             total *= scale
@@ -109,7 +99,7 @@ def superlocal_fractional_colour(g):
                 weights[m] *= scale
         for m in masks:
             weights[m] = weights.get(m, 0) + share
-        # v gains hits[v] * share; share <= low / count keeps every
+        # v gains hits[v] * share; share = low / count keeps every
         # deficit at 0 or above, so the overfill guard cannot fire on
         # correct code and stays as a bug signal
         for v in alive:
@@ -128,7 +118,7 @@ def superlocal_fractional_colour(g):
                 vertices=alive,
                 num_max_sets=count,
                 low=low,
-                val=val,
+                val=low,
                 total_after=Fraction(total, den),
             )
         )
@@ -140,7 +130,7 @@ def superlocal_fractional_colour(g):
         den=den // d,
         total=records[-1].total_after if records else Fraction(0),
     )
-    return fc, IterationTrace(bound=bound, records=tuple(records))
+    return fc, IterationTrace(records=tuple(records))
 
 
 def verify_fractional_colouring(g, fc, bound):

@@ -160,8 +160,8 @@ class SearchSummary(NamedTuple):
 
 
 def frac_str(x):
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """x, an int or a Fraction, as "p/q" in lowest terms."""
+    return f"{x.numerator}/{x.denominator}"
 
 
 def check_graph(g, flags=None):

@@ -192,7 +192,9 @@ def bf_superlocal_fractional_colour(g):
     every set back through the labels table. Returns (weights, total,
     trace): weights maps frozensets to Fractions in order of first use,
     and trace is the package's IterationTrace, so that it compares
-    equal field by field.
+    equal field by field. Each round is capped at the budget left under
+    gamma'_ll, as in the paper; the package's construction has no
+    budget, so agreeing with it shows that the cap never binds.
     """
     bound = bf_gamma_ll_prime(g)
     weights = {}
@@ -217,7 +219,7 @@ def bf_superlocal_fractional_colour(g):
         total += val
         records.append(IterationRecord(alive, count, low, val, total))
         alive = tuple(v for v in alive if wo[v] < 1)
-    return weights, total, IterationTrace(bound=bound, records=tuple(records))
+    return weights, total, IterationTrace(records=tuple(records))
 
 
 def bf_verify_fractional_colouring(g, weights, recorded, bound):

@@ -92,8 +92,8 @@ def test_criterion_2_c5_tightness():
 
 def test_criterion_3_separating_examples(monkeypatch):
     ds = double_star()
-    fc, trace = superlocal_fractional_colour(ds)
-    assert fc.total == 3 and trace.bound == 3
+    fc, _ = superlocal_fractional_colour(ds)
+    assert fc.total == 3 and gamma_ll_prime(ds) == 3
     assert fractional_chromatic_solution(ds).value == 2
     assert subgraph_neighbourhood_bound(ds) == F(5, 2)
 

@@ -93,6 +93,17 @@ class TestBounds:
         assert out == ""
         assert json.loads(target.read_text(encoding="ascii"))["n"] == 5
 
+    def test_empty_graph(self, capsys, monkeypatch):
+        # graph6 "?" has no vertices: every bound is 0
+        monkeypatch.setattr(sys, "stdin", io.StringIO("?\n"))
+        code, out, err = run(capsys, "bounds", "-")
+        assert (code, err) == (0, "")
+        d = json.loads(out)
+        assert (d["n"], d["m"], d["delta"], d["omega"]) == (0, 0, 0, 0)
+        assert (d["gamma"], d["gamma_l"], d["gamma_ll"]) == (0, 0, 0)
+        assert d["gamma_prime"] == d["gamma_l_prime"] == d["gamma_ll_prime"] == "0/1"
+        assert d["vertex_degree"] == d["vertex_omega"] == d["vertex_gamma_l_prime"] == []
+
     def test_byte_stable(self, capsys, c5_file):
         _, a, _ = run(capsys, "bounds", c5_file)
         _, b, _ = run(capsys, "bounds", c5_file)
@@ -396,6 +407,15 @@ class TestLinegraph:
         assert out == ""
         assert "size refusal" in err
 
+    def test_verify_checks_the_direct_edge_bound(self, capsys, monkeypatch, fat_triangle_file):
+        # gamma_ll of the line graph is 6; a direct bound that answers 7
+        # must raise the bug signal
+        monkeypatch.setattr(cli, "gamma_bar_ll", lambda mg: 6 + 1)
+        code, out, err = run(capsys, "linegraph", fat_triangle_file, "--verify")
+        assert code == 3
+        assert out == ""
+        assert "line-graph bound differs from the direct edge bound" in err
+
     def test_verify_json(self, capsys, fat_triangle_file):
         code, out, _ = run(
             capsys, "linegraph", fat_triangle_file, "--verify", "--format", "json"
@@ -583,6 +603,14 @@ class TestGen:
         for line in out.splitlines():
             g = parse_graph6(line)
             assert g.edge_count == g.n * (g.n - 1) // 2
+
+    def test_empty_params_item_is_skipped(self, capsys):
+        _, a, _ = run(capsys, "gen", "--corpus", "simple", "--count", "3",
+                      "--params", "n=5,,p=1/2")
+        code, b, _ = run(capsys, "gen", "--corpus", "simple", "--count", "3",
+                         "--params", "n=5,p=1/2")
+        assert code == 0
+        assert a == b and len(a.splitlines()) == 3
 
     def test_decimal_params(self, capsys):
         # decimals are exact: n=6.0 is n=6 and p=0.5 is p=1/2
@@ -811,9 +839,9 @@ FUZZ_EDIT = st.tuples(st.sampled_from("idr"), st.integers(0, 40), FUZZ_CHARS)
 
 
 @st.composite
-def mutated_input(draw):
+def mutated_input(draw, seeds=FUZZ_SEEDS):
     """A seed with up to four single-character inserts, deletes or replaces."""
-    text = draw(st.sampled_from(FUZZ_SEEDS))
+    text = draw(st.sampled_from(seeds))
     for kind, at, ch in draw(st.lists(FUZZ_EDIT, max_size=4)):
         at %= len(text) + 1
         if kind == "i":
@@ -821,6 +849,18 @@ def mutated_input(draw):
         elif at < len(text):
             text = text[:at] + (ch if kind == "r" else "") + text[at + 1:]
     return text
+
+
+def run_quietly(argv, stdin=""):
+    """(exit code, stderr) of main(argv) reading stdin, with stdout discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        old_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+        try:
+            code = main(argv)
+        finally:
+            sys.stdin = old_stdin
+    return code, err.getvalue()
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)
@@ -840,14 +880,64 @@ def test_mutated_input_ends_in_an_answer_or_a_refusal(text, command, verify, pla
         argv.append("--verify")
     if plain:
         argv += ["--format", "plain"]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        old_stdin, sys.stdin = sys.stdin, io.StringIO(text)
-        try:
-            code = main(argv)
-        finally:
-            sys.stdin = old_stdin
-    assert code in (0, 1, 2), (text, argv, err.getvalue())
+    code, err = run_quietly(argv, text)
+    assert code in (0, 1, 2), (text, argv, err)
+
+
+# option text to mutate: each corpus kind's parameters, and search's
+# --claims and --limit-n
+PARAMS_SEEDS = {
+    "simple": ("n=8,p=1/2", "p=0.25"),
+    "multigraph": ("n=6,p=1/2,mu_max=3,max_edges=28", "mu_max=2"),
+    "circular_interval": ("n=10",),
+    "co_triangle_free": ("n=14,p=1/2", "n=9"),
+}
+CLAIMS_SEEDS = ("frac-bound,superlocal-chi", "thm4, conj3,question", "alpha2-chi")
+LIMIT_N_SEEDS = ("3", "0", "12")
+
+
+@st.composite
+def mutated_options(draw):
+    """argv whose --params, --claims or --limit-n text is mutated.
+
+    Mutated parameters go to gen only, with --count fixed at 2:
+    search on a dense corpus would wait on the exponential searches,
+    which have no work budget yet (ROADMAP.md, items 1 and 7).
+    """
+    option = draw(st.sampled_from(("params", "claims", "limit-n")))
+    if option == "params":
+        kind = draw(st.sampled_from(sorted(PARAMS_SEEDS)))
+        text = draw(mutated_input(PARAMS_SEEDS[kind]))
+        return ["gen", "--corpus", kind, "--count", "2", f"--params={text}"]
+    text = draw(mutated_input(CLAIMS_SEEDS if option == "claims" else LIMIT_N_SEEDS))
+    return ["search", "--n", "4", f"--{option}={text}"]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(mutated_options())
+def test_mutated_options_end_in_an_answer_or_a_refusal(argv):
+    code, err = run_quietly(argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("search", "--n", "4", "--seed", "3", "--limit-n", "2"), 1),
+        (("search", "--corpus", "simple", "--count", "2", "--all-classes", "--limit-n", "3"), 1),
+        (("search", "--corpus", "multigraph", "--count", "0", "--limit-n", "3"), 1),
+        (("search", "--corpus", "multigraph", "--claims", "thm11", "--limit-n", "3"), 1),
+        (("search", "--corpus", "multigraph", "--count", "2", "--limit-n", "-1"), 1),
+        (("gen", "--corpus", "multigraph", "--count", "2", "--limit-n", "3"), 1),
+        (("search", "--corpus", "simple", "--count", "2", "--seed", "5", "--limit-n", "3"), 0),
+        (("search", "--n", "4", "--all-classes", "--limit-n", "0"), 0),
+    ],
+)
+def test_options_across_graph_sources(argv, expected):
+    code, err = run_quietly(list(argv))
+    assert code == expected, err
+    assert "Traceback" not in err
 
 
 PROBE = """

@@ -18,7 +18,7 @@ from superlocal import (
     random_corpus,
     rotate_fan,
 )
-from superlocal.edge_colour import _resolve_hole
+from superlocal.edge_colour import _resolve_hole, _try_beta_swap
 import branch_search
 from bruteforce import bf_chi_prime
 from conftest import count_validations, cycle, path, petersen
@@ -549,7 +549,7 @@ class TestRareBranches:
 
     The search covers multigraphs on at most 6 vertices, each listed in
     a random edge order; the beta-swap branch never fired in it and has
-    no fixture.
+    no fixture. Its exchange is tested from a hand-built state instead.
     """
 
     def test_kempe_swap(self, monkeypatch):
@@ -592,6 +592,39 @@ class TestRareBranches:
         assert len(calls) == 1
         assert changed
         assert c0.is_complete() and c0.validate()
+
+    def beta_swap_state(self):
+        """Edges 0, 2 and 3 coloured 1, 3 and 2 with k = 3; edge 1 is the hole.
+
+        Edge 2 is parallel to the hole, and its colour 3 is missing at
+        vertex 1 and at vertex 3, ahead of the hinge 2.
+        """
+        mg = Multigraph(4, [(0, 1), (0, 2), (0, 2), (2, 3)])
+        return mg, coloured(mg, 3, {0: 1, 2: 3, 3: 2})
+
+    def test_beta_swap_exchange(self, monkeypatch):
+        """The exchange alone, from a hand-built state.
+
+        This shows what _try_beta_swap does when it is reached, not that
+        the insertion loop can reach it: the search above never did.
+        """
+        mg, c = self.beta_swap_state()
+        changed = check_views_after_changes(monkeypatch)
+        # hole 1 at hinge 2, stepping from vertex 0 toward vertex 3 over
+        # edge 3 of colour 2; the previous step coloured edge 0 with
+        # colour 1, and its step-before vertex is 1
+        assert _try_beta_swap(mg, c, 1, 2, 0, 3, 2, 3, {"prev": (0, 1, 1)})
+        assert c.assignment == {0: 3, 1: 1, 2: 2, 3: 3}
+        assert changed
+        assert c.is_complete() and c.validate()
+        assert c.stats["beta_swaps"] == 1
+
+    def test_beta_swap_refused_when_ahead_is_behind(self):
+        mg, c = self.beta_swap_state()
+        # the vertex ahead, 3, is the previous step's vertex
+        assert not _try_beta_swap(mg, c, 1, 2, 0, 3, 2, 3, {"prev": (0, 1, 3)})
+        assert c.assignment == {0: 1, 2: 3, 3: 2}
+        assert c.stats["beta_swaps"] == 0
 
     def test_branch_search_runs(self, monkeypatch, capsys):
         # a short seeded search that reaches the fan sequence from a partial

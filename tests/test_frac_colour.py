@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from superlocal import (
     FractionalColouring,
     InternalBugError,
+    IterationTrace,
     SimpleGraph,
     SizeLimitError,
     fractional_chromatic_solution,
@@ -63,7 +64,7 @@ def test_cycle5_trace():
     assert len(fc.weights) == 5
     assert fc.den == 2
     assert all(w == 1 for w in fc.weights.values())
-    assert trace.bound == F(5, 2)
+    assert gamma_ll_prime(g) == F(5, 2)
     [rec] = trace.records
     assert rec.vertices == (0, 1, 2, 3, 4)
     assert rec.num_max_sets == 5
@@ -75,7 +76,7 @@ def test_cycle5_trace():
 def test_double_star_trace():
     g = double_star()
     fc, trace = superlocal_fractional_colour(g)
-    assert trace.bound == 3
+    assert gamma_ll_prime(g) == 3
     assert fc.total == 3
     first, second = trace.records
     # round 1: the four leaves form the unique maximum stable set
@@ -92,7 +93,7 @@ def test_double_star_trace():
 def test_petersen_stops_below_bound():
     g = petersen()
     fc, trace = superlocal_fractional_colour(g)
-    assert trace.bound == 3
+    assert gamma_ll_prime(g) == 3
     assert fc.total == F(5, 2)
     assert len(trace.records) == 1
     assert trace.records[0].num_max_sets == 5
@@ -167,8 +168,22 @@ def test_refuses_before_computing_the_target(monkeypatch):
     monkeypatch.setattr(graphs, "max_clique_size", counted)
     with pytest.raises(SizeLimitError, match="limited to 24 vertices, got 25"):
         superlocal_fractional_colour(complete(25))
-    # the size refusal comes first: no clique search for the target
+    # the size refusal comes first: no clique search
     assert calls == []
+
+
+def test_reads_no_bound(monkeypatch):
+    from superlocal import graphs
+
+    expected = superlocal_fractional_colour(cycle(5))
+
+    def refuse(adj, mask):
+        raise AssertionError("the construction computed a clique number")
+
+    monkeypatch.setattr(graphs, "max_clique_size", refuse)
+    # a fresh graph: no omega vector cached, and gamma'_ll needs one
+    assert superlocal_fractional_colour(cycle(5)) == expected
+    assert IterationTrace._fields == ("records",)
 
 
 def corruptions(g, fc, bound):
@@ -209,9 +224,10 @@ def corruptions(g, fc, bound):
 def test_verifier_matches_reference(classes6):
     checked = violations = 0
     for g in classes6:
-        fc, trace = superlocal_fractional_colour(g)
-        cases = [(fc.weights, fc.den, fc.total, trace.bound)]
-        cases += corruptions(g, fc, trace.bound)
+        fc, _ = superlocal_fractional_colour(g)
+        bound = gamma_ll_prime(g)
+        cases = [(fc.weights, fc.den, fc.total, bound)]
+        cases += corruptions(g, fc, bound)
         for weights, den, total, bound in cases:
             colouring = FractionalColouring(weights=weights, den=den, total=total)
             got = verify_fractional_colouring(g, colouring, bound)

@@ -253,6 +253,13 @@ class TestMultigraph:
         with pytest.raises(DomainError):
             Multigraph(2, [(1, 1)])
 
+    def test_hash_ignores_listing_order(self):
+        a = Multigraph(3, [(0, 1), (1, 2), (0, 1)])
+        b = Multigraph(3, [(0, 1), (0, 1), (1, 2)])
+        assert a.edges != b.edges
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_of_simple_and_support(self):
         g = cycle(4)
         mg = Multigraph.of_simple(g)
