@@ -124,6 +124,43 @@ class SimpleGraph:
                 raise DomainError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self._fill(adj)
+
+    @classmethod
+    def from_masks(cls, adj):
+        """The graph whose vertex v has the neighbour mask adj[v].
+
+        Refuses a loop bit, a bit outside 0..n-1 and a pair set in one
+        mask only. Each mask is read once for its length, loop bit and
+        bit count, and each listed edge (u, w), u < w, is probed once in
+        the mask of w; a bit count of twice the edges then leaves no
+        pair that only the mask of w holds.
+        """
+        adj = tuple(adj)
+        n = len(adj)
+        bits = 0
+        for v, a in enumerate(adj):
+            if a < 0 or a.bit_length() > n:
+                raise DomainError(f"mask of vertex {v} has a bit outside 0..{n - 1}")
+            if a >> v & 1:
+                raise DomainError(f"loop at vertex {v} not allowed")
+            bits += a.bit_count()
+        g = cls.__new__(cls)
+        g._fill(adj)
+        for u, w in g.edges:
+            if not adj[w] >> u & 1:
+                raise DomainError(f"pair ({u},{w}) in the mask of {u} but not of {w}")
+        if bits != 2 * len(g.edges):
+            w, u = next(
+                (w, u)
+                for w in range(n)
+                for u in mask_members(adj[w])
+                if not adj[u] >> w & 1
+            )
+            raise DomainError(f"pair ({u},{w}) in the mask of {w} but not of {u}")
+        return g
+
+    def _fill(self, adj):
         # the masks hold each pair once, so reading the neighbours above
         # every u gives the edges deduplicated and in ascending order
         listed = []
@@ -133,7 +170,7 @@ class SimpleGraph:
                 b = m & -m
                 listed.append((u, u + b.bit_length()))
                 m ^= b
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "edges", tuple(listed))
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_omega", None)
@@ -144,10 +181,22 @@ class SimpleGraph:
         raise AttributeError("SimpleGraph is immutable")
 
     def omegas(self):
-        """omega(v), the size of the largest clique containing v, for every vertex."""
+        """omega(v), the size of the largest clique containing v, for every vertex.
+
+        One clique search per closed neighbourhood N[v]: N[u] = N[v] makes
+        swapping u and v an automorphism, so omega(u) = omega(v). Parallel
+        edges are such twins in a line graph.
+        """
         if self._omega is None:
-            om = tuple(1 + max_clique_size(self.adj, a) for a in self.adj)
-            object.__setattr__(self, "_omega", om)
+            by_closed = {}
+            om = []
+            for v, a in enumerate(self.adj):
+                closed = a | 1 << v
+                w = by_closed.get(closed)
+                if w is None:
+                    w = by_closed[closed] = 1 + max_clique_size(self.adj, a)
+                om.append(w)
+            object.__setattr__(self, "_omega", tuple(om))
         return self._omega
 
     def greedy_colouring(self):
@@ -327,25 +376,37 @@ def induced_subgraph(g, vertices):
 def line_graph(mg):
     """Line graph of a multigraph; parallel edges become adjacent vertices.
 
+    Each vertex with two or more incident edges ORs their bits once and
+    ORs that mask, less the edge's own bit, into each of their masks.
     Refuses, before any list is built, a multigraph with more than
-    LINE_GRAPH_PAIR_LIMIT pairs of edges at a common vertex.
+    LINE_GRAPH_PAIR_LIMIT pairs of edges at a common vertex, which bounds
+    the length of the line graph's edge list.
     """
     m = mg.edge_count
     if m == 0:
         raise DomainError("line graph of an edgeless multigraph is not defined")
-    pairs = sum(d * (d - 1) // 2 for d in map(mg.degree, range(mg.n)))
+    pairs = sum(len(ids) * (len(ids) - 1) // 2 for ids in mg._incident)
     if pairs > LINE_GRAPH_PAIR_LIMIT:
         raise SizeLimitError(
             f"line graph needs {pairs} pairs of edges at a common vertex, "
             f"above the limit {LINE_GRAPH_PAIR_LIMIT}"
         )
-    edges = []
-    for v in range(mg.n):
-        ids = mg.incident(v)
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.append((ids[a], ids[b]))
-    return SimpleGraph(m, edges)
+    adj = [0] * m
+    for ids in mg._incident:
+        if len(ids) < 2:
+            continue
+        # the ids ascend, so the bits are set from the lowest and shifted
+        # into place once per edge; an edge's first row is stored as it
+        # is, as an OR into 0 would copy it. No incidence mask is kept per
+        # vertex: on a perfect matching those would hold m^2 / 2 bits
+        lo = ids[0]
+        at = 0
+        for e in ids:
+            at |= 1 << (e - lo)
+        for e in ids:
+            row = (at ^ 1 << (e - lo)) << lo
+            adj[e] = adj[e] | row if adj[e] else row
+    return SimpleGraph.from_masks(adj)
 
 
 # graph6: byte values 63..126 carry 6 bits each; the header names the
@@ -358,7 +419,7 @@ _G6_HEADER = ">>graph6<<"
 GRAPH6_VERTEX_LIMIT = 258047
 
 # most pairs of edges at a common vertex, the sum over v of C(d(v), 2),
-# that line_graph admits: its pair loop does that much work
+# that line_graph admits: the line graph's edge list is at most that long
 LINE_GRAPH_PAIR_LIMIT = 2**18
 
 

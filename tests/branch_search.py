@@ -15,10 +15,14 @@ Random multigraphs on 3..6 vertices with 3..9 edges feed two searches:
   with the tests, runs edge_colour's insertion loop on that one hole.
   This partial-state search is how the fan sequence is reached
   directly, and where a state for the beta-swap would be looked for.
+  The same states give the smallest one with a hole whose first step
+  is the Kempe swap along the second alternating chain, the one from
+  v_j, because the chain from v_i runs into the hinge.
 
-Each result prints as a Python literal with the stats it produced;
-TestRareBranches in test_edge_colour.py keeps them as fixtures. The
-beta-swap branch has never fired in such a search, so it has none.
+Each result prints as a Python literal, with the stats it produced
+where it ran; TestRareBranches in test_edge_colour.py keeps them as
+fixtures. The beta-swap branch has never fired in such a search, so it
+has none.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from superlocal import (
     edge_colour,
     gamma_bar_ll,
 )
-from superlocal.edge_colour import _resolve_hole
+from superlocal.edge_colour import _lowest, _resolve_hole, _walk_chain
 
 CASES = ("rotation", "kempe", "sequence_steps", "beta_swaps")
 
@@ -77,6 +81,40 @@ def sequence_hole(mg, c):
     return None
 
 
+def second_chain_hole(mg, c):
+    """First hole whose first step swaps along the second alternating chain.
+
+    Mirrors the dispatch of edge_colour's insertion loop up to the swap:
+    no colour missing at both ends, no rotation, and two fan vertices
+    v_i, v_j missing a common colour gamma, where the (a, gamma) chain
+    from v_i, a the hinge's lowest missing colour, runs into the hinge.
+    """
+    for hole in c.uncoloured():
+        u, v = mg.endpoints(hole)
+        if c.least_common_missing(u, v) is not None:
+            continue
+        hinge = min(u, v)
+        fan = build_maximal_fan(mg, c, hole, hinge)
+        at_hinge = c.missing_mask(hinge)
+        if any(at_hinge & c.missing_mask(w) for w in fan.vertices[1:]):
+            continue
+        pair = next(
+            (
+                (vi, _lowest(c.missing_mask(vi) & c.missing_mask(vj)))
+                for i, vi in enumerate(fan.vertices)
+                for vj in fan.vertices[i + 1 :]
+                if c.missing_mask(vi) & c.missing_mask(vj)
+            ),
+            None,
+        )
+        if pair is not None:
+            vi, gamma = pair
+            chain, _ = _walk_chain(c, _lowest(at_hinge), gamma, vi)
+            if hinge in chain:
+                return hole
+    return None
+
+
 def resolve_hole(mg, c, hole):
     """Colour the hole in c by edge_colour's insertion loop; c.stats counts the cases."""
     _resolve_hole(mg, c, hole)
@@ -100,6 +138,11 @@ def search(seed, trials):
             if col.stats[case] and (case not in best or key < best[case][0]):
                 best[case] = (key, {"n": n, "edges": listed, "stats": col.stats})
         c = random_maximal_partial(mg, gamma_bar_ll(mg), rng)
+        hole = second_chain_hole(mg, c)
+        if hole is not None and ("second_chain" not in best or key < best["second_chain"][0]):
+            best["second_chain"] = (
+                key, {"n": n, "edges": edges, "assignment": c.assignment, "hole": hole}
+            )
         hole = sequence_hole(mg, c)
         if hole is not None and ("resolve_hole" not in best or key < best["resolve_hole"][0]):
             start = c.assignment

@@ -414,6 +414,18 @@ def bf_gamma_bar_ll(mg):
     return math.ceil(best / 2)
 
 
+def bf_line_graph(mg):
+    """The line graph from its definition: every pair of edge ids whose
+    edges share an endpoint, parallel edges included."""
+    m = mg.edge_count
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(m), 2)
+        if set(mg.endpoints(a)) & set(mg.endpoints(b))
+    ]
+    return SimpleGraph(m, pairs)
+
+
 def bf_isomorphic(g, h):
     if g.n != h.n or g.edge_count != h.edge_count:
         return False

@@ -22,6 +22,10 @@ settings.register_profile(
 )
 settings.load_profile("det")
 
+# the seed of the acceptance gate's corpora (test_acceptance.py), whose
+# 500 multigraphs other tests check too
+ACCEPTANCE_SEED = 20240815
+
 
 def all_graphs_upto(limit):
     out = []

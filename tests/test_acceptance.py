@@ -34,9 +34,7 @@ from superlocal import (
 )
 from superlocal import oracles, stable_sets
 from bruteforce import bf_chi_prime_cut, bf_membership_probabilities, bf_neighbourhood_average
-from conftest import cycle, double_star, pendant_clique, petersen
-
-SEED = 20240815
+from conftest import ACCEPTANCE_SEED as SEED, cycle, double_star, pendant_clique, petersen
 
 F = Fraction
 

@@ -18,12 +18,10 @@ from superlocal import (
     random_corpus,
     rotate_fan,
 )
-from superlocal.edge_colour import _resolve_hole, _try_beta_swap
+from superlocal.edge_colour import _resolve_hole, _try_beta_swap, _walk_chain
 import branch_search
 from bruteforce import bf_chi_prime
-from conftest import count_validations, cycle, path, petersen
-
-ACCEPTANCE_SEED = 20240815
+from conftest import ACCEPTANCE_SEED, count_validations, cycle, path, petersen
 
 
 def coloured(mg, k, assignment):
@@ -591,6 +589,31 @@ class TestRareBranches:
         assert c0.stats == _stats(rotation=1, sequence_steps=1)
         assert len(calls) == 1
         assert changed
+        assert c0.is_complete() and c0.validate()
+
+    def test_kempe_swap_along_the_second_chain(self, monkeypatch):
+        # hole 3 = (1, 3) at hinge 1, which misses colours 1 and 2; fan
+        # vertices 3 and 2 both miss colour 4, and the (1, 4) chain from 3
+        # runs 3 -1- 5 -4- 1 into the hinge, so the swap runs from 2
+        mg = Multigraph(6, [(1, 5), (3, 5), (0, 5), (1, 3), (2, 4), (2, 3), (1, 2)])
+        k = gamma_bar_ll(mg)
+        c0 = coloured(mg, k, {0: 4, 1: 1, 2: 2, 4: 1, 5: 2, 6: 3})
+        assert branch_search.second_chain_hole(mg, c0) == 3
+        assert build_maximal_fan(mg, c0, 3, 1).vertices == (3, 2, 5)
+        assert missing(c0, 1) == {1, 2}
+        assert _walk_chain(c0, 1, 4, 3)[0] == [3, 5, 1]
+        module = sys.modules[_resolve_hole.__module__]
+        real = module.kempe_swap
+        swaps = []
+
+        def recorded(c, a, b, start):
+            swaps.append((a, b, start))
+            return real(c, a, b, start)
+
+        monkeypatch.setattr(module, "kempe_swap", recorded)
+        branch_search.resolve_hole(mg, c0, 3)
+        assert swaps == [(1, 4, 2)]
+        assert c0.stats == _stats(rotation=1, kempe=1)
         assert c0.is_complete() and c0.validate()
 
     def beta_swap_state(self):

@@ -18,12 +18,20 @@ from superlocal import (
     line_graph,
     parse_graph6,
     parse_multigraph,
+    random_corpus,
     to_graph6,
 )
 from superlocal import graphs
 from superlocal.graphs import GRAPH6_VERTEX_LIMIT
-from bruteforce import bf_clique_number, bf_edge_mask, bf_stability_number
-from conftest import complete, cycle, path, petersen
+from bruteforce import (
+    bf_clique_number,
+    bf_edge_mask,
+    bf_line_graph,
+    bf_omega_v,
+    bf_stability_number,
+    bf_t_value,
+)
+from conftest import ACCEPTANCE_SEED, complete, cycle, path, petersen
 
 graphs_st = st.integers(0, 10).flatmap(
     lambda n: st.builds(
@@ -67,6 +75,23 @@ class TestSimpleGraph:
         assert g.edges == tuple(sorted({(min(e), max(e)) for e in pairs}))
         for v in range(n):
             assert g.adj[v] == sum(1 << u for u in g.neighbours(v))
+
+    @given(graphs_st)
+    def test_from_masks_round_trip(self, g):
+        h = SimpleGraph.from_masks(g.adj)
+        assert h == g and h.adj == g.adj
+
+    def test_from_masks_refusals(self):
+        with pytest.raises(DomainError, match=r"^pair \(0,2\) in the mask of 0 but not of 2$"):
+            SimpleGraph.from_masks([0b100, 0, 0])
+        # the upper pairs all probe true; the bit count finds the lower one
+        with pytest.raises(DomainError, match=r"^pair \(0,2\) in the mask of 2 but not of 0$"):
+            SimpleGraph.from_masks([0b010, 0b101, 0b011])
+        with pytest.raises(DomainError, match="^loop at vertex 1 not allowed$"):
+            SimpleGraph.from_masks([0b10, 0b11])
+        for masks in ([0b100, 0b001], [-1, 0]):
+            with pytest.raises(DomainError, match=r"^mask of vertex 0 has a bit outside 0\.\.1$"):
+                SimpleGraph.from_masks(masks)
 
     def test_rejects_loops_and_range(self):
         with pytest.raises(DomainError):
@@ -368,6 +393,61 @@ class TestLineGraph:
     def test_parallel_edges_adjacent(self):
         mg = Multigraph(2, [(0, 1)] * 3)
         assert line_graph(mg) == complete(3)
+
+    def test_matches_bruteforce(self):
+        corpus = random_corpus("multigraph", seed=ACCEPTANCE_SEED, count=500)
+        dipoles = [Multigraph(2, [(0, 1)] * k) for k in range(1, 7)]
+        matching = Multigraph(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
+        for mg in corpus + dipoles + [Multigraph.of_simple(path(7)), matching]:
+            lg, bf = line_graph(mg), bf_line_graph(mg)
+            assert lg == bf and lg.adj == bf.adj
+
+    def test_omegas_on_the_corpus_line_graphs(self):
+        # pairwise intersecting edges share an endpoint or lie on three
+        # vertices, so omega(e) of e = uv is max(d(u), d(v), t(uv))
+        brute = twins = 0
+        for mg in random_corpus("multigraph", seed=ACCEPTANCE_SEED, count=500):
+            lg = line_graph(mg)
+            om = lg.omegas()
+            for e, (u, v) in enumerate(mg.edges):
+                assert om[e] == max(mg.degree(u), mg.degree(v), bf_t_value(mg, u, v))
+            # the subset scan is 2^d per vertex, so it reads the sparser ones
+            if max(map(lg.degree, range(lg.n))) <= 12:
+                assert om == tuple(bf_omega_v(lg, v) for v in range(lg.n))
+                brute += 1
+                twins += lg.n - len({a | 1 << v for v, a in enumerate(lg.adj)})
+        assert brute > 300 and twins > 1000
+
+    def test_one_clique_search_per_twin_class(self, monkeypatch):
+        real = graphs.max_clique_size
+        calls = []
+
+        def counted(adj, mask):
+            calls.append(mask)
+            return real(adj, mask)
+
+        monkeypatch.setattr(graphs, "max_clique_size", counted)
+        # five parallel edges: L is K5, whose vertices all share N[v]
+        lg = line_graph(Multigraph(2, [(0, 1)] * 5))
+        assert lg.omegas() == (5,) * 5
+        assert len(calls) == 1
+
+    def test_memory_on_a_perfect_matching(self):
+        # the line graph of a matching is edgeless; an incidence mask per
+        # vertex would hold m^2 / 2 bits, several times parsing's peak
+        m = 10000
+        text = f"n {2 * m} / " + " / ".join(f"{2 * i} {2 * i + 1} 1" for i in range(m))
+        tracemalloc.start()
+        try:
+            mg = parse_multigraph(text)
+            parse_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            lg = line_graph(mg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lg.n == m and lg.edges == ()
+        assert peak < 1.1 * parse_peak
 
     def test_pair_budget(self, monkeypatch):
         # a dipole of k edges has C(k, 2) pairs at each of its two vertices

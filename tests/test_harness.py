@@ -21,6 +21,7 @@ from superlocal import (
     enumerate_graph_classes,
     frac_str,
     gamma_bar_ll,
+    gamma_ll,
     multigraph_line,
     random_corpus,
     report_to_dict,
@@ -551,6 +552,21 @@ class TestReverify:
         with pytest.raises(DomainError):
             reverify_finding(cycle(5), "frac-bound", r)
 
+    def test_gamma_ll_on_empty_and_edgeless_graphs(self):
+        for g, value in ((SimpleGraph(0), 0), (SimpleGraph(3), 1)):
+            assert harness._gamma_ll_subsets(g) == value == gamma_ll(g)
+
+    @pytest.mark.parametrize(
+        "claim, field", [("clique-average", "clique_average"), ("question-bound", "question_value")]
+    )
+    def test_rejects_a_value_its_brute_force_disagrees_with(self, claim, field):
+        # chi_f = 3 exceeds the true value 5/2 on C5, so the finding stands
+        # until the report's own value disagrees with the brute force
+        r = check_graph(cycle(5))._replace(chi_f=Fraction(3))
+        assert reverify_finding(cycle(5), claim, r) is True
+        fake = r._replace(**{field: Fraction(2)})
+        assert reverify_finding(cycle(5), claim, fake) is False
+
     def test_backtracking_colourability(self):
         assert not _colourable_backtrack(cycle(5), 2)
         assert _colourable_backtrack(cycle(5), 3)
@@ -673,6 +689,18 @@ class TestSearch:
         text = "^finding for superlocal-chi on Dhc failed independent re-verification$"
         with pytest.raises(InternalBugError, match=text):
             search_counterexamples([cycle(5)], CheckFlags(claims=("superlocal-chi",)))
+
+    @pytest.mark.parametrize(
+        "name, claim",
+        [("clique_average_bound", "clique-average"), ("subgraph_neighbourhood_bound", "question-bound")],
+    )
+    def test_wrong_bound_fails_reverification(self, monkeypatch, name, claim):
+        # a bound of 2 on C5 reads the claim violated (chi_f = 5/2); the
+        # brute force recomputes 5/2, so the finding is a bug, not a result
+        monkeypatch.setattr(harness, name, lambda g: Fraction(2))
+        text = f"^finding for {claim} on Dhc failed independent re-verification$"
+        with pytest.raises(InternalBugError, match=text):
+            search_counterexamples([cycle(5)], CheckFlags(claims=(claim,)))
 
 
 class TestSerialization:
