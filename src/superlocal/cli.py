@@ -217,7 +217,8 @@ def cmd_frac(args):
                 "vertices": list(rec.vertices),
                 "num_max_sets": rec.num_max_sets,
                 "low": frac_str(rec.low),
-                "val": frac_str(rec.val),
+                # the value a round spends: low, as no cap under the bound binds
+                "val": frac_str(rec.low),
                 "total_after": frac_str(rec.total_after),
             }
             for rec in trace.records

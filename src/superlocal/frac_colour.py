@@ -34,7 +34,6 @@ class IterationRecord(NamedTuple):
     vertices: tuple  # surviving vertex ids at the start of the round
     num_max_sets: int
     low: Fraction
-    val: Fraction
     total_after: Fraction
 
 
@@ -118,7 +117,6 @@ def superlocal_fractional_colour(g):
                 vertices=alive,
                 num_max_sets=count,
                 low=low,
-                val=low,
                 total_after=Fraction(total, den),
             )
         )

@@ -28,29 +28,39 @@ def mask_members(mask):
     return tuple(out)
 
 
-def max_clique_size(adj, mask):
-    """Largest clique inside the vertex mask, branch and bound.
+def maximum_cliques(adj, mask, ties=False):
+    """(size, cliques): the clique number inside the vertex mask and its
+    largest cliques as masks, the first one only or, with ties, all.
 
-    Branches on the lowest candidate first and drops a branch once its
-    size plus its candidates cannot beat the best; the frames wait on an
-    explicit stack, so no recursion limit bounds the depth.
+    Branches on the lowest candidate, taking it first, so every clique
+    is built in increasing vertex order and the cliques come out sorted
+    by their member lists; the empty mask gives (0, [0]). A leaf is kept
+    once its size reaches bar, the best size so far (plus one unless
+    ties), and a branch is dropped once its size plus its candidate
+    count falls below bar; the frames wait on an explicit stack, so no
+    recursion limit bounds the depth.
     """
-    best = 0
-    stack = []  # (clique size, candidates still to branch on)
-    size, p = 0, mask
+    best = bar = 0
+    out = []
+    stack = []  # (clique, size, candidates still to branch on)
+    r, size, p = 0, 0, mask
     while True:
-        if size + p.bit_count() > best:
-            if not p:
-                best = size
-            else:
-                b = p & -p
-                if p ^ b:
-                    stack.append((size, p ^ b))
-                size, p = size + 1, p & adj[b.bit_length() - 1]
-                continue
+        if not p:
+            if size >= bar:
+                if size > best:
+                    best = size
+                    out.clear()
+                out.append(r)
+                bar = best if ties else best + 1
+        elif size + p.bit_count() >= bar:
+            b = p & -p
+            if p ^ b:
+                stack.append((r, size, p ^ b))
+            r, size, p = r | b, size + 1, p & adj[b.bit_length() - 1]
+            continue
         if not stack:
-            return best
-        size, p = stack.pop()
+            return best, out
+        r, size, p = stack.pop()
 
 
 def clique_table(adj):
@@ -194,7 +204,7 @@ class SimpleGraph:
                 closed = a | 1 << v
                 w = by_closed.get(closed)
                 if w is None:
-                    w = by_closed[closed] = 1 + max_clique_size(self.adj, a)
+                    w = by_closed[closed] = 1 + maximum_cliques(self.adj, a)[0]
                 om.append(w)
             object.__setattr__(self, "_omega", tuple(om))
         return self._omega
@@ -339,12 +349,7 @@ class Multigraph:
 
 
 def complement(g):
-    edges = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if not g.adj[u] >> v & 1:
-                edges.append((u, v))
-    return SimpleGraph(g.n, edges)
+    return SimpleGraph.from_masks(g.complement_masks())
 
 
 def induced_subgraph(g, vertices):

@@ -4,7 +4,9 @@ Chromatic number by saturation-ordered branch and bound, fractional
 chromatic number certified by a clique and a DSATUR colouring of the
 same size where they meet and by an exact LP otherwise, stability
 number, and the complement-matching colouring for graphs with stability
-number at most two.
+number at most two. The stability number and the clique of the chi_f
+certificate come from the package's one maximum-clique branch and bound
+(graphs.maximum_cliques), each asking for its first largest clique.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from typing import NamedTuple
 
 from . import _kernels, stable_sets
 from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_limit
-from .graphs import _dsatur_pick, mask_members, max_clique_size
+from .graphs import _dsatur_pick, mask_members, maximum_cliques
 from .invariants import clique_number
 from .simplex import solve_simplex
-from .stable_sets import _maximum_sets, check_enumeration_size, maximal_stable_sets
+from .stable_sets import check_enumeration_size, maximal_stable_sets
 
 CHROMATIC_VERTEX_LIMIT = 16
 MATCHING_VERTEX_LIMIT = 20
@@ -79,7 +81,7 @@ def chromatic_number(g):
 
 def stability_number(g):
     check_vertex_limit("stability number", g.n, stable_sets.ENUMERATION_VERTEX_LIMIT)
-    return max_clique_size(g.complement_masks(), (1 << g.n) - 1)
+    return maximum_cliques(g.complement_masks(), (1 << g.n) - 1)[0]
 
 
 class FractionalChromaticSolution(NamedTuple):
@@ -95,10 +97,10 @@ def _integral_solution(g, omega, colours):
     """chi_f = omega, certified by weight 1 on each of omega stable
     colour classes and on each vertex of an omega-clique, all over 1."""
     adj = g.adj
-    # v with omega(v) = omega and a largest clique inside N(v) make an
-    # omega-clique
+    # v with omega(v) = omega and the first largest clique inside N(v)
+    # make an omega-clique
     v = g.omegas().index(omega)
-    cmask = 1 << v | _maximum_sets(adj, adj[v])[0]
+    cmask = 1 << v | maximum_cliques(adj, adj[v])[1][0]
     members = mask_members(cmask)
     if len(members) != omega or any(cmask & ~adj[u] != 1 << u for u in members):
         raise InternalBugError("clique witness is not a clique of omega vertices")

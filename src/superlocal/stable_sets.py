@@ -1,10 +1,11 @@
 """Stable set enumeration.
 
 Maximal stable sets come from Bron-Kerbosch with pivoting over vertex
-bitmasks, as the cliques of the complement. Maximum stable sets come
-from their own branch and bound on the complement within a vertex
-mask, pruned at the best size found so far, so no smaller maximal set
-is ever listed. Guarded at 24 vertices.
+bitmasks, as the cliques of the complement. Maximum stable sets are
+the largest cliques of the complement within a vertex mask, from the
+package's one maximum-clique branch and bound (graphs.maximum_cliques)
+asked for every tie, so no smaller maximal set is ever listed. Guarded
+at 24 vertices.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import DomainError, check_vertex_limit
-from .graphs import mask_members
+from .graphs import mask_members, maximum_cliques
 
 ENUMERATION_VERTEX_LIMIT = 24
 
@@ -57,37 +58,6 @@ def _bron_kerbosch(adj, start):
         r, p, x = r | b, p & nbrs, x & nbrs
 
 
-def _maximum_sets(comp, start):
-    """All maximum cliques, given by adjacency bitmasks, inside the start mask.
-
-    Branches on the lowest candidate, taking it first, so every set is
-    built in increasing vertex order and the sets come out sorted by
-    their member lists. Only sets of the best size so far are kept, and
-    a branch stops once its size plus its candidate count falls below
-    that size; the frames wait on an explicit stack.
-    """
-    best = 0
-    out = []
-    stack = []  # (set, size, candidates still to branch on)
-    r, size, p = 0, 0, start
-    while True:
-        if not p:
-            if size > best:
-                best = size
-                out.clear()
-            if size == best:
-                out.append(r)
-        elif size + p.bit_count() >= best:
-            b = p & -p
-            if p ^ b:
-                stack.append((r, size, p ^ b))
-            r, size, p = r | b, size + 1, p & comp[b.bit_length() - 1]
-            continue
-        if not stack:
-            return out
-        r, size, p = stack.pop()
-
-
 def check_enumeration_size(g):
     """Refuse a graph above ENUMERATION_VERTEX_LIMIT vertices."""
     check_vertex_limit("stable set enumeration", g.n, ENUMERATION_VERTEX_LIMIT)
@@ -106,4 +76,4 @@ def maximum_stable_sets(g, within):
     check_enumeration_size(g)
     if within & ~((1 << g.n) - 1):
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
-    return tuple(_maximum_sets(g.complement_masks(), within))
+    return tuple(maximum_cliques(g.complement_masks(), within, ties=True)[1])

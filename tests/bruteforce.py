@@ -193,8 +193,9 @@ def bf_superlocal_fractional_colour(g):
     trace): weights maps frozensets to Fractions in order of first use,
     and trace is the package's IterationTrace, so that it compares
     equal field by field. Each round is capped at the budget left under
-    gamma'_ll, as in the paper; the package's construction has no
-    budget, so agreeing with it shows that the cap never binds.
+    gamma'_ll, as in the paper, and raises AssertionError when the cap
+    binds; the package's construction has no budget and records only a
+    round's low, so agreeing with it shows that the cap never binds.
     """
     bound = bf_gamma_ll_prime(g)
     weights = {}
@@ -212,12 +213,14 @@ def bf_superlocal_fractional_colour(g):
         hits = {v: sum(1 for s in sets if v in s) for v in alive}
         low = min((1 - wo[v]) * count / hits[v] for v in alive if hits[v])
         val = min(low, bound - total)
+        if val != low:
+            raise AssertionError(f"the cap under gamma'_ll binds: {val} < {low}")
         for s in sets:
             weights[s] = weights.get(s, Fraction(0)) + Fraction(val, count)
         for v in alive:
             wo[v] += Fraction(hits[v], count) * val
         total += val
-        records.append(IterationRecord(alive, count, low, val, total))
+        records.append(IterationRecord(alive, count, low, total))
         alive = tuple(v for v in alive if wo[v] < 1)
     return weights, total, IterationTrace(records=tuple(records))
 
@@ -433,6 +436,12 @@ def bf_isomorphic(g, h):
         if all(h.has_edge(perm[u], perm[v]) for u, v in g.edges):
             return True
     return False
+
+
+def bf_complement(g):
+    """The complement of g, every vertex pair tested through has_edge."""
+    pairs = itertools.combinations(range(g.n), 2)
+    return SimpleGraph(g.n, [(u, v) for u, v in pairs if not g.has_edge(u, v)])
 
 
 def bf_edge_mask(g):

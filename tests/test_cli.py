@@ -113,14 +113,14 @@ class TestBounds:
         # the per-vertex arrays and the maxima read one cached omega vector
         from superlocal import graphs
 
-        real = graphs.max_clique_size
+        real = graphs.maximum_cliques
         calls = []
 
-        def counted(adj, mask):
+        def counted(adj, mask, ties=False):
             calls.append(mask)
-            return real(adj, mask)
+            return real(adj, mask, ties)
 
-        monkeypatch.setattr(graphs, "max_clique_size", counted)
+        monkeypatch.setattr(graphs, "maximum_cliques", counted)
         p = tmp_path / "petersen.g6"
         p.write_text(to_graph6(petersen()) + "\n", encoding="ascii")
         code, out, _ = run(capsys, "bounds", str(p))

@@ -69,7 +69,6 @@ def test_cycle5_trace():
     assert rec.vertices == (0, 1, 2, 3, 4)
     assert rec.num_max_sets == 5
     assert rec.low == F(5, 2)
-    assert rec.val == F(5, 2)
     assert rec.total_after == F(5, 2)
 
 
@@ -81,12 +80,12 @@ def test_double_star_trace():
     first, second = trace.records
     # round 1: the four leaves form the unique maximum stable set
     assert first.num_max_sets == 1
-    assert first.val == 1
+    assert first.low == 1
     assert first.total_after == 1
     # round 2: the two centres survive as singleton maximum stable sets
     assert second.vertices == (0, 1)
     assert second.num_max_sets == 2
-    assert second.val == 2
+    assert second.low == 2
     assert second.total_after == 3
 
 
@@ -156,16 +155,19 @@ def test_matches_reference_random(g):
 
 
 def test_refuses_before_computing_the_target(monkeypatch):
-    from superlocal import graphs
+    from superlocal import graphs, stable_sets
 
     calls = []
-    real = graphs.max_clique_size
+    real = graphs.maximum_cliques
 
-    def counted(adj, mask):
+    def counted(adj, mask, ties=False):
         calls.append(mask)
-        return real(adj, mask)
+        return real(adj, mask, ties)
 
-    monkeypatch.setattr(graphs, "max_clique_size", counted)
+    # stable_sets binds the name at import, and the construction's
+    # maximum stable sets come through it
+    monkeypatch.setattr(graphs, "maximum_cliques", counted)
+    monkeypatch.setattr(stable_sets, "maximum_cliques", counted)
     with pytest.raises(SizeLimitError, match="limited to 24 vertices, got 25"):
         superlocal_fractional_colour(complete(25))
     # the size refusal comes first: no clique search
@@ -177,10 +179,10 @@ def test_reads_no_bound(monkeypatch):
 
     expected = superlocal_fractional_colour(cycle(5))
 
-    def refuse(adj, mask):
+    def refuse(adj, mask, ties=False):
         raise AssertionError("the construction computed a clique number")
 
-    monkeypatch.setattr(graphs, "max_clique_size", refuse)
+    monkeypatch.setattr(graphs, "maximum_cliques", refuse)
     # a fresh graph: no omega vector cached, and gamma'_ll needs one
     assert superlocal_fractional_colour(cycle(5)) == expected
     assert IterationTrace._fields == ("records",)

@@ -25,6 +25,7 @@ from superlocal import graphs
 from superlocal.graphs import GRAPH6_VERTEX_LIMIT
 from bruteforce import (
     bf_clique_number,
+    bf_complement,
     bf_edge_mask,
     bf_line_graph,
     bf_omega_v,
@@ -149,7 +150,8 @@ class TestComplementAndSubgraph:
     @given(graphs_st)
     def test_complement_masks_are_the_complement_and_kept(self, g):
         comp = g.complement_masks()
-        assert comp == complement(g).adj
+        assert comp == bf_complement(g).adj
+        assert complement(g) == bf_complement(g)
         assert g.complement_masks() is comp
 
     def test_complement_edge_counts(self):
@@ -193,6 +195,29 @@ class TestCliqueTable:
                 h, _ = induced_subgraph(g, graphs.mask_members(s))
                 assert clq[s] == bf_clique_number(h)
                 assert stab[s] == bf_stability_number(h)
+
+
+class TestMaximumCliques:
+    def test_every_mask_of_every_small_class(self, classes6):
+        # the first largest clique is the first of the ties, which are
+        # cliques of the mask listed by their member lists
+        for g in classes6:
+            for s in range(1 << g.n):
+                size, first = graphs.maximum_cliques(g.adj, s)
+                tied_size, tied = graphs.maximum_cliques(g.adj, s, ties=True)
+                h, _ = induced_subgraph(g, graphs.mask_members(s))
+                assert size == tied_size == bf_clique_number(h)
+                assert first == tied[:1]
+                assert tied == sorted(set(tied), key=graphs.mask_members)
+                for c in tied:
+                    members = graphs.mask_members(c)
+                    assert c & ~s == 0 and len(members) == size
+                    assert all(c & ~g.adj[v] == 1 << v for v in members)
+
+    def test_empty_mask(self):
+        for adj in ((), (0,), complete(3).adj):
+            assert graphs.maximum_cliques(adj, 0) == (0, [0])
+            assert graphs.maximum_cliques(adj, 0, ties=True) == (0, [0])
 
 
 class TestGraph6:
@@ -419,14 +444,14 @@ class TestLineGraph:
         assert brute > 300 and twins > 1000
 
     def test_one_clique_search_per_twin_class(self, monkeypatch):
-        real = graphs.max_clique_size
+        real = graphs.maximum_cliques
         calls = []
 
-        def counted(adj, mask):
+        def counted(adj, mask, ties=False):
             calls.append(mask)
-            return real(adj, mask)
+            return real(adj, mask, ties)
 
-        monkeypatch.setattr(graphs, "max_clique_size", counted)
+        monkeypatch.setattr(graphs, "maximum_cliques", counted)
         # five parallel edges: L is K5, whose vertices all share N[v]
         lg = line_graph(Multigraph(2, [(0, 1)] * 5))
         assert lg.omegas() == (5,) * 5

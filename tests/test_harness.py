@@ -276,15 +276,15 @@ class TestCheckGraph:
         # read the omega vector that graph_bounds filled
         from superlocal import graphs, oracles
 
-        real = graphs.max_clique_size
+        real = graphs.maximum_cliques
         calls = []
 
-        def counted(adj, mask):
+        def counted(adj, mask, ties=False):
             calls.append(mask)
-            return real(adj, mask)
+            return real(adj, mask, ties)
 
-        monkeypatch.setattr(graphs, "max_clique_size", counted)
-        monkeypatch.setattr(oracles, "max_clique_size", counted)
+        monkeypatch.setattr(graphs, "maximum_cliques", counted)
+        monkeypatch.setattr(oracles, "maximum_cliques", counted)
         r = check_graph(petersen())
         assert len(calls) == 10 + 1
         assert (r.bounds.omega, r.chi, r.alpha) == (2, 3, 4)

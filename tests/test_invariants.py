@@ -380,14 +380,14 @@ class TestAverageBounds:
 def test_graph_bounds_computes_omega_once(monkeypatch):
     from superlocal import graphs
 
-    real = graphs.max_clique_size
+    real = graphs.maximum_cliques
     calls = []
 
-    def counted(adj, mask):
+    def counted(adj, mask, ties=False):
         calls.append(mask)
-        return real(adj, mask)
+        return real(adj, mask, ties)
 
-    monkeypatch.setattr(graphs, "max_clique_size", counted)
+    monkeypatch.setattr(graphs, "maximum_cliques", counted)
     b = graph_bounds(petersen())
     # one clique search per vertex neighbourhood, shared by every bound
     assert len(calls) == 10

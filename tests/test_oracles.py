@@ -186,6 +186,26 @@ class TestFractionalChromatic:
         assert set(sol.dual) <= {0, 1} and len(clique) == omega
         assert bf_is_clique(g, clique)
 
+    def test_witness_lists_one_clique(self, monkeypatch):
+        # K_{2x12}: N(0) holds 2^11 largest cliques, one vertex of each
+        # other pair, and the witness takes the first from a search that
+        # lists no other
+        g = SimpleGraph(
+            24, [(u, v) for u, v in itertools.combinations(range(24), 2) if u // 2 != v // 2]
+        )
+        real = oracles.maximum_cliques
+        calls = []
+
+        def counted(adj, mask, ties=False):
+            size, cliques = real(adj, mask, ties)
+            calls.append((ties, len(cliques)))
+            return size, cliques
+
+        monkeypatch.setattr(oracles, "maximum_cliques", counted)
+        sol = fractional_chromatic_solution(g)
+        assert calls == [(False, 1)]
+        assert (sol.value, sol.den, sol.dual) == (12, 1, (1, 0) * 12)
+
     def test_both_routes_match_the_reference_lp(self, classes6, monkeypatch):
         # chi_f against the reference simplex over the brute-force maximal
         # stable sets, with each certificate re-checked against those sets
@@ -224,8 +244,8 @@ class TestFractionalChromatic:
         [
             (graphs, "_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a proper omega-colouring"),
             (graphs, "_dsatur_greedy", lambda adj, n: [0, 1, -1], "not a proper omega-colouring"),
-            (oracles, "_maximum_sets", lambda comp, start: [0b100], "not a clique"),
-            (oracles, "_maximum_sets", lambda comp, start: [0], "not a clique"),
+            (oracles, "maximum_cliques", lambda adj, mask: (1, [0b100]), "not a clique"),
+            (oracles, "maximum_cliques", lambda adj, mask: (0, [0]), "not a clique"),
         ],
         ids=["improper-colouring", "uncovered", "non-clique", "small-clique"],
     )

@@ -16,8 +16,8 @@ from superlocal import (
     stability_number,
 )
 from superlocal import stable_sets
-from superlocal.graphs import mask_members, max_clique_size
-from superlocal.stable_sets import _bron_kerbosch, _maximum_sets
+from superlocal.graphs import mask_members, maximum_cliques
+from superlocal.stable_sets import _bron_kerbosch
 from bruteforce import (
     bf_maximal_cliques,
     bf_maximal_stable_sets,
@@ -118,9 +118,9 @@ def test_searches_deeper_than_the_recursion_limit():
     n = sys.getrecursionlimit() + 10
     full = (1 << n) - 1
     adj = [full ^ (1 << v) for v in range(n)]
-    assert max_clique_size(adj, full) == n
+    assert maximum_cliques(adj, full) == (n, [full])
+    assert maximum_cliques(adj, full, ties=True) == (n, [full])
     assert _bron_kerbosch(adj, full) == [full]
-    assert _maximum_sets(adj, full) == [full]
 
 
 def test_edgeless_graph():
