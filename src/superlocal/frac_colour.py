@@ -4,9 +4,13 @@ Iteratively spreads weight uniformly over all maximum stable sets of
 the surviving graph: each round uses the largest value that does not
 overfill a vertex, then drops the vertices whose coverage reached 1.
 Each round covers its lowest-ratio vertex exactly, so at most n rounds
-run and every vertex ends covered exactly once. The construction reads
-no bound: the theorem that its total is at most gamma'_ll is checked
-by verify_fractional_colouring alone.
+run and every vertex ends covered exactly once. A round hands its sets
+to the next one: when one of them avoids every vertex just covered, the
+survivors keep the same stability number, and their maximum stable
+sets are those of the round's sets that avoid the covered vertices, so
+no new search runs. The construction reads no bound: the theorem that
+its total is at most gamma'_ll is checked by verify_fractional_colouring
+alone.
 
 Every amount, each vertex's remaining deficit, the running total and
 each set's weight, is an integer numerator over one running
@@ -67,8 +71,9 @@ def superlocal_fractional_colour(g):
     weights = {}  # in order of first use
     records = []
     alive, within = tuple(range(g.n)), (1 << g.n) - 1
+    masks = ()
     while alive:
-        masks = maximum_stable_sets(g, within=within)
+        masks = maximum_stable_sets(g, within, masks)
         count = len(masks)
         hits = [0] * g.n
         for m in masks:

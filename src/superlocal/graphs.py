@@ -81,35 +81,36 @@ def clique_table(adj):
     return clq
 
 
-def _dsatur_pick(adj, colours):
+def _dsatur_pick(colours, sat, deg):
     """The uncoloured vertex of most colours seen, then highest degree,
-    then lowest index, with the mask of the colours it sees."""
-    pick, pick_key, pick_sat = -1, None, 0
+    then lowest index; sat[v] is the mask of the colours on v's
+    neighbours, kept up to date by whoever colours a vertex."""
+    n = len(colours)
+    pick, pick_key = -1, -1
     for v, cv in enumerate(colours):
-        if cv >= 0:
-            continue
-        sat = 0
-        m = adj[v]
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            if colours[u] >= 0:
-                sat |= 1 << colours[u]
-            m ^= b
-        key = (sat.bit_count(), adj[v].bit_count(), -v)
-        if pick_key is None or key > pick_key:
-            pick, pick_key, pick_sat = v, key, sat
-    return pick, pick_sat
+        if cv < 0:
+            # deg[v] < n, so one int orders by count, then degree
+            key = sat[v].bit_count() * n + deg[v]
+            if key > pick_key:
+                pick, pick_key = v, key
+    return pick
 
 
 def _dsatur_greedy(adj, n):
     colours = [-1] * n
+    sat = [0] * n
+    deg = [a.bit_count() for a in adj]
     for _ in range(n):
-        pick, pick_sat = _dsatur_pick(adj, colours)
-        c = 0
-        while pick_sat >> c & 1:
-            c += 1
-        colours[pick] = c
+        v = _dsatur_pick(colours, sat, deg)
+        s = sat[v]
+        c = (~s & (s + 1)).bit_length() - 1  # the lowest colour v does not see
+        colours[v] = c
+        b = 1 << c
+        m = adj[v]
+        while m:
+            low = m & -m
+            sat[low.bit_length() - 1] |= b
+            m ^= low
     return colours
 
 

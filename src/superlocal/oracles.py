@@ -2,11 +2,12 @@
 
 Chromatic number by saturation-ordered branch and bound, fractional
 chromatic number certified by a clique and a DSATUR colouring of the
-same size where they meet and by an exact LP otherwise, stability
-number, and the complement-matching colouring for graphs with stability
-number at most two. The stability number and the clique of the chi_f
-certificate come from the package's one maximum-clique branch and bound
-(graphs.maximum_cliques), each asking for its first largest clique.
+same size where they meet and by an exact LP on the dominated-vertex
+core otherwise, stability number, and the complement-matching colouring
+for graphs with stability number at most two. The stability number and
+the clique of the chi_f certificate come from the package's one
+maximum-clique branch and bound (graphs.maximum_cliques), each asking
+for its first largest clique.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import DomainError, InternalBugError, SizeLimitError, check_vertex_
 from .graphs import _dsatur_pick, mask_members, maximum_cliques
 from .invariants import clique_number
 from .simplex import solve_simplex
-from .stable_sets import check_enumeration_size, maximal_stable_sets
+from .stable_sets import _bron_kerbosch, check_enumeration_size, maximal_stable_sets
 
 CHROMATIC_VERTEX_LIMIT = 16
 MATCHING_VERTEX_LIMIT = 20
@@ -52,6 +53,9 @@ def chromatic_number(g):
     best_k = max(best) + 1
     if best_k > lb:
         colours = [-1] * n
+        sat = [0] * n  # per vertex, the mask of the colours on its neighbours
+        deg = [a.bit_count() for a in adj]
+        nbrs = [mask_members(a) for a in adj]
 
         def rec(done, used):
             nonlocal best, best_k
@@ -61,13 +65,17 @@ def chromatic_number(g):
                 best_k = used
                 best = colours[:]
                 return
-            pick, pick_sat = _dsatur_pick(adj, colours)
+            pick = _dsatur_pick(colours, sat, deg)
+            seen, saved = sat[pick], sat[:]
             cap = min(used + 1, best_k - 1)
             for c in range(cap):
-                if pick_sat >> c & 1:
+                if seen >> c & 1:
                     continue
                 colours[pick] = c
+                for u in nbrs[pick]:
+                    sat[u] |= 1 << c
                 rec(done + 1, max(used, c + 1))
+                sat[:] = saved
                 colours[pick] = -1
                 if best_k == lb:
                     return
@@ -87,7 +95,8 @@ def stability_number(g):
 class FractionalChromaticSolution(NamedTuple):
     value: Fraction
     # stable-set mask -> positive numerator over den, a fractional colouring
-    # of total value: over stable sets, and over maximal ones on the LP route
+    # of total value: over stable sets, and on the LP route over maximal
+    # ones of g, the core's weighted sets lifted to all of g
     weights: dict
     dual: tuple  # per-vertex numerators over den, a fractional clique of total value
     den: int  # > 0
@@ -117,16 +126,68 @@ def _integral_solution(g, omega, colours):
     )
 
 
+def _dominated_core(g):
+    """(core, dropped): the vertex mask left once every dominated vertex
+    is deleted, and the deleted vertices in order of deletion.
+
+    u is dominated when some vertex v of the current graph is not
+    adjacent to u and has every neighbour of u as a neighbour. The
+    lowest dominated vertex goes first, until none is left; of two
+    false twins only the lower goes, as the higher no longer has its
+    dominator.
+    """
+    adj = g.adj
+    core = (1 << g.n) - 1
+    dropped = []
+    u = 0
+    while u < g.n:
+        if core >> u & 1:
+            # the dominators of u: the other vertices adjacent to all of
+            # N(u), which leaves N(u) itself out
+            doms = core ^ 1 << u
+            m = adj[u] & core
+            while m and doms:
+                b = m & -m
+                doms &= adj[b.bit_length() - 1]
+                m ^= b
+            if doms:
+                core ^= 1 << u
+                dropped.append(u)
+                # only a neighbour of u can have become dominated
+                low = adj[u] & core
+                u = min(u, (low & -low).bit_length() - 1) if low else u
+                continue
+        u += 1
+    return core, dropped
+
+
+def _lift_sets(adj, dropped, masks):
+    """Puts each dropped vertex, the last dropped first, into every set
+    of masks that holds none of its neighbours."""
+    for u in reversed(dropped):
+        b, nbrs = 1 << u, adj[u]
+        masks = [m if m & nbrs else m | b for m in masks]
+    return masks
+
+
 def fractional_chromatic_solution(g):
     """Certified optimum of the covering LP over stable sets.
 
     When the DSATUR colouring uses omega colours, its classes (weight 1
     each) and a largest clique (weight 1 on each member) are primal and
     dual solutions of value omega, so chi_f = omega with no enumeration.
-    Otherwise the packing dual over the maximal stable sets (maximise
-    the sum of per-vertex values subject to at most 1 on every set) is
-    solved exactly, and the covering weights come from the optimal
-    tableau. Either certificate is re-checked before returning.
+    Otherwise the packing dual (maximise the sum of per-vertex values
+    subject to at most 1 on every maximal stable set) is solved exactly
+    on the dominated-vertex core (_dominated_core), and the covering
+    weights come from the optimal tableau. Deleting a dominated vertex u
+    keeps chi_f: in a fractional colouring of G - u, u can join every
+    set that holds its dominator v. So the core's weighted sets are
+    lifted (_lift_sets), the last deleted vertex first, and each then
+    covers u at least as much as v; the lifted sets are distinct
+    maximal stable sets of g, and the dual is 0 on deleted vertices.
+    With nothing deleted the LP runs over all of g's maximal stable
+    sets in their listed order. Either certificate is re-checked before
+    returning, the LP's against every maximal stable set of g.
     """
     check_enumeration_size(g)
     n = g.n
@@ -141,36 +202,44 @@ def fractional_chromatic_solution(g):
         raise SizeLimitError(
             f"LP over {len(fam.sets)} stable sets exceeds the limit {LP_SET_LIMIT}"
         )
-    rows = [[(mask >> v) & 1 for v in range(n)] for mask in fam.sets]
-    value, y, w, den = solve_simplex(rows, [1] * len(rows), [1] * n)
+    core, dropped = _dominated_core(g)
+    sets = fam.sets
+    if dropped:
+        sets = _bron_kerbosch(g.complement_masks(), core)
+    cols = mask_members(core)
+    rows = [[(mask >> v) & 1 for v in cols] for mask in sets]
+    value, yc, w, den = solve_simplex(rows, [1] * len(rows), [1] * len(cols))
+    y = [0] * n
+    for v, yv in zip(cols, yc):
+        y[v] = yv
+    weighted = [(mask, wi) for mask, wi in zip(sets, w) if wi]
+    lifted = _lift_sets(g.adj, dropped, [mask for mask, _ in weighted])
+    weights = dict(zip(lifted, (wi for _, wi in weighted)))
 
     # certificate: y is a feasible fractional clique, w a feasible
-    # fractional colouring, and the two objectives agree exactly; all
-    # checked on the simplex's integer numerators over its one den
+    # fractional colouring over maximal stable sets of g, and the two
+    # objectives agree exactly; all checked on the simplex's integer
+    # numerators over its one den
     if den <= 0:
         raise InternalBugError("nonpositive simplex denominator")
     if any(yi < 0 for yi in y):
         raise InternalBugError("negative dual vertex weight")
-    members = [mask_members(mask) for mask in fam.sets]
-    for ms in members:
-        if sum(map(y.__getitem__, ms)) > den:
+    for mask in fam.sets:
+        if sum(map(y.__getitem__, mask_members(mask))) > den:
             raise InternalBugError("fractional clique overloads a stable set")
     if any(wi < 0 for wi in w):
         raise InternalBugError("negative stable set weight")
+    if not weights.keys() <= set(fam.sets):
+        raise InternalBugError("a weighted set is not a maximal stable set")
     cover = [0] * n
-    for wi, ms in zip(w, members):
-        for v in ms:
+    for mask, wi in weights.items():
+        for v in mask_members(mask):
             cover[v] += wi
     if any(cv < den for cv in cover):
         raise InternalBugError("stable set weights fail to cover a vertex")
     if sum(y) != value or sum(w) != value:
         raise InternalBugError("primal and dual objective values disagree")
-    return FractionalChromaticSolution(
-        value=Fraction(value, den),
-        weights={mask: wi for wi, mask in zip(w, fam.sets) if wi > 0},
-        dual=tuple(y),
-        den=den,
-    )
+    return FractionalChromaticSolution(Fraction(value, den), weights, tuple(y), den)
 
 
 def chi_via_complement_matching(g):

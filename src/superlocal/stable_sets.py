@@ -4,8 +4,9 @@ Maximal stable sets come from Bron-Kerbosch with pivoting over vertex
 bitmasks, as the cliques of the complement. Maximum stable sets are
 the largest cliques of the complement within a vertex mask, from the
 package's one maximum-clique branch and bound (graphs.maximum_cliques)
-asked for every tie, so no smaller maximal set is ever listed. Guarded
-at 24 vertices.
+asked for every tie, so no smaller maximal set is ever listed; the
+sets of a larger mask that lie inside a smaller one are kept when there
+are any, with no new search. Guarded at 24 vertices.
 """
 
 from __future__ import annotations
@@ -70,10 +71,20 @@ def maximal_stable_sets(g):
     return StableSetFamily(sets=tuple(sorted(masks, key=mask_members)))
 
 
-def maximum_stable_sets(g, within):
+def maximum_stable_sets(g, within, known=()):
     """Maximum stable sets of g inside the vertex mask within, as vertex
-    bitmasks sorted by their member lists."""
+    bitmasks sorted by their member lists.
+
+    known may hold every maximum stable set of g inside some vertex
+    mask W that contains within, in the same order. When one of them
+    lies inside within, alpha is the same on within as on W, so the
+    maximum stable sets inside within are exactly those of known that
+    lie inside it, and they are returned with no search.
+    """
     check_enumeration_size(g)
     if within & ~((1 << g.n) - 1):
         raise DomainError(f"vertex mask {within} is not within the {g.n} vertices")
+    kept = tuple(m for m in known if not m & ~within)
+    if kept:
+        return kept
     return tuple(maximum_cliques(g.complement_masks(), within, ties=True)[1])

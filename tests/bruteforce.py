@@ -287,6 +287,25 @@ def bf_chromatic_number(g):
     raise AssertionError("n colours always suffice")
 
 
+def bf_dsatur(g):
+    """DSATUR (Brelaz 1979) with every saturation set rebuilt on every
+    pick: the uncoloured vertex whose neighbours show the most distinct
+    colours, then the highest degree, then the lowest id, takes the
+    lowest colour none of its neighbours has."""
+    colours = [-1] * g.n
+    for _ in range(g.n):
+        pick, pick_key = None, None
+        for v in range(g.n):
+            if colours[v] < 0:
+                seen = {colours[u] for u in g.neighbours(v)} - {-1}
+                key = (len(seen), g.degree(v), -v)
+                if pick_key is None or key > pick_key:
+                    pick, pick_key = v, key
+        seen = {colours[u] for u in g.neighbours(pick)}
+        colours[pick] = next(c for c in itertools.count() if c not in seen)
+    return colours
+
+
 def bf_matching_number(g):
     """Maximum matching by recursion on the first unsaturated vertex."""
 

@@ -118,7 +118,7 @@ def test_single_vertex_and_empty():
 
 def test_no_vertex_in_a_maximum_set_raises(monkeypatch):
     monkeypatch.setattr(
-        "superlocal.frac_colour.maximum_stable_sets", lambda g, within: (0,)
+        "superlocal.frac_colour.maximum_stable_sets", lambda g, within, known=(): (0,)
     )
     with pytest.raises(InternalBugError, match="no vertex lies in any maximum stable set"):
         superlocal_fractional_colour(cycle(5))

@@ -1,4 +1,5 @@
 import itertools
+import random
 import tracemalloc
 
 import networkx as nx
@@ -26,13 +27,14 @@ from superlocal.graphs import GRAPH6_VERTEX_LIMIT
 from bruteforce import (
     bf_clique_number,
     bf_complement,
+    bf_dsatur,
     bf_edge_mask,
     bf_line_graph,
     bf_omega_v,
     bf_stability_number,
     bf_t_value,
 )
-from conftest import ACCEPTANCE_SEED, complete, cycle, path, petersen
+from conftest import ACCEPTANCE_SEED, all_graphs_upto, complete, cycle, path, petersen
 
 graphs_st = st.integers(0, 10).flatmap(
     lambda n: st.builds(
@@ -218,6 +220,38 @@ class TestMaximumCliques:
         for adj in ((), (0,), complete(3).adj):
             assert graphs.maximum_cliques(adj, 0) == (0, [0])
             assert graphs.maximum_cliques(adj, 0, ties=True) == (0, [0])
+
+
+class TestDsatur:
+    """The greedy keeps one saturation mask per vertex and ORs each new
+    colour into the masks of the coloured vertex's neighbours; the
+    reference rebuilds every saturation set on every pick."""
+
+    def test_every_class_up_to_seven_vertices(self):
+        for g in all_graphs_upto(7):
+            assert list(g.greedy_colouring()) == bf_dsatur(g)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(32)
+        for i in range(200):
+            n, p = rng.randint(8, 24), (0.25, 0.5, 0.75)[i % 3]
+            g = SimpleGraph(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            assert list(g.greedy_colouring()) == bf_dsatur(g)
+
+    def test_saturation_outranks_degree(self):
+        # hub 0 (degree 12) is coloured 0 first; then 1, seeing one
+        # colour, goes before 3 (degree 11, seeing none), and 2 before 3
+        # too; with 3 ahead of 1 the path 1-2-3 would need colour 2
+        g = SimpleGraph(
+            25,
+            [(0, 1), (1, 2), (2, 3)]
+            + [(0, v) for v in range(4, 15)]
+            + [(3, v) for v in range(15, 25)],
+        )
+        assert g.greedy_colouring()[:4] == (0, 1, 0, 1)
+        assert list(g.greedy_colouring()) == bf_dsatur(g)
 
 
 class TestGraph6:

@@ -50,6 +50,27 @@ def members(g, mask):
     return [v for v in range(g.n) if mask >> v & 1]
 
 
+def row_mask(row):
+    return sum(bit << v for v, bit in enumerate(row))
+
+
+def assert_lp_certificate(g, sol):
+    """sol is the reference LP's optimum, its weights sit on maximal
+    stable sets of g and cover every vertex, and its dual loads no
+    maximal stable set of g above 1."""
+    (rows, _, _), (value, _, _) = reference_stable_set_lp(g)
+    assert sol.value == value and sol.den > 0
+    maximal = {row_mask(row) for row in rows}
+    assert set(sol.weights) <= maximal
+    assert min(sol.weights.values()) > 0
+    assert F(sum(sol.weights.values()), sol.den) == value
+    for v in range(g.n):
+        assert sum(w for s, w in sol.weights.items() if s >> v & 1) >= sol.den
+    assert min(sol.dual) >= 0 and F(sum(sol.dual), sol.den) == value
+    for row in rows:
+        assert sum(y for y, bit in zip(sol.dual, row) if bit) <= sol.den
+
+
 class TestChromaticNumber:
     def test_matches_bruteforce(self, classes6):
         for g in classes6:
@@ -228,8 +249,11 @@ class TestFractionalChromatic:
             den = sol.den
             assert den > 0
             cover = [0] * g.n
+            maximal = {row_mask(row) for row in rows}
             for s, w in sol.weights.items():
                 assert w > 0 and bf_is_stable(g, members(g, s))
+                if len(lp_calls) > before:
+                    assert s in maximal
                 for v in members(g, s):
                     cover[v] += w
             assert min(cover) >= den and F(sum(sol.weights.values()), den) == value
@@ -256,6 +280,63 @@ class TestFractionalChromatic:
         monkeypatch.setattr(module, target, fake)
         with pytest.raises(InternalBugError, match=message):
             fractional_chromatic_solution(path(3))
+
+
+class TestDominatedCore:
+    """The chi_f LP runs on the graph left once dominated vertices go:
+    u goes when a non-neighbour v has every neighbour of u."""
+
+    # C5 on 0..4, with 5 adjacent to 0 and 6 adjacent to 5: 6 goes first
+    # (0 has its one neighbour 5), then 5 (1 has its one neighbour 0)
+    CHAIN = SimpleGraph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5), (5, 6)])
+
+    def test_chain(self, monkeypatch):
+        assert oracles._dominated_core(self.CHAIN) == (bits(0, 1, 2, 3, 4), [6, 5])
+        real = oracles.solve_simplex
+        columns = []
+
+        def counted(a, b, c):
+            columns.append(len(c))
+            return real(a, b, c)
+
+        monkeypatch.setattr(oracles, "solve_simplex", counted)
+        sol = fractional_chromatic_solution(self.CHAIN)
+        assert columns == [5]
+        assert sol.value == F(5, 2)
+        assert sol.dual[5] == sol.dual[6] == 0
+        assert_lp_certificate(self.CHAIN, sol)
+
+    def test_false_twins_keep_one(self):
+        # 0 and 1 both see only 2: the lower goes, and then 1 has no
+        # dominator left
+        twins = SimpleGraph(3, [(0, 2), (1, 2)])
+        assert oracles._dominated_core(twins) == (bits(1, 2), [0])
+
+    def test_connected7_lp_route_matches_the_reference(self, connected7, monkeypatch):
+        real = oracles.solve_simplex
+        lp_calls = []
+
+        def counted(a, b, c):
+            lp_calls.append(len(a))
+            return real(a, b, c)
+
+        monkeypatch.setattr(oracles, "solve_simplex", counted)
+        reduced = 0
+        for g in connected7:
+            before = len(lp_calls)
+            sol = fractional_chromatic_solution(g)
+            if len(lp_calls) > before:
+                assert_lp_certificate(g, sol)
+                reduced += bool(oracles._dominated_core(g)[1])
+        assert reduced > 0
+
+    def test_a_non_maximal_lifted_set_raises(self, monkeypatch):
+        # dropping each set's lowest member leaves it stable but not maximal
+        monkeypatch.setattr(
+            oracles, "_lift_sets", lambda adj, dropped, masks: [m & (m - 1) for m in masks]
+        )
+        with pytest.raises(InternalBugError, match="not a maximal stable set"):
+            fractional_chromatic_solution(self.CHAIN)
 
 
 class TestCertificateRejections:

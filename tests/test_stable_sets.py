@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -74,6 +75,17 @@ def test_within_matches_induced_subgraph(classes6):
             assert list(maximum) == relabel(mask_members(m) for m in whole)
             # the branch and bound lists the sets already in sorted order
             assert list(maximum) == relabel(sorted(bf_maximum_stable_sets(sub), key=sorted))
+
+
+def test_known_sets_of_a_larger_mask(classes6):
+    # the maximum stable sets of W, handed on to W less one or two
+    # vertices, give what a fresh search there gives
+    for g in classes6:
+        fresh = [maximum_stable_sets(g, w) for w in range(1 << g.n)]
+        for w, known in enumerate(fresh):
+            for u, v in itertools.combinations_with_replacement(mask_members(w), 2):
+                smaller = w & ~(1 << u) & ~(1 << v)
+                assert maximum_stable_sets(g, smaller, known) == fresh[smaller]
 
 
 def test_within_rejects_masks_outside_the_graph():

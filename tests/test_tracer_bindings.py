@@ -71,8 +71,10 @@ def test_traced_commands_fill_the_counters():
     assert frac["stable_sets.maximum_stable_sets.calls"] == 1
     metrics = result["metrics"]
     assert metrics["stable_sets.maximum_stable_sets.calls"] == metrics["frac_colour.rounds"]
-    # the chi_f LP has one row per maximal stable set, and the rows counter
-    # reads the length of solve_simplex's dual, index 2 of what it returns;
+    # the chi_f LP has one row per maximal stable set of the core; C5 and
+    # Petersen have no dominated vertex, so that is every maximal stable
+    # set. The rows counter reads the length of solve_simplex's dual,
+    # index 2 of what it returns;
     # Petersen's LP has 15 rows over 10 vertices, so a primal read there
     # would miscount (C5's, in the search, has 5 of each)
     assert (
