@@ -177,8 +177,9 @@ def subgraph_neighbourhood_bound(g):
 
     The max is over every induced subgraph H = G[mask] and every vertex
     v of H of the average of gamma_l_prime, computed in H, over the
-    closed neighbourhood of v in H. Reads clq = clique_table(g.adj),
-    the clique number of each of the 2^n vertex sets, so refuses above
+    closed neighbourhood of v in H. Once some centre survives the
+    prune below, it reads clq = clique_table(g.adj), the clique number
+    of each of the 2^n vertex sets, so it refuses above
     SUBGRAPH_SCAN_LIMIT vertices.
 
     Lemma: only the subgraphs that delete part of one neighbourhood
@@ -192,10 +193,23 @@ def subgraph_neighbourhood_bound(g):
     centre has h = |T| + 2 + clq[T]; each u in T has
     h = |N(u) & mask| + 2 + clq[N(u) & mask].
 
-    Cost: sum over v of 2^d(v) subgraphs, at most d(v) + 1 table reads
-    each, plus the 2^n clq table. The best average is kept as an
-    integer pair compared by cross products, and the one Fraction is
-    built at the end.
+    Prune: the scan starts from the best T = N(v), H = G, over every v,
+    which reads only the cached g.omegas(). Deleting vertices lowers no
+    h, so each u in T has h_H(u) <= h_G(u), and with |T| = k the sum
+    over T is at most the sum of the k largest h_G over N(v). The centre
+    has h_H(v) = k + 2 + clq[T] <= k + 1 + min(omega(v), k + 1), since
+    clq[T] <= min(omega(v) - 1, k): each deleted neighbour costs the
+    centre at least 1. So every T of size k averages at most
+    (k + 1 + min(omega(v), k + 1) + top_k) / (k + 1). At k = d(v) this
+    is the start value at v, so a centre whose bound beats the best so
+    far at no k < d(v) has no better subgraph and is skipped; the table
+    is built only when a centre survives.
+
+    Cost: O(d(v) log d(v)) per centre for the prune; each surviving
+    centre visits 2^d(v) subgraphs, at most d(v) + 1 table reads each,
+    and the first one builds the 2^n clq table. The best average is
+    kept as an integer pair compared by cross products, and the one
+    Fraction is built at the end.
     """
     check_vertex_limit("subgraph scan", g.n, SUBGRAPH_SCAN_LIMIT)
     if g.n == 0:
@@ -203,9 +217,31 @@ def subgraph_neighbourhood_bound(g):
     n = g.n
     full = (1 << n) - 1
     adj = g.adj
-    clq = clique_table(adj)
+    om = g.omegas()
+    h = [a.bit_count() + 1 + o for a, o in zip(adj, om)]
+    # per centre, h over N(v) from the largest down
+    tops = [
+        sorted((h[u] for u in range(n) if a >> u & 1), reverse=True) for a in adj
+    ]
     best_num, best_den = 0, 1
-    for v in range(n):
+    for v, top in enumerate(tops):
+        num, den = h[v] + sum(top), len(top) + 1
+        if num * best_den > best_num * den:
+            best_num, best_den = num, den
+    clq = None
+    for v, top in enumerate(tops):
+        cap = om[v]
+        s = 0  # the sum of the k largest h over N(v)
+        for k, hu in enumerate(top):
+            # the prune's bound for |T| = k, over k + 1 = c vertices
+            c = k + 1
+            if (c + (c if c < cap else cap) + s) * best_den > best_num * c:
+                break
+            s += hu
+        else:
+            continue  # no T smaller than N(v) can beat best
+        if clq is None:
+            clq = clique_table(adj)
         nbrs = adj[v]
         t = nbrs
         while True:

@@ -7,14 +7,18 @@ fractional construction's trace classes count as containers). The
 fractional colouring references keep weights as frozensets of vertex
 ids with Fraction values, so tests convert the package's bitmasks and
 integer numerators to that form before comparing. There are
-three exceptions: bf_neighbourhood_average, which reads omega from the
+four exceptions: bf_neighbourhood_average, which reads omega from the
 graph's own omegas() so that the question-scan lemma tests reach 12
 vertices (omegas() itself is checked against bf_omega_v);
-bf_solve_simplex, a full Fraction tableau that must make the same
-Bland pivots as the package's integer simplex; and bf_chi_prime_cut,
-a backtracking pruned by colour symmetry so that chi' is checked on
-every corpus multigraph with up to 12 edges and on the Petersen graph
-(it is checked against bf_chi_prime).
+bf_question_by_deletions, the package's question scan without its
+prune, reading the package's clique_table (checked against
+bf_subgraph_neighbourhood_bound) so that the prune is checked on
+graphs with up to 12 vertices; bf_solve_simplex, a full Fraction
+tableau that must make the same Bland pivots as the package's integer
+simplex; and bf_chi_prime_cut, a backtracking pruned by colour
+symmetry so that chi' is checked on every corpus multigraph with up to
+12 edges and on the Petersen graph (it is checked against
+bf_chi_prime).
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from superlocal import (
     SimpleGraph,
     induced_subgraph,
 )
+from superlocal.graphs import clique_table
 
 
 def _members(mask, n):
@@ -171,6 +176,39 @@ def bf_subgraph_neighbourhood_bound(g):
             closed = (v,) + h.neighbours(v)
             best = max(best, sum(glp[u] for u in closed) / len(closed))
     return best
+
+
+def bf_question_by_deletions(g):
+    """The question scan of the lemma without a prune: every centre v
+    visits G - (N(v) - T) for every T within N(v), reading clique
+    numbers from the 2^n clique_table, and the best average of
+    h = d + 1 + omega over N[v] in that subgraph is kept as an integer
+    pair compared by cross products."""
+    n = g.n
+    full = (1 << n) - 1
+    adj = g.adj
+    clq = clique_table(adj)
+    best_num, best_den = 0, 1
+    for v in range(n):
+        nbrs = adj[v]
+        t = nbrs
+        while True:
+            mask = full ^ nbrs ^ t
+            num = t.bit_count() + 2 + clq[t]
+            den = 1
+            m = t
+            while m:
+                b = m & -m
+                nu = adj[b.bit_length() - 1] & mask
+                num += nu.bit_count() + 2 + clq[nu]
+                den += 1
+                m ^= b
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+            if not t:
+                break
+            t = (t - 1) & nbrs
+    return Fraction(best_num, 2 * best_den)
 
 
 def bf_gamma_ll_prime(g):

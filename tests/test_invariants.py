@@ -21,6 +21,7 @@ from superlocal import (
     gamma_ll_prime,
     graph_bounds,
     induced_subgraph,
+    parse_graph6,
     subgraph_neighbourhood_bound,
     vertex_bounds,
 )
@@ -34,10 +35,19 @@ from bruteforce import (
     bf_neighbourhood_average,
     bf_nine_expressions,
     bf_omega_v,
+    bf_question_by_deletions,
     bf_subgraph_neighbourhood_bound,
     bf_t_value,
 )
-from conftest import complete, cycle, double_star, path, pendant_clique, petersen
+from conftest import (
+    all_graphs_upto,
+    complete,
+    cycle,
+    double_star,
+    path,
+    pendant_clique,
+    petersen,
+)
 
 
 # path 1-0-2-3 with multiplicities 3, 2, 3
@@ -85,6 +95,28 @@ def graphs_st(max_n, max_edges):
 
 
 small_graphs_st = graphs_st(8, 20)
+
+
+def sparse_or_dense_st(max_n):
+    """Graphs on up to max_n vertices: a short list of pairs is taken as
+    the edge set, or, as often, as the set of non-edges."""
+
+    def build(n, pairs, dense):
+        chosen = {(min(p), max(p)) for p in pairs if p[0] != p[1]}
+        if dense:
+            chosen = set(itertools.combinations(range(n), 2)) - chosen
+        return SimpleGraph(n, sorted(chosen))
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.builds(
+            build,
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=24
+            ),
+            st.booleans(),
+        )
+    )
 
 
 def seeded_g12():
@@ -353,7 +385,6 @@ class TestAverageBounds:
     )
     def test_subgraph_bound_over_neighbourhood_deletions(self, g):
         # the lemma's route: G - (N(v) - T) for each v and each T within N(v)
-        # the prune fires on Petersen and K_n: every vertex after the first is skipped
         best = Fraction(0)
         for v in range(g.n):
             nbrs = g.neighbours(v)
@@ -365,6 +396,44 @@ class TestAverageBounds:
                     )
                     best = max(best, bf_neighbourhood_average(h, labels.index(v)))
         assert subgraph_neighbourhood_bound(g) == best
+
+    def test_unpruned_scan_matches_bruteforce(self, classes6):
+        for g in classes6:
+            assert bf_question_by_deletions(g) == bf_subgraph_neighbourhood_bound(g)
+
+    def test_pruned_scan_matches_unpruned_upto_7(self):
+        for g in all_graphs_upto(7):
+            assert subgraph_neighbourhood_bound(g) == bf_question_by_deletions(g)
+
+    @given(sparse_or_dense_st(12))
+    def test_pruned_scan_matches_unpruned_random(self, g):
+        assert subgraph_neighbourhood_bound(g) == bf_question_by_deletions(g)
+
+    @pytest.mark.parametrize(
+        "g, tables, value",
+        [
+            (petersen(), 0, Fraction(3)),
+            (complete(7), 0, Fraction(7)),
+            (cycle(5), 0, Fraction(5, 2)),
+            # 8/3 from a neighbourhood deletion beats every whole-graph
+            # average (the best is 21/8), so a centre survives the prune
+            (parse_graph6("FhQC?"), 1, Fraction(8, 3)),
+        ],
+        ids=["petersen", "k7", "c5", "FhQC?"],
+    )
+    def test_subgraph_bound_table_only_for_surviving_centres(
+        self, monkeypatch, g, tables, value
+    ):
+        real = invariants.clique_table
+        calls = []
+
+        def counted(adj):
+            calls.append(adj)
+            return real(adj)
+
+        monkeypatch.setattr(invariants, "clique_table", counted)
+        assert subgraph_neighbourhood_bound(g) == value
+        assert len(calls) == tables
 
     def test_subgraph_bound_limit(self, monkeypatch):
         with pytest.raises(SizeLimitError):

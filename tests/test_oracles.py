@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from fractions import Fraction
 
@@ -78,6 +79,24 @@ class TestChromaticNumber:
             assert chi == bf_chromatic_number(g)
             assert verify_vertex_colouring(g, vc)
             assert vc.k == chi
+
+    def test_branch_and_bound_matches_bruteforce_seeded(self):
+        # only graphs whose DSATUR count exceeds omega, where the branch
+        # and bound runs and must undo each colour's saturation on backtrack
+        rng = random.Random(1)
+        searched = 0
+        while searched < 100:
+            n = rng.randint(8, 12)
+            p = rng.choice((0.4, 0.5, 0.6))
+            g = SimpleGraph(
+                n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+            )
+            if max(g.greedy_colouring()) + 1 == clique_number(g):
+                continue
+            searched += 1
+            chi, vc = chromatic_number(g)
+            assert chi == bf_chromatic_number(g)
+            assert verify_vertex_colouring(g, vc)
 
     def test_fixtures(self):
         assert chromatic_number(cycle(5))[0] == 3
