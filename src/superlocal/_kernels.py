@@ -108,18 +108,21 @@ def _candidate_neighbourhoods(padj):
 
 
 def orbit_representatives(n):
-    """Sorted least edge masks of the isomorphism classes of n-vertex graphs.
+    """Adjacency masks of one graph per isomorphism class of n-vertex
+    graphs, in increasing order of each class's least edge mask.
 
     Vertex-orderly generation (Read 1978, "Every one a winner"; McKay
-    1998, "Isomorph-free exhaustive generation"). Bit k of a mask is
-    the pair of lexicographic rank k (as in SimpleGraph.from_edge_mask),
-    so vertex 0's edges are the n-1 lowest bits and the bits above them
-    are the mask of G - 0. If M is the least mask of G's orbit and labels
-    x as 0, then M >> (n-1) is the least mask of the orbit of G - x: a
-    smaller labelling of G - x would extend, with x at 0, to a smaller
-    one of G. So every representative is (P << (n-1)) | S
-    for an (n-1)-vertex representative P and some S < 2^(n-1), and such
-    a candidate is kept when no relabelling gives a smaller mask.
+    1998, "Isomorph-free exhaustive generation"). Bit k of an edge mask
+    is the pair of lexicographic rank k, so vertex 0's edges are the n-1
+    lowest bits and the bits above them are the mask of G - 0. If M is
+    the least mask of G's orbit and labels x as 0, then M >> (n-1) is
+    the least mask of the orbit of G - x: a smaller labelling of G - x
+    would extend, with x at 0, to a smaller one of G. So every
+    representative is (P << (n-1)) | S for an (n-1)-vertex
+    representative P and some S < 2^(n-1), and such a candidate is kept
+    when no relabelling gives a smaller mask. Parents taken in order,
+    each with its S ascending, keep the masks ascending, so the search
+    hands over the adjacency masks it builds and no edge mask is formed.
 
     Two kinds of S are dropped before that search, since each has a
     relabelling with a smaller mask (P's vertex v is the candidate's
@@ -136,11 +139,11 @@ def orbit_representatives(n):
       vertex 0 give alpha(G) = alpha(P) + 1, so G's least mask has a
       zero group there.
     """
-    level = [(0, [0])]  # (mask, adjacency masks) of each class
+    level = [[0]]  # adjacency masks of each class
     for m in range(1, n):
         full = (1 << (m + 1)) - 1
         grown = []
-        for parent, padj in level:
+        for padj in level:
             # parent vertex v becomes vertex v + 1 and the new vertex 0 has
             # neighbourhood s; candidate group L is parent group L - 1, and s
             shifted = [a << 1 for a in padj]
@@ -149,6 +152,6 @@ def orbit_representatives(n):
                 adj = [s << 1] + [a | (s >> v & 1) for v, a in enumerate(shifted)]
                 groups[0] = s
                 if not _has_smaller_relabelling(m, full, [], adj, groups):
-                    grown.append(((parent << m) | s, adj))
+                    grown.append(adj)
         level = grown
-    return [mask for mask, _ in level]
+    return level

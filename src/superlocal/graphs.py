@@ -255,18 +255,6 @@ class SimpleGraph:
             seen |= nxt
         return seen == (1 << self.n) - 1
 
-    @classmethod
-    def from_edge_mask(cls, n, mask):
-        """The graph whose pair of lexicographic rank k is an edge iff bit k is set."""
-        edges = []
-        k = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                if mask >> k & 1:
-                    edges.append((u, v))
-                k += 1
-        return cls(n, edges)
-
     def __eq__(self, other):
         return isinstance(other, SimpleGraph) and self.n == other.n and self.edges == other.edges
 

@@ -327,8 +327,8 @@ def enumerate_graph_classes(n, connected_only=False):
         raise DomainError("enumeration needs at least one vertex")
     check_vertex_limit("enumeration", n, ENUMERATION_N_LIMIT)
     out = []
-    for mask in _kernels.orbit_representatives(n):
-        g = SimpleGraph.from_edge_mask(n, mask)
+    for adj in _kernels.orbit_representatives(n):
+        g = SimpleGraph.from_masks(adj)
         if connected_only and not g.is_connected():
             continue
         out.append(g)
@@ -370,15 +370,15 @@ def _random_circular_interval(rng, n):
     # vertices sit at positions 0..n-1 on a circle; each arc covers a run
     # of consecutive positions and becomes a clique
     n = rng.randint(1, n)
-    edges = set()
+    adj = [0] * n
     for _ in range(rng.randint(1, n)):
         start = rng.randrange(n)
         length = rng.randint(1, n)
-        covered = sorted((start + i) % n for i in range(length))
-        for i, u in enumerate(covered):
-            for v in covered[i + 1 :]:
-                edges.add((u, v))
-    return SimpleGraph(n, sorted(edges))
+        arc = ((1 << length) - 1) << start
+        arc = (arc | arc >> n) & ((1 << n) - 1)
+        for v in graphs.mask_members(arc):
+            adj[v] |= arc ^ 1 << v
+    return SimpleGraph.from_masks(adj)
 
 
 def _random_co_triangle_free(rng, n, p):
@@ -386,13 +386,11 @@ def _random_co_triangle_free(rng, n, p):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     adj = [0] * n
-    edges = []
     for u, v in pairs:
         if _bernoulli(rng, p) and not adj[u] & adj[v]:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-            edges.append((u, v))
-    return complement(SimpleGraph(n, edges))
+    return complement(SimpleGraph.from_masks(adj))
 
 
 class Corpus(NamedTuple):

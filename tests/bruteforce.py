@@ -503,9 +503,16 @@ def bf_complement(g):
 
 def bf_edge_mask(g):
     """The edge set as an integer: bit k is the pair of lexicographic rank k,
-    the bit order of SimpleGraph.from_edge_mask, ranked by itertools."""
+    the bit order of _kernels.orbit_representatives, ranked by itertools."""
     pairs = itertools.combinations(range(g.n), 2)
     return sum(1 << k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v))
+
+
+def bf_graph_of_edge_mask(n, mask):
+    """The n-vertex graph whose pair of rank k in bf_edge_mask's order is
+    an edge iff bit k of mask is set."""
+    pairs = itertools.combinations(range(n), 2)
+    return SimpleGraph(n, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
 
 
 def bf_perm_edge_maps(n):

@@ -537,24 +537,34 @@ class TestSearch:
         assert name in err and "does not apply" in err
 
     def test_default_reports_pinned(self, capsys, tmp_path):
-        # sha256 of the default `search --n 6 --out P` files and stdout, as
-        # written when every value was computed for every claim
-        base = tmp_path / "P"
-        code, out, _ = run(capsys, "search", "--n", "6", "--out", str(base))
-        assert code == 0
-        digests = [
-            hashlib.sha256(data).hexdigest()
-            for data in (
-                base.with_suffix(".jsonl").read_bytes(),
-                base.with_suffix(".csv").read_bytes(),
-                out.encode("ascii"),
-            )
-        ]
-        assert digests == [
-            "468c9c4badf47d6bb50f6c043988248c65b00cf80ebcdb9e29eb0ba11184e898",
-            "1f1dd52744d2af9e317435259387c53661e49cf66d99956be7af1b061f66b8a5",
-            "20a5422a2dd6db6f076421debd64eb0e12441fba9a84dec9b69c3e7aa0df7b3a",
-        ]
+        # sha256 of the default `search --n N --out P` files and stdout, as
+        # written when every value was computed for every claim; at n = 7
+        # the jsonl digest is the output_sha256 of the search-n7 benchmark
+        pinned = {
+            "6": [
+                "468c9c4badf47d6bb50f6c043988248c65b00cf80ebcdb9e29eb0ba11184e898",
+                "1f1dd52744d2af9e317435259387c53661e49cf66d99956be7af1b061f66b8a5",
+                "20a5422a2dd6db6f076421debd64eb0e12441fba9a84dec9b69c3e7aa0df7b3a",
+            ],
+            "7": [
+                "e0aebe42f53aafed8513fb2c18a466b9dc870783c2f330cbf7031b25cbf7539b",
+                "85aa2e9adcac139624888d28571debf9b50036a4fd4cf5b6f0629565e389c2b2",
+                "8393df1edacab71ca6010724040185e3c24b21edafdfdd8a6f8c4b633223da4e",
+            ],
+        }
+        for n, expected in pinned.items():
+            base = tmp_path / f"P{n}"
+            code, out, _ = run(capsys, "search", "--n", n, "--out", str(base))
+            assert code == 0
+            digests = [
+                hashlib.sha256(data).hexdigest()
+                for data in (
+                    base.with_suffix(".jsonl").read_bytes(),
+                    base.with_suffix(".csv").read_bytes(),
+                    out.encode("ascii"),
+                )
+            ]
+            assert digests == expected, n
 
     def test_needs_space(self, capsys):
         code, _, err = run(capsys, "search")
@@ -593,6 +603,30 @@ class TestGen:
         for line in a.splitlines():
             mg = parse_multigraph(line)
             assert isinstance(mg, Multigraph)
+
+    @pytest.mark.parametrize(
+        "corpus, params, digest",
+        [
+            ("simple", (), "063ee696b853a4bdbb80dea7afadea3d777f4d3e7f5e9ceb2a1b678168ec76f3"),
+            ("multigraph", (), "72bac6c1d9297281c8ed9e46e1a7baaae8f1ca368f52512c49666073d3d04e81"),
+            ("circular_interval", (),
+             "31946789a744b1f56ffc006f097fe98682ef0fac493dcf43d7960272d0d96ccf"),
+            ("co_triangle_free", (),
+             "fed6a056f746827764aba8fdf5bd00de3d37aa06242cfbb8ec616471e3c25588"),
+            ("circular_interval", ("--params", "n=22"),
+             "505347e72a5bd154e1940e146d5e37e244ba353bf8da1433cd2b070dfe0014b3"),
+            ("co_triangle_free", ("--params", "n=22"),
+             "e924d0cca73a52613a6974d407a4f9262715fb8500fd9499330e879a3956fc1d"),
+        ],
+    )
+    def test_corpus_pinned(self, capsys, corpus, params, digest):
+        # sha256 of `gen --corpus K --seed 3 --count 40` stdout: a generator
+        # may change how it builds a graph, never which graph a seed draws
+        code, out, err = run(
+            capsys, "gen", "--corpus", corpus, "--seed", "3", "--count", "40", *params
+        )
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
 
     def test_params(self, capsys):
         code, out, _ = run(

@@ -28,7 +28,6 @@ from bruteforce import (
     bf_clique_number,
     bf_complement,
     bf_dsatur,
-    bf_edge_mask,
     bf_line_graph,
     bf_omega_v,
     bf_stability_number,
@@ -134,14 +133,6 @@ class TestSimpleGraph:
         assert not SimpleGraph(3, [(0, 1)]).is_connected()
         assert SimpleGraph(1).is_connected()
         assert SimpleGraph(0).is_connected()  # vacuous
-
-    def test_edge_mask_round_trip(self):
-        for g in (cycle(5), path(4), complete(4), SimpleGraph(3)):
-            assert SimpleGraph.from_edge_mask(g.n, bf_edge_mask(g)) == g
-
-    @given(graphs_st)
-    def test_edge_mask_round_trip_random(self, g):
-        assert SimpleGraph.from_edge_mask(g.n, bf_edge_mask(g)) == g
 
 
 class TestComplementAndSubgraph:

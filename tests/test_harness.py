@@ -38,6 +38,7 @@ from bruteforce import (
     bf_chi_prime,
     bf_chi_prime_cut,
     bf_edge_mask,
+    bf_graph_of_edge_mask,
     bf_isomorphic,
     bf_isomorphism_classes,
     bf_orbit_minimum,
@@ -137,7 +138,7 @@ class TestEnumeration:
     def test_matches_pairwise_dedup_bruteforce(self):
         for n in (1, 2, 3, 4):
             every = [
-                SimpleGraph.from_edge_mask(n, mask)
+                bf_graph_of_edge_mask(n, mask)
                 for mask in range(1 << (n * (n - 1) // 2))
             ]
             assert len(bf_isomorphism_classes(every)) == len(
