@@ -27,7 +27,6 @@ from .stable_sets import (
 )
 from .invariants import (
     GraphBounds,
-    VertexBounds,
     clique_average_bound,
     clique_number,
     gamma_bar_ll,
@@ -35,8 +34,8 @@ from .invariants import (
     gamma_ll,
     gamma_ll_prime,
     graph_bounds,
+    local_sums,
     subgraph_neighbourhood_bound,
-    vertex_bounds,
 )
 from .oracles import (
     FractionalChromaticSolution,

@@ -8,6 +8,7 @@ rationals, byte-stable output for fixed inputs and seeds, exit codes
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -48,7 +49,7 @@ from .invariants import (
     gamma_ll,
     gamma_ll_prime,
     graph_bounds,
-    vertex_bounds,
+    local_sums,
 )
 from .oracles import chromatic_number, fractional_chromatic_solution, stability_number
 
@@ -165,15 +166,14 @@ def cmd_bounds(args):
             "gamma_bar_ll": gamma_bar_ll(g) if g.edge_count else None,
         }
         return _render(out, args.format)
-    vb = vertex_bounds(g)
     out = {
         "kind": "simple",
         "n": g.n,
         "m": g.edge_count,
         **bounds_to_dict(graph_bounds(g)),
-        "vertex_degree": list(vb.degree),
-        "vertex_omega": list(vb.omega),
-        "vertex_gamma_l_prime": [frac_str(x) for x in vb.gamma_l_prime],
+        "vertex_degree": [a.bit_count() for a in g.adj],
+        "vertex_omega": list(g.omegas()),
+        "vertex_gamma_l_prime": [frac_str(Fraction(h, 2)) for h in local_sums(g)],
     }
     return _render(out, args.format)
 
@@ -219,9 +219,11 @@ def cmd_frac(args):
                 "low": frac_str(rec.low),
                 # the value a round spends: low, as no cap under the bound binds
                 "val": frac_str(rec.low),
-                "total_after": frac_str(rec.total_after),
+                "total_after": frac_str(total),
             }
-            for rec in trace.records
+            for rec, total in zip(
+                trace.records, itertools.accumulate(rec.low for rec in trace.records)
+            )
         ],
     }
     if args.verify:

@@ -37,8 +37,7 @@ class FractionalColouring(NamedTuple):
 class IterationRecord(NamedTuple):
     vertices: tuple  # surviving vertex ids at the start of the round
     num_max_sets: int
-    low: Fraction
-    total_after: Fraction
+    low: Fraction  # the weight the round spends; the total is the sum of low
 
 
 class IterationTrace(NamedTuple):
@@ -117,21 +116,14 @@ def superlocal_fractional_colour(g):
                         )
                     within ^= 1 << v
         total += count * share
-        records.append(
-            IterationRecord(
-                vertices=alive,
-                num_max_sets=count,
-                low=low,
-                total_after=Fraction(total, den),
-            )
-        )
+        records.append(IterationRecord(vertices=alive, num_max_sets=count, low=low))
         alive = tuple(v for v in alive if need[v])
 
     d = math.gcd(den, *weights.values())
     fc = FractionalColouring(
         weights={m: w // d for m, w in weights.items()},
         den=den // d,
-        total=records[-1].total_after if records else Fraction(0),
+        total=Fraction(total, den),
     )
     return fc, IterationTrace(records=tuple(records))
 

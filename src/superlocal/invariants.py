@@ -23,32 +23,29 @@ def clique_number(g):
     return max(g.omegas(), default=0)
 
 
+def local_sums(g):
+    """h(v) = d(v) + 1 + omega(v) for every vertex: twice its local bound.
+
+    Every degree-clique bound of a simple graph averages h / 2 over some
+    set: one vertex, the two ends of an edge, a clique, a closed
+    neighbourhood.
+    """
+    return [a.bit_count() + 1 + om for a, om in zip(g.adj, g.omegas())]
+
+
 def gamma_ll_prime(g):
     """Max of the per-edge bound; 1 on an edgeless nonempty graph, 0 on the empty graph."""
     if g.n == 0:
         return Fraction(0)
     if not g.edges:
         return Fraction(1)
-    # s(x) = d(x) + 1 + omega(x); the edge bound is (s(u) + s(v)) / 4
-    s = [g.degree(v) + 1 + om for v, om in enumerate(g.omegas())]
-    return Fraction(max(s[u] + s[v] for u, v in g.edges), 4)
+    # the edge bound is (h(u) + h(v)) / 4
+    h = local_sums(g)
+    return Fraction(max(h[u] + h[v] for u, v in g.edges), 4)
 
 
 def gamma_ll(g):
     return math.ceil(gamma_ll_prime(g))
-
-
-class VertexBounds(NamedTuple):
-    degree: tuple
-    omega: tuple
-    gamma_l_prime: tuple
-
-
-def vertex_bounds(g):
-    deg = tuple(g.degree(v) for v in range(g.n))
-    om = g.omegas()
-    glp = tuple(Fraction(deg[v] + 1 + om[v], 2) for v in range(g.n))
-    return VertexBounds(degree=deg, omega=om, gamma_l_prime=glp)
 
 
 class GraphBounds(NamedTuple):
@@ -66,11 +63,9 @@ def graph_bounds(g):
     if g.n == 0:
         z = Fraction(0)
         return GraphBounds(0, 0, z, 0, z, 0, z, 0)
-    deg = [g.degree(v) for v in range(g.n)]
-    om = g.omegas()
-    delta, omega = max(deg), max(om)
+    delta, omega = max(a.bit_count() for a in g.adj), clique_number(g)
     gp = Fraction(delta + 1 + omega, 2)
-    glp = Fraction(max(d + 1 + o for d, o in zip(deg, om)), 2)
+    glp = Fraction(max(local_sums(g)), 2)
     gllp = gamma_ll_prime(g)
     return GraphBounds(
         delta=delta,
@@ -149,22 +144,22 @@ def gamma_bar_ll_via_line_graph(mg):
 def clique_average_bound(g):
     """Max over maximal cliques of the average per-vertex local bound.
 
-    Twice gamma_l_prime(v) is the integer d(v) + 1 + omega(v), so each
-    clique's average is its integer sum over twice its size. The
+    Twice gamma_l_prime(v) is the integer h(v) of local_sums, so each
+    clique's average is its integer sum of h over twice its size. The
     cliques are read as bare masks from Bron-Kerbosch and summed by a
     bit loop; the best (sum, size) pair is compared by cross products,
     and the one Fraction is built at the end.
     """
     if g.n == 0:
         raise DomainError("clique average needs a nonempty vertex set")
-    twice = [g.degree(v) + 1 + om for v, om in enumerate(g.omegas())]
+    h = local_sums(g)
     best_num, best_den = 0, 1
     # no size refusal here: the scan is over the graph's own cliques
     for clique in _bron_kerbosch(g.adj, (1 << g.n) - 1):
         total = size = 0
         while clique:
             b = clique & -clique
-            total += twice[b.bit_length() - 1]
+            total += h[b.bit_length() - 1]
             size += 1
             clique ^= b
         if total * best_den > best_num * size:
@@ -194,7 +189,7 @@ def subgraph_neighbourhood_bound(g):
     h = |N(u) & mask| + 2 + clq[N(u) & mask].
 
     Prune: the scan starts from the best T = N(v), H = G, over every v,
-    which reads only the cached g.omegas(). Deleting vertices lowers no
+    which reads only h_G = local_sums(g). Deleting vertices lowers no
     h, so each u in T has h_H(u) <= h_G(u), and with |T| = k the sum
     over T is at most the sum of the k largest h_G over N(v). The centre
     has h_H(v) = k + 2 + clq[T] <= k + 1 + min(omega(v), k + 1), since
@@ -218,7 +213,7 @@ def subgraph_neighbourhood_bound(g):
     full = (1 << n) - 1
     adj = g.adj
     om = g.omegas()
-    h = [a.bit_count() + 1 + o for a, o in zip(adj, om)]
+    h = local_sums(g)
     # per centre, h over N(v) from the largest down
     tops = [
         sorted((h[u] for u in range(n) if a >> u & 1), reverse=True) for a in adj

@@ -258,7 +258,7 @@ def bf_superlocal_fractional_colour(g):
         for v in alive:
             wo[v] += Fraction(hits[v], count) * val
         total += val
-        records.append(IterationRecord(alive, count, low, total))
+        records.append(IterationRecord(alive, count, low))
         alive = tuple(v for v in alive if wo[v] < 1)
     return weights, total, IterationTrace(records=tuple(records))
 

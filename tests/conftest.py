@@ -79,10 +79,6 @@ def reference_stable_set_lp(g):
     return lp, bf_solve_simplex(*lp)
 
 
-def graph_from_pairs(n, pairs):
-    return SimpleGraph(n, pairs)
-
-
 def cycle(n):
     return SimpleGraph(n, [(i, (i + 1) % n) for i in range(n)])
 

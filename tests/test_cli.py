@@ -17,7 +17,14 @@ import superlocal
 from superlocal import Multigraph, cli, format_multigraph, parse_graph6, parse_multigraph, to_graph6
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
-from conftest import complete, count_validations, corrupted_fractional_colour, cycle, petersen
+from conftest import (
+    GRAPH22_GRAPH6,
+    complete,
+    count_validations,
+    corrupted_fractional_colour,
+    cycle,
+    petersen,
+)
 
 
 @pytest.fixture
@@ -176,6 +183,72 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", str(p))
         assert code == 0
         assert json.loads(out)["chi"] == 2
+
+
+@pytest.mark.parametrize(
+    "command, text, digests",
+    [
+        ("bounds", "Dhc", (  # C5
+            "abc49e053baf5d08a5bb82765e7cafaee5e577dfe554ec240db1aab855f5cc0c",
+            "fe6b10351228203816521f989389059c9f2e1c58e3319634bf94ec627aa92c69",
+        )),
+        ("oracle", "Dhc", (
+            "8bd0dfeaffb3f145503d08eb43e3660473002019b8ef226948ff14ff81a34f98",
+            "44652e0086246818fc232d483f592d1d1a675f26524d4370b0469a75298f7a1c",
+        )),
+        ("bounds", "IheA@GUAo", (  # the Petersen graph
+            "f0ffe62b4e06e1a238207069501c6586211e30cd8b02205eca93c708af0567b2",
+            "b6e62f15c2f88860e1dc5ee218733452ef52b44e1fba4513ec97f993f034d9cf",
+        )),
+        ("oracle", "IheA@GUAo", (
+            "fa34f52bec68dad47cc8003813e10bb42aac7787c35db1061ad36a35e56feabe",
+            "f537f2a5c697bb34cdf562f9e7e24c23e79977a2df533076bb756c04d1a8499c",
+        )),
+        ("bounds", "FhQC?", (
+            "b68664a33cf767b71d5dc78c8d1ce06f01f4d2508956f8eb5864c5f418d2ddef",
+            "d4967cb83832fea78309fff28f7f1f404ec1d81ecaac01a4b942f7e09c5cae75",
+        )),
+        ("oracle", "FhQC?", (
+            "7a9ab6008dcb51d6b0a0bcbf6b0e11dde74dca7ab2b3ef7c70e58b6ba3401b6d",
+            "f70989a4f9dc02536c5d826643378c0681ef3350b7957e333fe67a577764a38b",
+        )),
+        ("bounds", "?", (  # no vertices
+            "cd318c2e77128434d9b1837edfc402bdeb897da65ab641b418638378509bdd4b",
+            "e7d3bf4bf1c4fa22adc8f4ef8639afbe9a069a0a63050976dda54e9dbcfe4224",
+        )),
+        ("oracle", "?", (
+            "271e92eecb2e8dc3d076710e68e717491c50f98860486f5b43e027d686d716df",
+            "5eeadb8aa7e76632da43483a6eff9a9d49a48085dd09a83412e7c3a31e853d4d",
+        )),
+        ("bounds", "B?", (  # three vertices, no edges
+            "bc136be6e316ffb7ad2e2fbee3adb24fabca6d17f07ce479c98d460cff45f4ea",
+            "2abe23961e6e70c7cadf444887c1b5adb6a3b8e1a8192a45aa3b3f2135dad4bb",
+        )),
+        ("oracle", "B?", (
+            "ece40773341559fcdf6f83574a1f73b3e25e3dbe6b43a59927d2960681050ab0",
+            "d6e63130e7442a4c7fa34a25ef6d351547072308293aa47ae44f7b50b6a08e94",
+        )),
+        ("bounds", GRAPH22_GRAPH6, (
+            "e49bf4b0faa74472ee940207778ccbeeb869ab9dcf52ead61e4131b7bd627e4a",
+            "d1049a95cae62700410a3b4765fc32aa0928050e444205e8f60d76bb02bf1172",
+        )),
+        ("bounds", "n 3\n0 1 2\n1 2 2\n0 2 2", (  # the fat triangle
+            "00280c9dd32f1b343783e127b07abe005904549ab46fefc1f0dd8de7c08eca60",
+            "a556a100952472ec0d80d6705b1a2e288630f54b7129b3af2461999b2db1ed4b",
+        )),
+    ],
+)
+def test_bounds_and_oracle_pinned(capsys, tmp_path, command, text, digests):
+    # sha256 of json and plain stdout, as written while the per-vertex
+    # bounds were a VertexBounds record of Fractions
+    p = tmp_path / "g.txt"
+    p.write_text(text + "\n", encoding="ascii")
+    outs = []
+    for fmt in ("json", "plain"):
+        code, out, err = run(capsys, command, str(p), "--format", fmt)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert tuple(hashlib.sha256(o.encode("ascii")).hexdigest() for o in outs) == digests
 
 
 class TestRefusalMemory:
@@ -812,6 +885,19 @@ class TestExitCodes:
         assert err.startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in err
         assert not target.parent.exists()
+
+    def test_out_fails_after_the_check(self, capsys, monkeypatch, tmp_path):
+        # the path passed the up-front check, but writing the reports failed
+        def full_disk(reports, jsonl_path, csv_path):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "write_reports", full_disk)
+        target = tmp_path / "P"
+        code, out, err = run(capsys, "search", "--n", "3", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: cannot write {target}: [Errno 28] No space left on device\n"
+        assert "Traceback" not in err
 
     def test_out_check_leaves_no_file(self, capsys, tmp_path):
         # the writability check opens no file that a refused search leaves

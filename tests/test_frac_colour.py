@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -14,8 +15,10 @@ from superlocal import (
     fractional_chromatic_solution,
     gamma_ll_prime,
     superlocal_fractional_colour,
+    to_graph6,
     verify_fractional_colouring,
 )
+from superlocal.cli import main
 from superlocal.graphs import mask_members
 from bruteforce import bf_superlocal_fractional_colour, bf_verify_fractional_colouring
 from conftest import complete, cycle, double_star, petersen
@@ -57,7 +60,15 @@ def assert_matches_reference(g):
     assert math.gcd(fc.den, *fc.weights.values()) == 1
 
 
-def test_cycle5_trace():
+def printed_totals(g, tmp_path, capsys):
+    """The total_after of each round in `superlocal frac` json output."""
+    p = tmp_path / "g.g6"
+    p.write_text(to_graph6(g) + "\n", encoding="ascii")
+    assert main(["frac", str(p)]) == 0
+    return [rec["total_after"] for rec in json.loads(capsys.readouterr().out)["iterations"]]
+
+
+def test_cycle5_trace(tmp_path, capsys):
     g = cycle(5)
     fc, trace = superlocal_fractional_colour(g)
     assert fc.total == F(5, 2)
@@ -69,10 +80,10 @@ def test_cycle5_trace():
     assert rec.vertices == (0, 1, 2, 3, 4)
     assert rec.num_max_sets == 5
     assert rec.low == F(5, 2)
-    assert rec.total_after == F(5, 2)
+    assert printed_totals(g, tmp_path, capsys) == ["5/2"]
 
 
-def test_double_star_trace():
+def test_double_star_trace(tmp_path, capsys):
     g = double_star()
     fc, trace = superlocal_fractional_colour(g)
     assert gamma_ll_prime(g) == 3
@@ -81,12 +92,12 @@ def test_double_star_trace():
     # round 1: the four leaves form the unique maximum stable set
     assert first.num_max_sets == 1
     assert first.low == 1
-    assert first.total_after == 1
     # round 2: the two centres survive as singleton maximum stable sets
     assert second.vertices == (0, 1)
     assert second.num_max_sets == 2
     assert second.low == 2
-    assert second.total_after == 3
+    # the printed running total is the sum of each round's low
+    assert printed_totals(g, tmp_path, capsys) == ["1/1", "3/1"]
 
 
 def test_petersen_stops_below_bound():

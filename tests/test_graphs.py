@@ -110,6 +110,10 @@ class TestSimpleGraph:
         assert g.degree(1) == 2
         assert g.has_edge(2, 1)
         assert not g.has_edge(0, 2)
+        for u, v in ((0, 4), (-1, 0)):
+            with pytest.raises(DomainError, match=rf"^vertex pair \({u},{v}\) out of range$"):
+                g.has_edge(u, v)
+        assert repr(g) == "SimpleGraph(n=4, m=3)"
 
     def test_immutable(self):
         g = path(3)
@@ -307,6 +311,10 @@ class TestGraph6:
         with pytest.raises(GraphFormatError, match=f"invalid graph6 byte {value} at offset {off}$"):
             parse_graph6(text)
 
+    def test_encoding_refused_above_the_vertex_limit(self):
+        with pytest.raises(SizeLimitError, match=r"^graph6 encoding for n=258048 not supported"):
+            to_graph6(SimpleGraph(GRAPH6_VERTEX_LIMIT + 1))
+
     def test_networkx_accepts_our_encodings(self):
         for g in (petersen(), complete(7), SimpleGraph(2)):
             nx.from_graph6_bytes(to_graph6(g).encode())
@@ -327,6 +335,20 @@ class TestMultigraph:
     def test_rejects_loops(self):
         with pytest.raises(DomainError):
             Multigraph(2, [(1, 1)])
+
+    def test_refusals_out_of_range(self):
+        with pytest.raises(DomainError, match="^vertex count must be nonnegative$"):
+            Multigraph(-1)
+        with pytest.raises(DomainError, match=r"^edge \(0,2\) out of range for n=2$"):
+            Multigraph(2, [(0, 1), (0, 2)])
+        mg = Multigraph(2, [(0, 1)])
+        with pytest.raises(DomainError, match="^edge id 1 out of range$"):
+            mg.endpoints(1)
+        with pytest.raises(DomainError, match="^vertex 2 out of range$"):
+            mg.incident(2)
+        with pytest.raises(AttributeError, match="^Multigraph is immutable$"):
+            mg.n = 3
+        assert repr(mg) == "Multigraph(n=2, m=1)"
 
     def test_hash_ignores_listing_order(self):
         a = Multigraph(3, [(0, 1), (1, 2), (0, 1)])

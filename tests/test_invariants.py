@@ -21,9 +21,9 @@ from superlocal import (
     gamma_ll_prime,
     graph_bounds,
     induced_subgraph,
+    local_sums,
     parse_graph6,
     subgraph_neighbourhood_bound,
-    vertex_bounds,
 )
 from superlocal import invariants
 from bruteforce import (
@@ -149,9 +149,9 @@ class TestCliqueNumbers:
 class TestLocalBounds:
     def test_dual_routes_agree(self, classes6):
         for g in classes6:
-            glp = vertex_bounds(g).gamma_l_prime
+            h = local_sums(g)
             for v in range(g.n):
-                assert glp[v] == bf_gamma_l_prime_induced(g, v)
+                assert Fraction(h[v], 2) == bf_gamma_l_prime_induced(g, v)
 
     def test_gamma_ll_prime_matches_bruteforce(self, classes6):
         for g in classes6:
@@ -159,26 +159,26 @@ class TestLocalBounds:
 
     def test_cycle5_values(self):
         g = cycle(5)
-        assert vertex_bounds(g).gamma_l_prime == (Fraction(5, 2),) * 5
+        assert local_sums(g) == [5] * 5
         assert gamma_ll_prime(g) == Fraction(5, 2)
         assert gamma_ll(g) == 3
 
     def test_complete_graph_values(self):
         for n in (2, 4, 6):
             g = complete(n)
-            assert vertex_bounds(g).gamma_l_prime[0] == n
+            assert local_sums(g)[0] == 2 * n
             assert gamma_ll_prime(g) == n
             assert gamma_ll(g) == n
 
     def test_path3_values(self):
         g = path(3)
-        assert vertex_bounds(g).gamma_l_prime == (2, Fraction(5, 2), 2)
+        assert local_sums(g) == [4, 5, 4]
         assert gamma_ll_prime(g) == Fraction(9, 4)
         assert gamma_ll(g) == 3
 
     def test_petersen_transitive(self):
         g = petersen()
-        assert set(vertex_bounds(g).gamma_l_prime) == {3}
+        assert set(local_sums(g)) == {6}
         assert gamma_ll_prime(g) == 3
 
     def test_edgeless_conventions(self):
@@ -198,10 +198,9 @@ class TestLocalBounds:
 
     def test_vertex_bounds_arrays(self):
         g = double_star()
-        vb = vertex_bounds(g)
-        assert vb.degree == (3, 3, 1, 1, 1, 1)
-        assert vb.omega == (2, 2, 2, 2, 2, 2)
-        assert vb.gamma_l_prime == (3, 3, 2, 2, 2, 2)
+        assert [g.degree(v) for v in range(g.n)] == [3, 3, 1, 1, 1, 1]
+        assert g.omegas() == (2, 2, 2, 2, 2, 2)
+        assert local_sums(g) == [6, 6, 4, 4, 4, 4]
 
 
 class TestMultigraphBound:

@@ -21,7 +21,7 @@ from superlocal.harness import (
     MultigraphReport,
     SearchSummary,
 )
-from superlocal.invariants import GraphBounds, VertexBounds
+from superlocal.invariants import GraphBounds
 from superlocal.oracles import FractionalChromaticSolution, VertexColouring
 from superlocal.stable_sets import StableSetFamily
 
@@ -38,7 +38,6 @@ RECORDS = (
     MultigraphReport,
     Finding,
     SearchSummary,
-    VertexBounds,
     GraphBounds,
     VertexColouring,
     FractionalChromaticSolution,
