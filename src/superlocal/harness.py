@@ -27,6 +27,7 @@ from .graphs import (
     format_multigraph,
     induced_subgraph,
     line_graph,
+    parse_graph6,
     to_graph6,
 )
 from .invariants import (
@@ -322,13 +323,14 @@ def check_multigraph(mg, flags=None):
 
 
 def enumerate_graph_classes(n, connected_only=False):
-    """One representative per isomorphism class, minimum edge-mask canonical."""
+    """One representative per isomorphism class, minimum edge-mask canonical,
+    each parsed from its line of the class table."""
     if n < 1:
         raise DomainError("enumeration needs at least one vertex")
     check_vertex_limit("enumeration", n, ENUMERATION_N_LIMIT)
     out = []
-    for adj in _kernels.orbit_representatives(n):
-        g = SimpleGraph.from_masks(adj)
+    for line in _kernels.orbit_representatives(n):
+        g = parse_graph6(line)
         if connected_only and not g.is_connected():
             continue
         out.append(g)

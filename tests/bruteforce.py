@@ -503,7 +503,8 @@ def bf_complement(g):
 
 def bf_edge_mask(g):
     """The edge set as an integer: bit k is the pair of lexicographic rank k,
-    the bit order of _kernels.orbit_representatives, ranked by itertools."""
+    the bit order of orderly.py's least masks, by which the class table
+    sorts each n; ranked by itertools."""
     pairs = itertools.combinations(range(g.n), 2)
     return sum(1 << k for k, (u, v) in enumerate(pairs) if g.has_edge(u, v))
 

@@ -1,5 +1,8 @@
 import functools
 import itertools
+import signal
+import threading
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -21,6 +24,34 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
+
+# no test may run longer than this; the slowest takes about 2.4 s
+TEST_TIME_LIMIT_S = 60
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Fail a test that runs past TEST_TIME_LIMIT_S, naming it, rather
+    than let it hang the suite. SIGALRM reaches only the main thread."""
+    if threading.current_thread() is not threading.main_thread():
+        return (yield)
+    limit = TEST_TIME_LIMIT_S
+
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran past the {limit} s test time limit", pytrace=False)
+
+    handler = signal.signal(signal.SIGALRM, expire)
+    delay, interval = signal.setitimer(signal.ITIMER_REAL, limit)
+    start = time.monotonic()
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+        if delay:
+            left = delay - (time.monotonic() - start)
+            signal.setitimer(signal.ITIMER_REAL, max(left, 1e-6), interval)
+
 
 # the seed of the acceptance gate's corpora (test_acceptance.py), whose
 # 500 multigraphs other tests check too

@@ -32,7 +32,7 @@ from superlocal import (
     to_graph6,
     write_reports,
 )
-from superlocal import _kernels, cli, harness
+from superlocal import cli, harness
 from superlocal.harness import MULTI_CLAIMS, SIMPLE_CLAIMS, _colourable_backtrack
 from bruteforce import (
     bf_chi_prime,
@@ -52,6 +52,7 @@ from conftest import (
     path,
     petersen,
 )
+import orderly
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -159,7 +160,7 @@ class TestEnumeration:
             m = n - 1
             maps = bf_perm_edge_maps(n)
             for parent in enumerate_graph_classes(m):
-                kept = set(_kernels._candidate_neighbourhoods(list(parent.adj)))
+                kept = set(orderly._candidate_neighbourhoods(list(parent.adj)))
                 for s in set(range(1 << m)) - kept:
                     candidate = (bf_edge_mask(parent) << m) | s
                     assert bf_orbit_minimum(candidate, maps) < candidate
@@ -169,9 +170,9 @@ class TestEnumeration:
     def test_each_rejection_fires_alone(self):
         # two isolated vertices: alpha = m turns the stable-set rule off, and
         # the twins drop s = {1}, which swaps down to {0}
-        assert _kernels._candidate_neighbourhoods([0, 0]) == [0, 1, 3]
+        assert orderly._candidate_neighbourhoods([0, 0]) == [0, 1, 3]
         # an edge: s = {0} has no twin fault but misses the stable set {1}
-        assert _kernels._candidate_neighbourhoods([0b10, 0b01]) == [3]
+        assert orderly._candidate_neighbourhoods([0b10, 0b01]) == [3]
 
     def test_representatives_are_orbit_minima(self):
         for n in (3, 4, 5, 6):
