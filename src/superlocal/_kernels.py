@@ -1,9 +1,9 @@
 """Hot integer kernels over bitmasks and plain lists, in pure Python.
 
-The maximum-matching subset DP, and the reader of the committed table
-of isomorphism classes. Exact rational code elsewhere never goes
-through here. Callers reach them as ``_kernels.<name>`` so that a
-tracer can wrap these bindings.
+The memoised maximum-matching recursion, and the reader of the
+committed table of isomorphism classes. Exact rational code elsewhere
+never goes through here. Callers reach them as ``_kernels.<name>`` so
+that a tracer can wrap these bindings.
 """
 
 from __future__ import annotations
@@ -12,23 +12,43 @@ from __future__ import annotations
 ACTIVE = "pure"
 
 
-def matching_dp(adj, dp):
-    """Fill dp[mask] with the maximum matching size inside mask; adj holds bitmasks."""
-    dp[0] = 0
-    for mask in range(1, len(dp)):
-        b = mask & -mask
-        rest = mask ^ b
-        best = dp[rest]
-        m = adj[b.bit_length() - 1] & rest
-        # dp[rest ^ u] <= dp[rest], so one neighbour u with equality
-        # already gives the maximum, dp[rest] + 1
-        while m:
-            ub = m & -m
-            if dp[rest ^ ub] == best:
-                best += 1
-                break
-            m ^= ub
-        dp[mask] = best
+def matching_dp(adj, mask):
+    """A maximum matching inside mask as pairs (v, u), v < u, v ascending.
+
+    With v the lowest vertex of mask and rest = mask - v, nu(mask) =
+    nu(rest) unless a neighbour u of v in rest has nu(rest - u) =
+    nu(rest); then the first such u is paired with v and nu(mask) =
+    nu(rest) + 1. Memoised on the masks it reaches. At each of them all
+    vertices below the lowest one left, L of them, are gone, and at most
+    L of those above it: each of the at most L steps so far took out the
+    lowest vertex and at most one other. Summed over L, with the empty
+    mask, such masks number F(n + 2) (17,711 at n = 20), against 2^n
+    for a full table.
+    """
+    memo = {0: ()}
+
+    def rec(mask):
+        pairs = memo.get(mask)
+        if pairs is None:
+            b = mask & -mask
+            rest = mask ^ b
+            pairs = rec(rest)
+            m = adj[b.bit_length() - 1] & rest
+            # nu(rest - u) <= nu(rest), so one neighbour u with equality
+            # already gives the maximum, nu(rest) + 1
+            while m:
+                ub = m & -m
+                sub = rec(rest ^ ub)
+                if len(sub) == len(pairs):
+                    pairs = ((b.bit_length() - 1, ub.bit_length() - 1),) + sub
+                    break
+                m ^= ub
+            memo[mask] = pairs
+        return pairs
+
+    pairs = rec(mask)
+    del rec  # rec refers to itself; this frees the memo without waiting for gc
+    return pairs
 
 
 def orbit_representatives(n):

@@ -245,12 +245,11 @@ def fractional_chromatic_solution(g):
 def chi_via_complement_matching(g):
     """chi = n - nu(complement) for graphs with stability number <= 2.
 
-    Colour classes are the matched complement pairs plus singletons.
+    Colour classes are the matched complement pairs plus singletons,
+    numbered by their lowest vertex.
     """
     n = g.n
     check_vertex_limit("matching oracle", n, MATCHING_VERTEX_LIMIT)
-    if n == 0:
-        return 0, VertexColouring((), 0)
     adj = g.complement_masks()
     # alpha >= 3 exactly when three vertices are pairwise non-adjacent,
     # a triangle v < u < w of the complement
@@ -267,40 +266,20 @@ def chi_via_complement_matching(g):
                     f"stability number exceeds 2: vertices {v}, {u} and {w} "
                     "are pairwise non-adjacent"
                 )
-    # every entry is at most n/2, so one byte holds it
-    dp = bytearray(1 << n)
-    _kernels.matching_dp(adj, dp)
-    full = (1 << n) - 1
-    nu = dp[full]
-
+    pairs = _kernels.matching_dp(adj, (1 << n) - 1)
+    # a pair's upper end takes the colour of its lower end, met first
+    partner = {u: v for v, u in pairs}
     colours = [-1] * n
-    nxt = 0
-    mask = full
-    while mask:
-        b = mask & -mask
-        v = b.bit_length() - 1
-        if dp[mask] == dp[mask ^ b]:
-            colours[v] = nxt
-            nxt += 1
-            mask ^= b
-            continue
-        m = adj[v] & mask
-        paired = False
-        while m:
-            ub = m & -m
-            u = ub.bit_length() - 1
-            if dp[mask] == dp[mask ^ b ^ ub] + 1:
-                colours[v] = colours[u] = nxt
-                nxt += 1
-                mask ^= b | ub
-                paired = True
-                break
-            m ^= ub
-        if not paired:
-            raise InternalBugError("matching DP table is inconsistent")
-    if nxt != n - nu:
-        raise InternalBugError("matching reconstruction lost pairs")
-    vc = VertexColouring(tuple(colours), nxt)
+    k = 0
+    for w in range(n):
+        if w in partner:
+            colours[w] = colours[partner[w]]
+        else:
+            colours[w] = k
+            k += 1
+    if k != n - len(pairs):
+        raise InternalBugError("complement matching pairs overlap")
+    vc = VertexColouring(tuple(colours), k)
     if not verify_vertex_colouring(g, vc):
         raise InternalBugError("complement matching produced an improper colouring")
-    return nxt, vc
+    return k, vc

@@ -15,6 +15,7 @@ from superlocal import (
     SizeLimitError,
     clique_average_bound,
     clique_number,
+    enumerate_graph_classes,
     gamma_bar_ll,
     gamma_bar_ll_via_line_graph,
     gamma_ll,
@@ -433,6 +434,22 @@ class TestAverageBounds:
         monkeypatch.setattr(invariants, "clique_table", counted)
         assert subgraph_neighbourhood_bound(g) == value
         assert len(calls) == tables
+
+    def test_subgraph_bound_tables_pinned_on_connected7(self, monkeypatch):
+        # an upper bound: a stronger prune passes, a weaker one fails
+        real = invariants.clique_table
+        calls = []
+
+        def counted(adj):
+            calls.append(adj)
+            return real(adj)
+
+        monkeypatch.setattr(invariants, "clique_table", counted)
+        graphs = enumerate_graph_classes(7, connected_only=True)
+        assert len(graphs) == 853
+        for g in graphs:
+            subgraph_neighbourhood_bound(g)
+        assert len(calls) <= 86
 
     def test_subgraph_bound_limit(self, monkeypatch):
         with pytest.raises(SizeLimitError):

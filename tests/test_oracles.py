@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import random
 import re
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,8 +18,10 @@ from superlocal import (
     chi_via_complement_matching,
     chromatic_number,
     clique_number,
+    enumerate_graph_classes,
     fractional_chromatic_solution,
     parse_graph6,
+    random_corpus,
     stability_number,
     verify_vertex_colouring,
 )
@@ -32,6 +36,7 @@ from bruteforce import (
 from conftest import (
     GRAPH22_GRAPH6,
     SPARSE_CHECK_GRAPH6,
+    all_graphs_upto,
     complete,
     cycle,
     path,
@@ -459,15 +464,91 @@ class TestComplementMatching:
         with pytest.raises(SizeLimitError):
             chi_via_complement_matching(SimpleGraph(21))
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [(((0, 2), (1, 2)), "pairs overlap"), (((0, 1),), "improper colouring")],
+        ids=["overlap", "graph-edge"],
+    )
+    def test_corrupted_matching_raises(self, monkeypatch, pairs, message):
+        # the 4-cycle 0-1-2-3 has complement edges (0, 2) and (1, 3)
+        monkeypatch.setattr(_kernels, "matching_dp", lambda adj, mask: pairs)
+        with pytest.raises(InternalBugError, match=message):
+            chi_via_complement_matching(cycle(4))
+
+    def test_results_pinned(self):
+        # sha256 of repr of the (k, colouring) results on every class with
+        # alpha <= 2 and 1-8 vertices, then on three seeded corpora; as
+        # written while the matching came from a 2^n table and its walk
+        corpus = [
+            g for n in range(1, 9) for g in enumerate_graph_classes(n) if stability_number(g) <= 2
+        ]
+        for n in (14, 18, 20):
+            corpus += random_corpus("co_triangle_free", 3, 40, n=n)
+        results = [chi_via_complement_matching(g) for g in corpus]
+        assert len(results) == 702
+        digest = hashlib.sha256(repr(results).encode("ascii")).hexdigest()
+        assert digest == "69d5e9b5767b06b7b186f59ed8e9d582fb40e4e62f1b189d277813c577a8190f"
+
+
+class TestBranchAndBoundWork:
+    """Upper bounds on chi's branch-and-bound nodes, counted as calls
+    through oracles._dsatur_pick: a stronger prune passes, a weaker one
+    fails."""
+
+    @pytest.fixture
+    def nodes(self, monkeypatch):
+        real = oracles._dsatur_pick
+        calls = []
+
+        def counted(colours, sat, deg):
+            calls.append(None)
+            return real(colours, sat, deg)
+
+        monkeypatch.setattr(oracles, "_dsatur_pick", counted)
+        return calls
+
+    def test_one_graph(self, nodes):
+        chromatic_number(parse_graph6("GRUm^_"))
+        assert len(nodes) <= 13
+
+    def test_connected8(self, nodes):
+        for g in enumerate_graph_classes(8, connected_only=True):
+            chromatic_number(g)
+        assert len(nodes) <= 3955
+
 
 class TestMatchingKernel:
+    @staticmethod
+    def assert_matching(adj, pairs):
+        """pairs are disjoint edges (v, u) of adj, v < u, in ascending v."""
+        ends = [w for pair in pairs for w in pair]
+        assert len(set(ends)) == len(ends)
+        assert all(v < u and adj[v] >> u & 1 for v, u in pairs)
+        assert [v for v, _ in pairs] == sorted(v for v, _ in pairs)
+
     def test_matches_recursive_bruteforce(self, classes6):
         for g in classes6:
-            if g.n == 0:
-                continue
-            dp = bytearray(1 << g.n)
-            _kernels.matching_dp(g.adj, dp)
-            assert dp[(1 << g.n) - 1] == bf_matching_number(g)
+            pairs = _kernels.matching_dp(g.adj, (1 << g.n) - 1)
+            self.assert_matching(g.adj, pairs)
+            assert len(pairs) == bf_matching_number(g)
+
+    def test_complements_match_networkx(self):
+        # networkx shares no code with the package
+        corpus = all_graphs_upto(7)
+        for n in (14, 18, 20):
+            corpus += random_corpus("co_triangle_free", 3, 40, n=n)
+        corpus += random_corpus("simple", 3, 40, n=20)
+        assert len(corpus) == 1412
+        for g in corpus:
+            adj = g.complement_masks()
+            pairs = _kernels.matching_dp(adj, (1 << g.n) - 1)
+            self.assert_matching(adj, pairs)
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(
+                (v, u) for v in range(g.n) for u in graphs.mask_members(adj[v]) if v < u
+            )
+            assert len(pairs) == len(nx.max_weight_matching(h, maxcardinality=True))
 
 
 def interval_graphs():
