@@ -63,24 +63,6 @@ def maximum_cliques(adj, mask, ties=False):
         r, size, p = stack.pop()
 
 
-def clique_table(adj):
-    """clq[s], the clique number of every vertex set s of the graph with
-    adjacency masks adj, as a list of 2^len(adj) ints.
-
-    One pass in increasing order: with v the lowest vertex of s and
-    rest = s - v, a largest clique of s either avoids v or is v plus a
-    clique inside N(v), so clq[s] = max(clq[rest], 1 + clq[rest & N(v)]).
-    """
-    clq = [0] * (1 << len(adj))
-    for s in range(1, len(clq)):
-        low = s & -s
-        rest = s ^ low
-        a = clq[rest]
-        b = 1 + clq[rest & adj[low.bit_length() - 1]]
-        clq[s] = a if a >= b else b
-    return clq
-
-
 def _dsatur_pick(colours, sat, deg):
     """The uncoloured vertex of most colours seen, then highest degree,
     then lowest index; sat[v] is the mask of the colours on v's

@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DomainError, check_vertex_limit
-from .graphs import clique_table, line_graph
+from .graphs import line_graph, maximum_cliques
 from .stable_sets import _bron_kerbosch
 
 SUBGRAPH_SCAN_LIMIT = 12
@@ -172,10 +172,10 @@ def subgraph_neighbourhood_bound(g):
 
     The max is over every induced subgraph H = G[mask] and every vertex
     v of H of the average of gamma_l_prime, computed in H, over the
-    closed neighbourhood of v in H. Once some centre survives the
-    prune below, it reads clq = clique_table(g.adj), the clique number
-    of each of the 2^n vertex sets, so it refuses above
-    SUBGRAPH_SCAN_LIMIT vertices.
+    closed neighbourhood of v in H. Each clique number the walk below
+    needs, clq(s) = omega(G[s]), is searched by maximum_cliques at most
+    once per call and kept in a dict; the walk is 2^d(v) subsets per
+    centre, so the scan refuses above SUBGRAPH_SCAN_LIMIT vertices.
 
     Lemma: only the subgraphs that delete part of one neighbourhood
     need a visit. In H, twice gamma_l_prime(u) is the integer
@@ -185,26 +185,29 @@ def subgraph_neighbourhood_bound(g):
     fixed set {v} | T, so the best such mask takes all of S: it is
     full ^ (N(v) ^ T), that is G - (N(v) - T). The scan therefore runs
     T over the subsets of N(v), by t = (t - 1) & N(v) down to 0. The
-    centre has h = |T| + 2 + clq[T]; each u in T has
-    h = |N(u) & mask| + 2 + clq[N(u) & mask].
+    centre has h = |T| + 2 + clq(T); each u in T has
+    h = |N(u) & mask| + 2 + clq(N(u) & mask).
 
     Prune: the scan starts from the best T = N(v), H = G, over every v,
     which reads only h_G = local_sums(g). Deleting vertices lowers no
     h, so each u in T has h_H(u) <= h_G(u), and with |T| = k the sum
     over T is at most the sum of the k largest h_G over N(v). The centre
-    has h_H(v) = k + 2 + clq[T] <= k + 1 + min(omega(v), k + 1), since
-    clq[T] <= min(omega(v) - 1, k): each deleted neighbour costs the
+    has h_H(v) = k + 2 + clq(T) <= k + 1 + min(omega(v), k + 1), since
+    clq(T) <= min(omega(v) - 1, k): each deleted neighbour costs the
     centre at least 1. So every T of size k averages at most
     (k + 1 + min(omega(v), k + 1) + top_k) / (k + 1). At k = d(v) this
-    is the start value at v, so a centre whose bound beats the best so
-    far at no k < d(v) has no better subgraph and is skipped; the table
-    is built only when a centre survives.
+    is the start value at v, so bit k of the mask ok records, for each
+    k < d(v), whether that bound beats the best from before the walk; a
+    centre with ok = 0 is skipped, and the walk skips every T whose bit
+    |T| is clear before reading a clique number. The best only grows,
+    so the stale ok admits extra T but never rejects one that could win.
 
     Cost: O(d(v) log d(v)) per centre for the prune; each surviving
-    centre visits 2^d(v) subgraphs, at most d(v) + 1 table reads each,
-    and the first one builds the 2^n clq table. The best average is
-    kept as an integer pair compared by cross products, and the one
-    Fraction is built at the end.
+    centre visits the 2^d(v) - 1 proper subsets of N(v), and each one
+    of an admitted size reads at most d(v) + 1 clique numbers, every
+    distinct set searched once. The best average is kept as an integer
+    pair compared by cross products, and the one Fraction is built at
+    the end.
     """
     check_vertex_limit("subgraph scan", g.n, SUBGRAPH_SCAN_LIMIT)
     if g.n == 0:
@@ -223,36 +226,41 @@ def subgraph_neighbourhood_bound(g):
         num, den = h[v] + sum(top), len(top) + 1
         if num * best_den > best_num * den:
             best_num, best_den = num, den
-    clq = None
+    memo = {}
+
+    def clq(s):
+        w = memo.get(s)
+        if w is None:
+            w = memo[s] = maximum_cliques(adj, s)[0]
+        return w
+
     for v, top in enumerate(tops):
         cap = om[v]
+        ok = 0  # the sizes k whose bound beats best, as bits
         s = 0  # the sum of the k largest h over N(v)
         for k, hu in enumerate(top):
             # the prune's bound for |T| = k, over k + 1 = c vertices
             c = k + 1
             if (c + (c if c < cap else cap) + s) * best_den > best_num * c:
-                break
+                ok |= 1 << k
             s += hu
-        else:
+        if not ok:
             continue  # no T smaller than N(v) can beat best
-        if clq is None:
-            clq = clique_table(adj)
         nbrs = adj[v]
-        t = nbrs
-        while True:
+        t = nbrs  # the start pass has counted T = N(v)
+        while t:
+            t = (t - 1) & nbrs
+            c = t.bit_count() + 1  # the average is over {v} | T
+            if not ok >> (c - 1) & 1:
+                continue
             mask = full ^ nbrs ^ t
-            num = t.bit_count() + 2 + clq[t]
-            den = 1
+            num = c + 1 + clq(t)
             m = t
             while m:
                 b = m & -m
                 nu = adj[b.bit_length() - 1] & mask
-                num += nu.bit_count() + 2 + clq[nu]
-                den += 1
+                num += nu.bit_count() + 2 + clq(nu)
                 m ^= b
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-            if not t:
-                break
-            t = (t - 1) & nbrs
+            if num * best_den > best_num * c:
+                best_num, best_den = num, c
     return Fraction(best_num, 2 * best_den)

@@ -7,18 +7,14 @@ fractional construction's trace classes count as containers). The
 fractional colouring references keep weights as frozensets of vertex
 ids with Fraction values, so tests convert the package's bitmasks and
 integer numerators to that form before comparing. There are
-four exceptions: bf_neighbourhood_average, which reads omega from the
+three exceptions: bf_neighbourhood_average, which reads omega from the
 graph's own omegas() so that the question-scan lemma tests reach 12
 vertices (omegas() itself is checked against bf_omega_v);
-bf_question_by_deletions, the package's question scan without its
-prune, reading the package's clique_table (checked against
-bf_subgraph_neighbourhood_bound) so that the prune is checked on
-graphs with up to 12 vertices; bf_solve_simplex, a full Fraction
-tableau that must make the same Bland pivots as the package's integer
-simplex; and bf_chi_prime_cut, a backtracking pruned by colour
-symmetry so that chi' is checked on every corpus multigraph with up to
-12 edges and on the Petersen graph (it is checked against
-bf_chi_prime).
+bf_solve_simplex, a full Fraction tableau that must make the same
+Bland pivots as the package's integer simplex; and bf_chi_prime_cut,
+a backtracking pruned by colour symmetry so that chi' is checked on
+every corpus multigraph with up to 12 edges and on the Petersen graph
+(it is checked against bf_chi_prime).
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from superlocal import (
     SimpleGraph,
     induced_subgraph,
 )
-from superlocal.graphs import clique_table
 
 
 def _members(mask, n):
@@ -176,6 +171,24 @@ def bf_subgraph_neighbourhood_bound(g):
             closed = (v,) + h.neighbours(v)
             best = max(best, sum(glp[u] for u in closed) / len(closed))
     return best
+
+
+def clique_table(adj):
+    """clq[s], the clique number of every vertex set s of the graph with
+    adjacency masks adj, as a list of 2^len(adj) ints.
+
+    One pass in increasing order: with v the lowest vertex of s and
+    rest = s - v, a largest clique of s either avoids v or is v plus a
+    clique inside N(v), so clq[s] = max(clq[rest], 1 + clq[rest & N(v)]).
+    """
+    clq = [0] * (1 << len(adj))
+    for s in range(1, len(clq)):
+        low = s & -s
+        rest = s ^ low
+        a = clq[rest]
+        b = 1 + clq[rest & adj[low.bit_length() - 1]]
+        clq[s] = a if a >= b else b
+    return clq
 
 
 def bf_question_by_deletions(g):

@@ -13,8 +13,8 @@ vertices (harness.ENUMERATION_N_LIMIT), n ascending, about a second.
 
 from pathlib import Path
 
+from bruteforce import clique_table
 from superlocal import SimpleGraph, harness, to_graph6
-from superlocal.graphs import clique_table
 
 TABLE = Path(__file__).resolve().parents[1] / "src" / "superlocal" / "classes.g6"
 

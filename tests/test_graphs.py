@@ -32,6 +32,7 @@ from bruteforce import (
     bf_omega_v,
     bf_stability_number,
     bf_t_value,
+    clique_table,
 )
 from conftest import ACCEPTANCE_SEED, all_graphs_upto, complete, cycle, path, petersen
 
@@ -185,8 +186,8 @@ class TestCliqueTable:
         # on the adjacency masks the table holds omega(G[s]), on the
         # complement masks alpha(G[s])
         for g in classes6:
-            clq = graphs.clique_table(g.adj)
-            stab = graphs.clique_table(g.complement_masks())
+            clq = clique_table(g.adj)
+            stab = clique_table(g.complement_masks())
             assert len(clq) == len(stab) == 1 << g.n
             for s in range(1 << g.n):
                 h, _ = induced_subgraph(g, graphs.mask_members(s))

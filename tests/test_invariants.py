@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -24,6 +25,7 @@ from superlocal import (
     induced_subgraph,
     local_sums,
     parse_graph6,
+    random_corpus,
     subgraph_neighbourhood_bound,
 )
 from superlocal import invariants
@@ -409,47 +411,58 @@ class TestAverageBounds:
     def test_pruned_scan_matches_unpruned_random(self, g):
         assert subgraph_neighbourhood_bound(g) == bf_question_by_deletions(g)
 
+    def test_subgraph_bound_values_pinned(self):
+        # sha256 of repr of the values on every class with 8 vertices, then
+        # on three seeded 12-vertex corpora; as written while the scan read
+        # its clique numbers from a 2^n table
+        corpus = list(enumerate_graph_classes(8))
+        for kind in ("simple", "co_triangle_free", "circular_interval"):
+            corpus += random_corpus(kind, 3, 40, n=12)
+        values = [subgraph_neighbourhood_bound(g) for g in corpus]
+        assert len(values) == 12466
+        digest = hashlib.sha256(repr(values).encode("ascii")).hexdigest()
+        assert digest == "c38ca0a033e22620190fda1b33eb1100fca481d0fb54094e67b793f64b79298d"
+
+    @pytest.fixture
+    def clique_reads(self, monkeypatch):
+        # the scan's clique-number reads, each a call through
+        # invariants.maximum_cliques; the omega searches of g.omegas()
+        # call graphs.maximum_cliques and are not counted
+        real = invariants.maximum_cliques
+        calls = []
+
+        def counted(adj, mask, ties=False):
+            calls.append(mask)
+            return real(adj, mask, ties)
+
+        monkeypatch.setattr(invariants, "maximum_cliques", counted)
+        return calls
+
     @pytest.mark.parametrize(
-        "g, tables, value",
+        "g, reads, value",
         [
             (petersen(), 0, Fraction(3)),
             (complete(7), 0, Fraction(7)),
             (cycle(5), 0, Fraction(5, 2)),
             # 8/3 from a neighbourhood deletion beats every whole-graph
             # average (the best is 21/8), so a centre survives the prune
-            (parse_graph6("FhQC?"), 1, Fraction(8, 3)),
+            (parse_graph6("FhQC?"), 6, Fraction(8, 3)),
         ],
         ids=["petersen", "k7", "c5", "FhQC?"],
     )
     def test_subgraph_bound_table_only_for_surviving_centres(
-        self, monkeypatch, g, tables, value
+        self, clique_reads, g, reads, value
     ):
-        real = invariants.clique_table
-        calls = []
-
-        def counted(adj):
-            calls.append(adj)
-            return real(adj)
-
-        monkeypatch.setattr(invariants, "clique_table", counted)
         assert subgraph_neighbourhood_bound(g) == value
-        assert len(calls) == tables
+        assert len(clique_reads) == reads
 
-    def test_subgraph_bound_tables_pinned_on_connected7(self, monkeypatch):
+    def test_subgraph_bound_tables_pinned_on_connected7(self, clique_reads):
         # an upper bound: a stronger prune passes, a weaker one fails
-        real = invariants.clique_table
-        calls = []
-
-        def counted(adj):
-            calls.append(adj)
-            return real(adj)
-
-        monkeypatch.setattr(invariants, "clique_table", counted)
         graphs = enumerate_graph_classes(7, connected_only=True)
         assert len(graphs) == 853
         for g in graphs:
             subgraph_neighbourhood_bound(g)
-        assert len(calls) <= 86
+        assert len(clique_reads) <= 1566
 
     def test_subgraph_bound_limit(self, monkeypatch):
         with pytest.raises(SizeLimitError):
