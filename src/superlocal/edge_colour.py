@@ -88,19 +88,23 @@ class PartialEdgeColouring:
             raise DomainError(f"colour {colour} outside 1..{self.k}")
         if eid in self._col:
             raise DomainError(f"edge {eid} already coloured")
-        if colour in self._at[u] or colour in self._at[v]:
+        at_u, at_v = self._at[u], self._at[v]
+        if colour in at_u or colour in at_v:
             raise DomainError(f"colour {colour} already present at an endpoint of edge {eid}")
+        present, count = self._present, self._count
+        if present[u] >> colour & 1 or present[v] >> colour & 1:
+            w = u if present[u] >> colour & 1 else v
+            raise InternalBugError(f"colour {colour} in the mask at vertex {w} but not in its index")
         self._col[eid] = colour
-        for w in (u, v):
-            present = self._present[w]
-            if present >> colour & 1:
-                raise InternalBugError(
-                    f"colour {colour} in the mask at vertex {w} but not in its index"
-                )
-            self._present[w] = present | (1 << colour)
-            self._at[w][colour] = eid
-            self._count[w] += 1
-            self._check_count(w)
+        bit = 1 << colour
+        present[u] |= bit
+        present[v] |= bit
+        at_u[colour] = at_v[colour] = eid
+        count[u] += 1
+        count[v] += 1
+        if count[u] != len(at_u) or count[v] != len(at_v):
+            self._check_count(u)
+            self._check_count(v)
 
     def unassign(self, eid):
         u, v = self.mg.endpoints(eid)
@@ -310,26 +314,25 @@ def _resolve_hole(mg, cur, hole):
     Dispatch per state: direct colouring, fan rotation on a
     hinge/fan-vertex coincidence, alternating swap on a fan/fan
     coincidence, otherwise one fan-sequence transition. The step guard
-    turns any latent non-termination into a bug signal. Each case that
-    fires is counted in cur.stats.
+    counts only the last three and turns any latent non-termination into
+    a bug signal. Each case that fires is counted in cur.stats.
     """
     stats = cur.stats
-    budget = 4 * max(cur.k, 1) * mg.edge_count + 16
     steps = 0
     seq = None  # fan-sequence memory: alphas, previous hole, hinge for rebuild
     while True:
-        steps += 1
-        if steps > budget:
-            raise InternalBugError(
-                f"insertion exceeded {budget} steps at edge {hole}; "
-                f"stats={stats}, uncoloured={cur.uncoloured()}"
-            )
-        u, v = mg.endpoints(hole)
+        u, v = mg.edges[hole]  # the caller bounds the edge id
         colour = cur.least_common_missing(u, v)
         if colour is not None:
             _assign_or_bug(cur, hole, colour, "direct colouring collided")
             stats["direct"] += 1
             return
+        steps += 1
+        if steps > 4 * max(cur.k, 1) * mg.edge_count + 16:
+            raise InternalBugError(
+                f"insertion exceeded {steps - 1} steps at edge {hole}; "
+                f"stats={stats}, uncoloured={cur.uncoloured()}"
+            )
 
         hinge = seq["hinge"] if seq is not None else min(u, v)
         fan = build_maximal_fan(mg, cur, hole, hinge)

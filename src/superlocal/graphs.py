@@ -183,14 +183,23 @@ class SimpleGraph:
         if self._omega is None:
             by_closed = {}
             om = []
+            clique = 0  # omega_clique(): the first search to find a larger clique
             for v, a in enumerate(self.adj):
                 closed = a | 1 << v
                 w = by_closed.get(closed)
                 if w is None:
-                    w = by_closed[closed] = 1 + maximum_cliques(self.adj, a)[0]
+                    size, found = maximum_cliques(self.adj, a)
+                    w = by_closed[closed] = 1 + size
+                    if w > clique.bit_count():
+                        clique = 1 << v | found[0]
                 om.append(w)
-            object.__setattr__(self, "_omega", tuple(om))
-        return self._omega
+            object.__setattr__(self, "_omega", (tuple(om), clique))
+        return self._omega[0]
+
+    def omega_clique(self):
+        """The first v of largest omega(v) and N(v)'s first largest clique, a mask."""
+        self.omegas()
+        return self._omega[1]
 
     def greedy_colouring(self):
         """The DSATUR colouring (Brelaz 1979), a colour index per vertex."""

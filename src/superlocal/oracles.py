@@ -106,10 +106,7 @@ def _integral_solution(g, omega, colours):
     """chi_f = omega, certified by weight 1 on each of omega stable
     colour classes and on each vertex of an omega-clique, all over 1."""
     adj = g.adj
-    # v with omega(v) = omega and the first largest clique inside N(v)
-    # make an omega-clique
-    v = g.omegas().index(omega)
-    cmask = 1 << v | maximum_cliques(adj, adj[v])[1][0]
+    cmask = g.omega_clique()
     members = mask_members(cmask)
     if len(members) != omega or any(cmask & ~adj[u] != 1 << u for u in members):
         raise InternalBugError("clique witness is not a clique of omega vertices")

@@ -14,7 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superlocal
-from superlocal import Multigraph, cli, format_multigraph, parse_graph6, parse_multigraph, to_graph6
+from superlocal import (
+    Multigraph,
+    cli,
+    edge_colour,
+    format_multigraph,
+    parse_graph6,
+    parse_multigraph,
+    to_graph6,
+)
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
 from conftest import (
@@ -425,26 +433,53 @@ class TestEdgecolour:
         assert code == 0
         assert out.splitlines()[0] == "k 3"
 
+    @staticmethod
+    def large_multigraph(seed):
+        """60 vertices, pairs kept with probability 1/2 at multiplicity 1..3,
+        the first 1,708 edges; drawn again from the same stream while a
+        draw has fewer edges."""
+        rng = random.Random(seed)
+        edges = []
+        while len(edges) < 1708:
+            edges = []
+            for u in range(60):
+                for v in range(u + 1, 60):
+                    if rng.randrange(2):
+                        edges.extend([(u, v)] * rng.randint(1, 3))
+        return Multigraph(60, edges[:1708])
+
+    def stdout_digests(self, capsys, path):
+        digests = []
+        for fmt in ("plain", "json"):
+            code, out, _ = run(capsys, "edgecolour", str(path), "--format", fmt)
+            assert code == 0
+            digests.append(hashlib.sha256(out.encode("ascii")).hexdigest())
+        return digests
+
     def test_output_pinned(self, capsys, tmp_path):
         # sha256 of plain and json stdout on a seeded 60-vertex multigraph
         # with 1,708 edges, as written when the colour sets were Python sets
-        rng = random.Random(1)
-        edges = []
-        for u in range(60):
-            for v in range(u + 1, 60):
-                if rng.randrange(2):
-                    edges.extend([(u, v)] * rng.randint(1, 3))
         p = tmp_path / "large.mg"
-        p.write_text(format_multigraph(Multigraph(60, edges[:1708])), encoding="ascii")
-        digests = []
-        for fmt in ("plain", "json"):
-            code, out, _ = run(capsys, "edgecolour", str(p), "--format", fmt)
-            assert code == 0
-            digests.append(hashlib.sha256(out.encode("ascii")).hexdigest())
-        assert digests == [
+        p.write_text(format_multigraph(self.large_multigraph(1)), encoding="ascii")
+        assert self.stdout_digests(capsys, p) == [
             "b0e14509518f485609f0f67a2ca605a93b6e5cf3bc8f4c83f448139efd7ee8ed",
             "ecd491ebe3154be478eb448b3b62b6c8d1d717439ce4bd0a803374557ca96e2b",
         ]
+
+    def test_benchmark_input_pinned(self, capsys, tmp_path):
+        # the edgecolour-large benchmark's input at its default seed: the
+        # plain digest is its output_sha256, and every insertion is direct
+        mg = self.large_multigraph(20240815)
+        p = tmp_path / "large.mg"
+        p.write_text(format_multigraph(mg), encoding="ascii")
+        assert self.stdout_digests(capsys, p) == [
+            "ff0ef2267925efde169ab689d4776aea2ead68cc528ff3f0b1c78973d366b48e",
+            "b5f8754242f3328d33f5cd09e7bc82140484ceb688ce61b179fd9a666ec9cff7",
+        ]
+        _, colouring = edge_colour(mg)
+        assert colouring.stats == {
+            "direct": 1708, "rotation": 0, "kempe": 0, "sequence_steps": 0, "beta_swaps": 0
+        }
 
 
 class TestLinegraph:

@@ -375,6 +375,17 @@ class TestKempeSwap:
         with pytest.raises(DomainError):
             kempe_swap(c, 1, 2, 5)
 
+    def test_collision_on_reassignment_is_a_bug_signal(self):
+        # vertex 0's index and count gain colour 2 behind the mask's back;
+        # the walk reads the mask, so the swap runs and its reassignment
+        # of edge 0 to colour 2 meets the stale entry
+        mg = Multigraph(4, [(0, 1), (1, 2), (0, 3)])
+        c = coloured(mg, 3, {0: 1, 1: 2})
+        c._at[0][2] = 2
+        c._count[0] += 1
+        with pytest.raises(InternalBugError, match="alternating swap collided"):
+            kempe_swap(c, 1, 2, 0)
+
 
 class TestFanSequence:
     def test_crafted_all_disjoint_case(self):
@@ -560,6 +571,24 @@ class TestRareBranches:
         assert len(changed) > mg.edge_count  # the swap unassigned and reassigned
         assert k == gamma_bar_ll_via_line_graph(mg) == 4
         assert col.is_complete() and col.validate()
+
+    def test_step_guard(self, monkeypatch):
+        # with the swap a no-op, the Kempe case repeats until the guard
+        # ends the insertion: 4 * k * m + 16 = 128 steps at k = 4, m = 7
+        mg = Multigraph(5, [(1, 2), (2, 3), (1, 4), (3, 4), (0, 2), (0, 1), (0, 3)])
+        module = sys.modules[_resolve_hole.__module__]
+        monkeypatch.setattr(module, "kempe_swap", lambda c, a, b, start: None)
+        with pytest.raises(InternalBugError, match=r"insertion exceeded 128 steps at edge 6"):
+            edge_colour(mg)
+
+    def test_direct_collision_is_a_bug_signal(self, monkeypatch):
+        # a least common missing colour that is present at vertex 0
+        mg, c = triangle_state()
+        monkeypatch.setattr(PartialEdgeColouring, "least_common_missing", lambda self, u, v: 1)
+        with pytest.raises(InternalBugError, match="direct colouring collided") as caught:
+            _resolve_hole(mg, c, 1)
+        assert isinstance(caught.value.__cause__, DomainError)
+        assert c.assignment == {0: 1, 2: 2}
 
     def test_rotation_and_sequence_step(self, monkeypatch):
         calls = count_validations(monkeypatch)

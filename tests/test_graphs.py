@@ -28,6 +28,7 @@ from bruteforce import (
     bf_clique_number,
     bf_complement,
     bf_dsatur,
+    bf_is_clique,
     bf_line_graph,
     bf_omega_v,
     bf_stability_number,
@@ -132,6 +133,21 @@ class TestSimpleGraph:
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
         assert g.omegas() is om
+
+    def test_omega_clique_is_the_first_largest_search_witness(self, connected7):
+        # the first vertex v of largest omega(v), with the first largest
+        # clique inside N(v) as a separate search finds it
+        for g in connected7 + [SimpleGraph(0), SimpleGraph(3)]:
+            om = g.omegas()
+            expected = 0
+            if g.n:
+                v = om.index(max(om))
+                expected = 1 << v | graphs.maximum_cliques(g.adj, g.adj[v])[1][0]
+            assert g.omega_clique() == expected
+            assert bf_is_clique(g, graphs.mask_members(expected))
+            assert expected.bit_count() == max(om, default=0)
+        fresh = petersen()
+        assert fresh.omega_clique() == 0b11 and fresh.omegas() == (2,) * 10
 
     def test_connectivity(self):
         assert cycle(5).is_connected()

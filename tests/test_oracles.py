@@ -234,11 +234,12 @@ class TestFractionalChromatic:
     def test_witness_lists_one_clique(self, monkeypatch):
         # K_{2x12}: N(0) holds 2^11 largest cliques, one vertex of each
         # other pair, and the witness takes the first from a search that
-        # lists no other
+        # lists no other: the omega vector's search at vertex 0, one per
+        # closed neighbourhood, with no further search for the witness
         g = SimpleGraph(
             24, [(u, v) for u, v in itertools.combinations(range(24), 2) if u // 2 != v // 2]
         )
-        real = oracles.maximum_cliques
+        real = graphs.maximum_cliques
         calls = []
 
         def counted(adj, mask, ties=False):
@@ -246,9 +247,10 @@ class TestFractionalChromatic:
             calls.append((ties, len(cliques)))
             return size, cliques
 
+        monkeypatch.setattr(graphs, "maximum_cliques", counted)
         monkeypatch.setattr(oracles, "maximum_cliques", counted)
         sol = fractional_chromatic_solution(g)
-        assert calls == [(False, 1)]
+        assert calls == [(False, 1)] * 24
         assert (sol.value, sol.den, sol.dual) == (12, 1, (1, 0) * 12)
 
     def test_both_routes_match_the_reference_lp(self, classes6, monkeypatch):
@@ -292,8 +294,8 @@ class TestFractionalChromatic:
         [
             (graphs, "_dsatur_greedy", lambda adj, n: [0, 0, 1], "not a proper omega-colouring"),
             (graphs, "_dsatur_greedy", lambda adj, n: [0, 1, -1], "not a proper omega-colouring"),
-            (oracles, "maximum_cliques", lambda adj, mask: (1, [0b100]), "not a clique"),
-            (oracles, "maximum_cliques", lambda adj, mask: (0, [0]), "not a clique"),
+            (SimpleGraph, "omega_clique", lambda g: 0b101, "not a clique"),
+            (SimpleGraph, "omega_clique", lambda g: 0b1, "not a clique"),
         ],
         ids=["improper-colouring", "uncovered", "non-clique", "small-clique"],
     )
