@@ -8,6 +8,7 @@ rationals, byte-stable output for fixed inputs and seeds, exit codes
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -373,6 +374,8 @@ def cmd_gen(args):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+# built once per process; main looks each handler up by name when it runs
+@functools.cache
 def _parser():
     parser = argparse.ArgumentParser(
         prog="superlocal",
@@ -401,42 +404,36 @@ def _parser():
     p = sub.add_parser("bounds", help="invariants of one graph (graph6 or multigraph text)")
     p.add_argument("file", help="input path, '-' for stdin")
     add_common(p)
-    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("oracle", help="exact chi, chi_f, alpha")
     p.add_argument("file")
     add_common(p, limit_n=True)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("frac", help="run the constructive fractional colouring")
     p.add_argument("file")
     p.add_argument("--verify", action="store_true")
     add_common(p)
-    p.set_defaults(func=cmd_frac)
 
     p = sub.add_parser("edgecolour", help="edge-colour a multigraph at the nine-expression bound")
     p.add_argument("file")
     p.add_argument("--verify", action="store_true")
     add_common(p, fmt_default="plain")
-    p.set_defaults(func=cmd_edgecolour)
 
     p = sub.add_parser("linegraph", help="emit the line graph as graph6")
     p.add_argument("file")
     p.add_argument("--verify", action="store_true")
     add_common(p, fmt_default="plain")
-    p.set_defaults(func=cmd_linegraph)
 
     p = sub.add_parser("search", help="verify claims over an enumeration or corpus")
     add_source(p, "--all-classes", "include disconnected graphs in the enumeration")
     p.add_argument("--claims", default=None,
                    help="comma list; names or tokens like conj3, thm4")
     add_common(p, limit_n=True)
-    p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="emit an enumeration or seeded corpus")
     add_source(p, "--connected", "only connected graphs in the enumeration")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen, format="plain")
+    p.set_defaults(format="plain")
 
     return parser
 
@@ -447,9 +444,9 @@ def main(argv=None):
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        text = args.func(args)
+        text = globals()[f"cmd_{args.command}"](args)
         out_path = getattr(args, "out", None)
-        if out_path and args.func is not cmd_search:
+        if out_path and args.command != "search":
             _write_text(out_path, text)
         else:
             sys.stdout.write(text)

@@ -53,7 +53,7 @@ class Claim(NamedTuple):
     multi: bool  # checked on multigraphs, else on simple graphs
     proven: bool  # a violation is a bug; an open claim's is a finding
     alias: str | None  # the short --claims token
-    needs: tuple = ()  # the values check_graph computes for the verdict
+    needs: tuple = ()  # the report_to_dict keys check_graph computes for the verdict
     finding: tuple = ()  # the report_to_dict keys a finding records
 
 
@@ -62,7 +62,7 @@ class Claim(NamedTuple):
 # bounds and the encoding are always computed.
 CLAIMS = {
     # chi_f <= gamma'_ll, and the constructive weighting is valid
-    "frac-bound": Claim(False, True, "thm4", ("chi_f", "frac")),
+    "frac-bound": Claim(False, True, "thm4", ("chi_f", "frac_total")),
     # chi <= gamma_ll
     "superlocal-chi": Claim(False, False, "conj3", ("chi",), ("chi", "gamma_ll")),
     # chi_f <= max clique average of gamma'_l
@@ -78,7 +78,7 @@ CLAIMS = {
     "alpha2-chi": Claim(False, True, "thm10", ("alpha", "chi")),
     # chi_f <= subgraph neighbourhood average
     "question-bound": Claim(
-        False, False, "question", ("chi_f", "question"), ("chi_f", "question_value")
+        False, False, "question", ("chi_f", "question_value"), ("chi_f", "question_value")
     ),
     # edge_colour succeeds with k = gamma_bar_ll
     "edge-colour": Claim(True, True, "thm11"),
@@ -176,7 +176,7 @@ def check_graph(g, flags=None):
     if flags.limit_n is not None and g.n > flags.limit_n:
         # each oracle refuses above the lower of its own limit and limit_n;
         # the matching waits for alpha
-        needs -= {"chi", "alpha", "chi_f", "question"}
+        needs -= {"chi", "alpha", "chi_f", "question_value"}
     enc = to_graph6(g)
     bounds = graph_bounds(g)
 
@@ -199,13 +199,13 @@ def check_graph(g, flags=None):
             raise InternalBugError("invalid weighting: " + "; ".join(verdict.violations))
         return fc.total
 
-    frac_total = guarded("frac", run_frac)
+    frac_total = guarded("frac_total", run_frac)
 
     clique_avg = guarded(
         "clique_average", lambda: clique_average_bound(g) if g.n else None
     )
     question_value = guarded(
-        "question", lambda: subgraph_neighbourhood_bound(g) if g.n else None
+        "question_value", lambda: subgraph_neighbourhood_bound(g) if g.n else None
     )
 
     verdicts = {}

@@ -94,11 +94,6 @@ SPARSE_CHECK_GRAPH6 = (
 )
 
 
-# a fixed 22-vertex graph of edge density about 1/4, with 163 maximal
-# stable sets and chi_f 4
-GRAPH22_GRAPH6 = "UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_"
-
-
 @functools.cache
 def reference_stable_set_lp(g):
     """The covering LP of g over bf_maximal_stable_sets, as (rows, b, c),

@@ -1,9 +1,7 @@
 import contextlib
-import hashlib
 import io
 import json
 import os
-import random
 import subprocess
 import sys
 import tracemalloc
@@ -18,15 +16,15 @@ from superlocal import (
     Multigraph,
     cli,
     edge_colour,
-    format_multigraph,
     parse_graph6,
     parse_multigraph,
     to_graph6,
 )
 from superlocal.cli import main
 from bruteforce import bf_isomorphic
+import golden
+from golden import GRAPH22_GRAPH6, large_multigraph, sha256
 from conftest import (
-    GRAPH22_GRAPH6,
     complete,
     count_validations,
     corrupted_fractional_colour,
@@ -53,6 +51,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def golden_run():
+    """golden.run in a directory that holds the golden table's inputs."""
+    with golden.inputs_dir():
+        yield golden.run
+
+
+def golden_input(text):
+    """The name of the golden table's input file that holds text."""
+    return next(name for name, held in golden.INPUTS.items() if held == text + "\n")
 
 
 class TestBounds:
@@ -246,17 +256,16 @@ class TestOracle:
         )),
     ],
 )
-def test_bounds_and_oracle_pinned(capsys, tmp_path, command, text, digests):
+def test_bounds_and_oracle_pinned(golden_run, command, text, digests):
     # sha256 of json and plain stdout, as written while the per-vertex
-    # bounds were a VertexBounds record of Fractions
-    p = tmp_path / "g.txt"
-    p.write_text(text + "\n", encoding="ascii")
+    # bounds were a VertexBounds record of Fractions; tests/golden.sha256
+    # holds the same digests as these commands' stdout records
     outs = []
     for fmt in ("json", "plain"):
-        code, out, err = run(capsys, command, str(p), "--format", fmt)
+        code, out, err, _ = golden_run(f"{command} {golden_input(text)} --format {fmt}")
         assert (code, err) == (0, "")
         outs.append(out)
-    assert tuple(hashlib.sha256(o.encode("ascii")).hexdigest() for o in outs) == digests
+    assert tuple(sha256(o.encode("ascii")) for o in outs) == digests
 
 
 class TestRefusalMemory:
@@ -348,7 +357,7 @@ class TestFrac:
                 ),
             ),
             (
-                "UGHWJC??KCD_LgsO?C@D?KIG?SGgMblbAWgocAQ_",  # 22 rounds, 111 sets
+                GRAPH22_GRAPH6,  # 22 rounds, 111 sets
                 (
                     "a1f8bcf401bbec64eb3993e410f192a2eca1fe20856798a169bc2ef9d1350db2",
                     "a36e2b28080a9a83ce472d3e3a5ff52914e20f3285779d84b25a5d5cf0a41485",
@@ -356,17 +365,16 @@ class TestFrac:
             ),
         ],
     )
-    def test_output_pinned(self, capsys, tmp_path, graph6, digests):
+    def test_output_pinned(self, golden_run, graph6, digests):
         # sha256 of json and plain stdout, as written when the weights were
-        # frozensets with Fraction values
-        p = tmp_path / "g.g6"
-        p.write_text(graph6 + "\n", encoding="ascii")
+        # frozensets with Fraction values; tests/golden.sha256 holds the
+        # same digests
         outs = []
         for fmt in ("json", "plain"):
-            code, out, _ = run(capsys, "frac", str(p), "--format", fmt)
+            code, out, _, _ = golden_run(f"frac {golden_input(graph6)} --format {fmt}")
             assert code == 0
             outs.append(out)
-        assert tuple(hashlib.sha256(o.encode("ascii")).hexdigest() for o in outs) == digests
+        assert tuple(sha256(o.encode("ascii")) for o in outs) == digests
         if len(graph6) > 20:
             d = json.loads(outs[0])
             assert (len(d["iterations"]), len(d["weights"])) == (22, 111)
@@ -433,50 +441,23 @@ class TestEdgecolour:
         assert code == 0
         assert out.splitlines()[0] == "k 3"
 
-    @staticmethod
-    def large_multigraph(seed):
-        """60 vertices, pairs kept with probability 1/2 at multiplicity 1..3,
-        the first 1,708 edges; drawn again from the same stream while a
-        draw has fewer edges."""
-        rng = random.Random(seed)
-        edges = []
-        while len(edges) < 1708:
-            edges = []
-            for u in range(60):
-                for v in range(u + 1, 60):
-                    if rng.randrange(2):
-                        edges.extend([(u, v)] * rng.randint(1, 3))
-        return Multigraph(60, edges[:1708])
-
-    def stdout_digests(self, capsys, path):
-        digests = []
-        for fmt in ("plain", "json"):
-            code, out, _ = run(capsys, "edgecolour", str(path), "--format", fmt)
-            assert code == 0
-            digests.append(hashlib.sha256(out.encode("ascii")).hexdigest())
-        return digests
-
-    def test_output_pinned(self, capsys, tmp_path):
+    def test_output_pinned(self, golden_run):
         # sha256 of plain and json stdout on a seeded 60-vertex multigraph
         # with 1,708 edges, as written when the colour sets were Python sets
-        p = tmp_path / "large.mg"
-        p.write_text(format_multigraph(self.large_multigraph(1)), encoding="ascii")
-        assert self.stdout_digests(capsys, p) == [
+        digests = []
+        for fmt in ("plain", "json"):
+            code, out, _, _ = golden_run(f"edgecolour large1.mg --format {fmt}")
+            assert code == 0
+            digests.append(sha256(out.encode("ascii")))
+        assert digests == [
             "b0e14509518f485609f0f67a2ca605a93b6e5cf3bc8f4c83f448139efd7ee8ed",
             "ecd491ebe3154be478eb448b3b62b6c8d1d717439ce4bd0a803374557ca96e2b",
         ]
 
-    def test_benchmark_input_pinned(self, capsys, tmp_path):
-        # the edgecolour-large benchmark's input at its default seed: the
-        # plain digest is its output_sha256, and every insertion is direct
-        mg = self.large_multigraph(20240815)
-        p = tmp_path / "large.mg"
-        p.write_text(format_multigraph(mg), encoding="ascii")
-        assert self.stdout_digests(capsys, p) == [
-            "ff0ef2267925efde169ab689d4776aea2ead68cc528ff3f0b1c78973d366b48e",
-            "b5f8754242f3328d33f5cd09e7bc82140484ceb688ce61b179fd9a666ec9cff7",
-        ]
-        _, colouring = edge_colour(mg)
+    def test_benchmark_input_pinned(self):
+        # the edgecolour-large benchmark's input at its default seed, whose
+        # outputs the golden table pins: every insertion is direct
+        _, colouring = edge_colour(parse_multigraph(large_multigraph(20240815)))
         assert colouring.stats == {
             "direct": 1708, "rotation": 0, "kempe": 0, "sequence_steps": 0, "beta_swaps": 0
         }
@@ -644,7 +625,7 @@ class TestSearch:
         assert out == ""
         assert name in err and "does not apply" in err
 
-    def test_default_reports_pinned(self, capsys, tmp_path):
+    def test_default_reports_pinned(self, golden_run):
         # sha256 of the default `search --n N --out P` files and stdout, as
         # written when every value was computed for every claim; at n = 7
         # the jsonl digest is the output_sha256 of the search-n7 benchmark
@@ -661,16 +642,10 @@ class TestSearch:
             ],
         }
         for n, expected in pinned.items():
-            base = tmp_path / f"P{n}"
-            code, out, _ = run(capsys, "search", "--n", n, "--out", str(base))
+            code, out, _, files = golden_run(f"search --n {n} --out P")
             assert code == 0
             digests = [
-                hashlib.sha256(data).hexdigest()
-                for data in (
-                    base.with_suffix(".jsonl").read_bytes(),
-                    base.with_suffix(".csv").read_bytes(),
-                    out.encode("ascii"),
-                )
+                sha256(data) for data in (files["P.jsonl"], files["P.csv"], out.encode("ascii"))
             ]
             assert digests == expected, n
 
@@ -727,14 +702,14 @@ class TestGen:
              "e924d0cca73a52613a6974d407a4f9262715fb8500fd9499330e879a3956fc1d"),
         ],
     )
-    def test_corpus_pinned(self, capsys, corpus, params, digest):
+    def test_corpus_pinned(self, golden_run, corpus, params, digest):
         # sha256 of `gen --corpus K --seed 3 --count 40` stdout: a generator
         # may change how it builds a graph, never which graph a seed draws
-        code, out, err = run(
-            capsys, "gen", "--corpus", corpus, "--seed", "3", "--count", "40", *params
+        code, out, err, _ = golden_run(
+            " ".join(("gen", "--corpus", corpus, "--seed", "3", "--count", "40", *params))
         )
         assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+        assert sha256(out.encode("ascii")) == digest
 
     def test_params(self, capsys):
         code, out, _ = run(
@@ -947,6 +922,9 @@ class TestExitCodes:
     def test_help_is_zero(self, capsys):
         assert main(["--help"]) == 0
         assert main([]) == 1  # a subcommand is required
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
 
     @pytest.mark.parametrize("command", ["bounds", "frac", "edgecolour", "linegraph"])
     def test_limit_n_only_where_it_is_read(self, capsys, c5_file, command):

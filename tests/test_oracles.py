@@ -33,8 +33,8 @@ from bruteforce import (
     bf_matching_number,
     bf_stability_number,
 )
+from golden import GRAPH22_GRAPH6
 from conftest import (
-    GRAPH22_GRAPH6,
     SPARSE_CHECK_GRAPH6,
     all_graphs_upto,
     complete,

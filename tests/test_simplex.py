@@ -13,7 +13,8 @@ from superlocal import (
 )
 from superlocal.simplex import solve_simplex
 from bruteforce import bf_solve_simplex
-from conftest import GRAPH22_GRAPH6, SPARSE_CHECK_GRAPH6, reference_stable_set_lp
+from golden import GRAPH22_GRAPH6
+from conftest import SPARSE_CHECK_GRAPH6, reference_stable_set_lp
 
 F = Fraction
 
